@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -27,8 +25,8 @@ from .equivalence import (
     DecompositionError,
     DegenerateGridError,
     IllConditionedError,
-    build_virtual_grid,
     equate,
+    fit_equivalence,
     load_camera,
     save_camera,
 )
@@ -77,8 +75,6 @@ from .tiling import (
     format_manifest,
     plan_tiles,
 )
-
-WORKERS_ENV = "SATPINHOLE_WORKERS"
 
 # Ordered most-specific first; every entry maps to a stable category word so
 # scripts can branch on stderr without parsing prose.
@@ -197,12 +193,10 @@ def cmd_refine(args) -> int:
     kind = _pick(args.kind, cfg.warp_kind)
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
-    camera, before = equate(model, image_size, dims=dims)
-    fit_grid = build_virtual_grid(model, image_size, dims=dims)
-    warp = build_refinement(model, camera, fit_grid, kind=kind)
-    val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
-    val_grid = build_virtual_grid(model, image_size, dims=val_dims, stagger=True)
-    after = measure_equivalence_error(model, camera, val_grid, warp=warp)
+    eq = fit_equivalence(model, image_size, dims=dims)
+    camera, before = eq.camera, eq.report
+    warp = build_refinement(model, camera, eq.fit_grid, kind=kind)
+    after = measure_equivalence_error(model, camera, eq.val_grid, warp=warp)
 
     save_warp(warp, args.warp)
     if args.camera:
@@ -232,23 +226,12 @@ def cmd_partition(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     image_names = [f"tile_{i:03d}.asc" for i in range(len(plan.tiles))]
     rpc_names = [f"tile_{i:03d}.rpc" for i in range(len(plan.tiles))]
-
-    def write_tile(i: int) -> None:
-        tile = plan.tiles[i]
+    for tile, image_name, rpc_name in zip(plan.tiles, image_names, rpc_names):
         sub = crop_raster(image, tile)
         if args.enhance:
             sub = enhance_brightness(sub)
-        save_ascii_grid(sub, out_dir / image_names[i])
-        save_rpc(crop_rpc(model, (tile.col, tile.row)), out_dir / rpc_names[i])
-
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else None
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(write_tile, range(len(plan.tiles))))
+        save_ascii_grid(sub, out_dir / image_name)
+        save_rpc(crop_rpc(model, (tile.col, tile.row)), out_dir / rpc_name)
 
     manifest = out_dir / args.manifest
     manifest.write_text(format_manifest(plan, image_names, rpc_names))
@@ -396,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int)
     p.add_argument("--manifest", default="tiles.txt", help="manifest file name")
     p.add_argument("--enhance", action="store_true", help="stretch dark tiles before writing")
-    p.add_argument("--workers", type=int, help=f"tile writer threads (or ${WORKERS_ENV})")
     _add_config(p)
     p.set_defaults(func=cmd_partition)
 

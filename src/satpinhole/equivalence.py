@@ -10,6 +10,7 @@ into intrinsics, rotation, and translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +18,9 @@ import scipy.linalg
 from .geodesy import GeoPoint, geodetic_to_enu
 from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
 from .rpc import RpcModel, project_forward
+
+if TYPE_CHECKING:
+    from .error_analysis import EquivalenceReport
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
 
@@ -325,19 +329,36 @@ def decompose_projection(
     )
 
 
-def equate(
+@dataclass(frozen=True)
+class Equivalence:
+    """An equivalent pinhole camera with the grids it was fit and scored on.
+
+    Attributes:
+        camera: the pinhole camera fit on *fit_grid*.
+        report: its error against the model over *val_grid*.
+        fit_grid: the correspondences the camera was fit on; a refinement
+            warp is fit on the same ones.
+        val_grid: the held-out validation grid, at twice the fit density and
+            staggered by half a cell so no node is shared with *fit_grid*.
+    """
+
+    camera: PinholeCamera
+    report: EquivalenceReport
+    fit_grid: VirtualGrid
+    val_grid: VirtualGrid
+
+
+def fit_equivalence(
     model: RpcModel,
     image_size: tuple[int, int],
     dims: tuple[int, int, int] = DEFAULT_GRID_DIMS,
-):
-    """Compute the equivalent pinhole camera and its approximation error.
+) -> Equivalence:
+    """Fit the equivalent pinhole camera and score it on a held-out grid.
 
     The camera is fit on a virtual grid of *dims* nodes; the reported error
     comes from an independent validation grid at twice the density, offset by
-    half a cell so no node is shared.
-
-    Returns:
-        (PinholeCamera, EquivalenceReport)
+    half a cell so no node is shared. Both grids are returned for reuse, so a
+    refinement warp and its before/after reports need no further grids.
     """
     from .error_analysis import measure_equivalence_error
 
@@ -347,7 +368,23 @@ def equate(
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
     report = measure_equivalence_error(model, camera, val_grid)
-    return camera, report
+    return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
+
+
+def equate(
+    model: RpcModel,
+    image_size: tuple[int, int],
+    dims: tuple[int, int, int] = DEFAULT_GRID_DIMS,
+):
+    """Compute the equivalent pinhole camera and its approximation error.
+
+    The same fit as :func:`fit_equivalence`, keeping neither grid.
+
+    Returns:
+        (PinholeCamera, EquivalenceReport)
+    """
+    eq = fit_equivalence(model, image_size, dims)
+    return eq.camera, eq.report
 
 
 def format_camera(cam: PinholeCamera) -> str:

@@ -119,22 +119,20 @@ def error_field(
     camera: "PinholeCamera",
     image_size: tuple[int, int],
     cell_px: float,
-    n_alt: int = 5,
     grid: "VirtualGrid | None" = None,
 ) -> Raster:
     """Rasterize the mean projection discrepancy over the image plane.
 
-    A dense staggered grid spanning the full rated volume is projected
-    through both models; each point's Euclidean pixel error accumulates into
-    the image cell containing its rational-model projection. Cells that
-    receive no points are nodata.
+    A dense staggered grid spanning the full rated volume, with five altitude
+    layers, is projected through both models; each point's Euclidean pixel
+    error accumulates into the image cell containing its rational-model
+    projection. Cells that receive no points are nodata.
 
     Args:
         model: rational polynomial model.
         camera: its pinhole stand-in.
         image_size: (width, height) in pixels.
         cell_px: edge length of the square aggregation cells, pixels.
-        n_alt: altitude layers of the sampling grid (ignored if *grid* given).
         grid: optional explicit correspondence grid to aggregate instead.
 
     Returns:
@@ -148,7 +146,7 @@ def error_field(
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         grid = build_virtual_grid(
-            model, image_size, (n_side, n_side, max(3, n_alt)), stagger=True,
+            model, image_size, (n_side, n_side, 5), stagger=True,
             anchor=camera.anchor,
         )
 

@@ -40,14 +40,11 @@ class PolynomialWarp:
     """Bivariate quadratic warp with coefficients in raw pixel coordinates.
 
     x' = m0 + m1 x + m2 y + m3 x y + m4 x^2 + m5 y^2 and the same pattern in
-    m6..m11 for y'. norm_center/norm_scale record the source normalization
-    used during fitting.
+    m6..m11 for y'.
     """
 
     m: np.ndarray
     fit_rms_px: float = 0.0
-    norm_center: tuple[float, float] = (0.0, 0.0)
-    norm_scale: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.m, dtype=np.float64).reshape(12)
@@ -148,12 +145,7 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     trial = PolynomialWarp(m=np.concatenate([mx, my]))
     px, py = trial.apply(src[:, 0], src[:, 1])
     rms = float(np.sqrt(np.mean((px - dst[:, 0]) ** 2 + (py - dst[:, 1]) ** 2)))
-    return PolynomialWarp(
-        m=trial.m,
-        fit_rms_px=rms,
-        norm_center=(float(center[0]), float(center[1])),
-        norm_scale=(float(scale[0]), float(scale[1])),
-    )
+    return PolynomialWarp(m=trial.m, fit_rms_px=rms)
 
 
 def fit_homography(src, dst) -> Homography:
@@ -284,8 +276,6 @@ def format_warp(warp) -> str:
             "KIND: polynomial",
             "M: " + " ".join(fmt(v) for v in warp.m),
             f"FIT_RMS_PX: {fmt(warp.fit_rms_px)}",
-            f"NORM_CENTER: {fmt(warp.norm_center[0])} {fmt(warp.norm_center[1])}",
-            f"NORM_SCALE: {fmt(warp.norm_scale[0])} {fmt(warp.norm_scale[1])}",
         ]
     elif isinstance(warp, Homography):
         lines = [
@@ -299,7 +289,12 @@ def format_warp(warp) -> str:
 
 
 def parse_warp(text: str):
-    """Parse warp text written by format_warp."""
+    """Parse warp text written by format_warp.
+
+    Polynomial warps written by earlier versions also carry the fitting
+    normalization (``NORM_*`` keys); the coefficients are in raw pixels, so
+    those lines are ignored.
+    """
     try:
         kv = read_kv(text)
     except KvFormatError as exc:
@@ -309,14 +304,7 @@ def parse_warp(text: str):
         if kind == "polynomial":
             m = get_floats(kv, "M", 12)
             rms = get_float(kv, "FIT_RMS_PX")
-            center = get_floats(kv, "NORM_CENTER", 2)
-            scale = get_floats(kv, "NORM_SCALE", 2)
-            return PolynomialWarp(
-                m=np.array(m),
-                fit_rms_px=rms,
-                norm_center=(center[0], center[1]),
-                norm_scale=(scale[0], scale[1]),
-            )
+            return PolynomialWarp(m=np.array(m), fit_rms_px=rms)
         if kind == "homography":
             hv = get_floats(kv, "H", 9)
             rms = get_float(kv, "FIT_RMS_PX")

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from satpinhole.cli import main
-from satpinhole.equivalence import build_virtual_grid, equate, format_camera, parse_camera
+from satpinhole.equivalence import (
+    build_virtual_grid,
+    equate,
+    fit_equivalence,
+    format_camera,
+    parse_camera,
+)
 from satpinhole.error_analysis import (
     error_field,
     measure_equivalence_error,
@@ -357,16 +363,14 @@ def test_end_to_end_tiling_pipeline(tmp_path):
 
     plan, _, rpc_names = parse_manifest((tile_dir / "tiles.txt").read_text())
     dims = (20, 20, 10)
-    val_dims = (40, 40, 20)
     tile_size = plan.tile_size
     improvements = []
     for name in rpc_names:
         model = load_rpc(tile_dir / name)
-        camera, pre = equate(model, tile_size, dims=dims)
-        fit_grid = build_virtual_grid(model, tile_size, dims=dims)
-        warp = build_refinement(model, camera, fit_grid, kind="polynomial")
-        val_grid = build_virtual_grid(model, tile_size, dims=val_dims, stagger=True)
-        post = measure_equivalence_error(model, camera, val_grid, warp=warp).rmse
+        eq = fit_equivalence(model, tile_size, dims=dims)
+        camera, pre = eq.camera, eq.report
+        warp = build_refinement(model, camera, eq.fit_grid, kind="polynomial")
+        post = measure_equivalence_error(model, camera, eq.val_grid, warp=warp).rmse
         field = error_field(model, camera, tile_size, 64.0)
         assert (field.values != field.nodata).any()
         improvements.append(post < pre.rmse)

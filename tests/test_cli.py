@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from satpinhole import equivalence
 from satpinhole.cli import main
 from satpinhole.equivalence import load_camera
 from satpinhole.error_analysis import parse_equivalence_report
@@ -214,6 +216,35 @@ def test_refine_image_without_corrected(tmp_path, scene_dir, capsys):
     assert capsys.readouterr().err.startswith("error: invalid:")
 
 
+def test_refine_fits_once_and_reuses_equate_grids(tmp_path, scene_dir, monkeypatch, capsys):
+    # Count calls through every package module that binds the function, so
+    # a caller importing it by name is counted too.
+    calls = {"build_virtual_grid": 0, "solve_projection": 0}
+    for name in calls:
+        fn = getattr(equivalence, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("satpinhole") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    rpc = str(scene_dir / "rpc.txt")
+    size = ["--image-size", "96", "96", "--grid", "8", "8", "4"]
+    before = tmp_path / "before.txt"
+    rc = main(
+        ["refine", rpc, *size, "--warp", str(tmp_path / "warp.txt"), "--report-before", str(before)]
+    )
+    assert rc == 0
+    assert calls == {"build_virtual_grid": 2, "solve_projection": 1}
+
+    report = tmp_path / "report.txt"
+    rc = main(["equate", rpc, *size, "--camera", str(tmp_path / "cam.txt"), "--report", str(report)])
+    assert rc == 0
+    assert before.read_bytes() == report.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # partition
 
@@ -258,37 +289,6 @@ def test_partition_tiles_reconstruct_image(tmp_path, scene_dir, capsys):
     ts, tl = project_forward(sub_model, lat, lon, alt)
     np.testing.assert_allclose(ts, ps - tile.col, atol=1e-9)
     np.testing.assert_allclose(tl, pl - tile.row, atol=1e-9)
-
-
-def test_partition_workers_env(tmp_path, scene_dir, monkeypatch, capsys):
-    monkeypatch.setenv("SATPINHOLE_WORKERS", "2")
-    out_dir = tmp_path / "tiles"
-    rc = main(
-        [
-            "partition",
-            str(scene_dir / "image.asc"),
-            str(scene_dir / "rpc.txt"),
-            "--out-dir", str(out_dir),
-            "--tile-size", "64",
-            "--overlap", "16",
-        ]
-    )
-    assert rc == 0
-    assert (out_dir / "tiles.txt").exists()
-
-
-def test_partition_rejects_bad_worker_count(tmp_path, scene_dir, capsys):
-    rc = main(
-        [
-            "partition",
-            str(scene_dir / "image.asc"),
-            str(scene_dir / "rpc.txt"),
-            "--out-dir", str(tmp_path / "tiles"),
-            "--workers", "0",
-        ]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: invalid:")
 
 
 def test_partition_enhance_flag(tmp_path, scene_dir, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from satpinhole.equivalence import build_virtual_grid
 from satpinhole.error_analysis import measure_equivalence_error
+from satpinhole.kvio import fmt
 from satpinhole.raster import Raster
 from satpinhole.refinement import (
     IDENTITY_COEFFS,
@@ -299,6 +300,21 @@ def test_load_warp_matches_parse(tmp_path):
     save_warp(warp, path)
     loaded = load_warp(path)
     np.testing.assert_array_equal(loaded.m, warp.m)
+
+
+def test_parse_warp_ignores_old_normalization_keys():
+    m = np.linspace(-1.5, 2.5, 12)
+    old = (
+        "KIND: polynomial\n"
+        "M: " + " ".join(fmt(v) for v in m) + "\n"
+        "FIT_RMS_PX: 0.125\n"
+        "NORM_CENTER: 256 256\n"
+        "NORM_SCALE: 255.5 255.5\n"
+    )
+    warp = parse_warp(old)
+    np.testing.assert_array_equal(warp.m, m)
+    assert warp.fit_rms_px == 0.125
+    assert "NORM_" not in format_warp(warp)
 
 
 def test_parse_warp_unknown_kind():
