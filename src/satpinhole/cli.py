@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .equivalence import (
+    DEFAULT_GRID_DIMS,
     CameraFormatError,
     DecompositionError,
     DegenerateGridError,
@@ -104,19 +105,41 @@ class PipelineConfig:
     """Tunable defaults shared across subcommands.
 
     A JSON file passed via --config overrides these; explicit flags override
-    the file. Unknown keys in the file are rejected.
+    the file. Unknown keys in the file, and values of the wrong type for
+    their field, are rejected.
     """
 
-    grid_dims: tuple = (20, 20, 10)
+    grid_dims: tuple[int, int, int] = DEFAULT_GRID_DIMS
     tile_size: int = 512
     overlap: int = 64
     cell_px: float = 32.0
     warp_kind: str = "polynomial"
-    mad_k: float = 3.0
-    mad_floor: float = 0.1
-    radius: float | None = None
-    min_neighbors: int = 4
-    aggregator: str = "median"
+    mad_k: float = FusionConfig.mad_k
+    mad_floor: float = FusionConfig.mad_floor
+    radius: float | None = FusionConfig.radius
+    min_neighbors: int = FusionConfig.min_neighbors
+    aggregator: str = FusionConfig.aggregator
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Config field annotation -> (what a JSON value must be, its check).
+_CONFIG_TYPES = {
+    "tuple[int, int, int]": (
+        "a list of 3 ints",
+        lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) for d in v),
+    ),
+    "int": ("an int", _is_int),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -126,12 +149,16 @@ def _load_config(path: str | None) -> PipelineConfig:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(PipelineConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        expected, check = _CONFIG_TYPES[types[key]]
+        if not check(value):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
     if "grid_dims" in data:
-        data["grid_dims"] = tuple(int(d) for d in data["grid_dims"])
+        data["grid_dims"] = tuple(data["grid_dims"])
     return replace(cfg, **data)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kvio import KvFormatError, fmt, get_float, read_kv
 from .raster import Raster
-from .rpc import RpcModel, project_forward
+from .rpc import RpcModel
 
 if TYPE_CHECKING:
     from .equivalence import PinholeCamera, VirtualGrid
@@ -87,11 +87,14 @@ def measure_equivalence_error(
 ) -> EquivalenceReport:
     """Compare rational and pinhole projections over a virtual grid.
 
-    When *warp* is given (any object with an ``apply(x, y)`` method), the
-    pinhole projections are pushed through it before differencing, so the
-    result measures the post-refinement residual.
+    The rational projections come from ``grid.pixels``, which must be
+    *model*'s projections of the grid nodes, as
+    :func:`~satpinhole.equivalence.build_virtual_grid` makes them; *model* is
+    the model *grid* was sampled from. When *warp* is given (any object with
+    an ``apply(x, y)`` method), the pinhole projections are pushed through it
+    before differencing, so the result measures the post-refinement residual.
     """
-    samp, line = project_forward(model, grid.lat, grid.lon, grid.alt)
+    samp, line = grid.pixels.T
     psamp, pline = camera.project(grid.enu)
     if warp is not None:
         psamp, pline = warp.apply(psamp, pline)
@@ -129,11 +132,14 @@ def error_field(
     projection. Cells that receive no points are nodata.
 
     Args:
-        model: rational polynomial model.
+        model: rational polynomial model (the model *grid* was sampled
+            from, when *grid* is given).
         camera: its pinhole stand-in.
         image_size: (width, height) in pixels.
         cell_px: edge length of the square aggregation cells, pixels.
-        grid: optional explicit correspondence grid to aggregate instead.
+        grid: optional explicit correspondence grid to aggregate instead. Its
+            rational projections come from ``grid.pixels``, which must be
+            *model*'s projections, as ``build_virtual_grid`` makes them.
 
     Returns:
         Raster in image coordinates: origin (0, 0), cell_size == cell_px.
@@ -150,7 +156,7 @@ def error_field(
             anchor=camera.anchor,
         )
 
-    samp, line = project_forward(model, grid.lat, grid.lon, grid.alt)
+    samp, line = grid.pixels.T
     psamp, pline = camera.project(grid.enu)
     err = np.hypot(samp - psamp, line - pline)
 

@@ -124,25 +124,19 @@ def save_ascii_grid(raster: Raster, path) -> None:
         fh.write(format_ascii_grid(raster))
 
 
-def sample_bilinear(raster: Raster, x, y, clamp: bool = True):
-    """Bilinearly sample a raster at georeferenced (x, y) positions.
+def interpolate(raster: Raster, fx, fy, clamp: bool = True):
+    """Bilinearly interpolate a raster at fractional (column, row) indices.
 
-    Cell centers sit half a cell in from the corner, so the value of cell
-    (row, col) lives at x = x0 + (col + 0.5) * cell. With clamp=True positions
-    outside the grid are clamped to the border cells; otherwise they return
-    the nodata sentinel. Any nodata among the four neighbors also yields
-    nodata.
+    Index (0, 0) is the center of the top-left cell. With clamp=True indices
+    outside the grid are clamped to the border cells; otherwise indices more
+    than half a cell outside return the nodata sentinel. Any nodata among the
+    four neighbors also yields nodata, if its weight is nonzero.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    fx = (x - raster.origin[0]) / raster.cell_size - 0.5
-    # Row index grows downward while y grows upward.
-    fy = (raster.nrows - 0.5) - (y - raster.origin[1]) / raster.cell_size
     inside = (fx >= -0.5) & (fx <= raster.ncols - 0.5) & (fy >= -0.5) & (fy <= raster.nrows - 0.5)
     cx = np.clip(fx, 0.0, raster.ncols - 1.0)
     cy = np.clip(fy, 0.0, raster.nrows - 1.0)
-    c0 = np.minimum(np.floor(cx).astype(np.intp), raster.ncols - 2 if raster.ncols > 1 else 0)
-    r0 = np.minimum(np.floor(cy).astype(np.intp), raster.nrows - 2 if raster.nrows > 1 else 0)
+    c0 = np.minimum(np.floor(cx).astype(np.intp), max(raster.ncols - 2, 0))
+    r0 = np.minimum(np.floor(cy).astype(np.intp), max(raster.nrows - 2, 0))
     c1 = np.minimum(c0 + 1, raster.ncols - 1)
     r1 = np.minimum(r0 + 1, raster.nrows - 1)
     wx = cx - c0
@@ -157,7 +151,8 @@ def sample_bilinear(raster: Raster, x, y, clamp: bool = True):
     w10 = wy * (1 - wx)
     w11 = wy * wx
     out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    # A nodata neighbor only poisons the sample if it actually contributes.
+    # A nodata neighbor only poisons the sample if it actually contributes;
+    # landing exactly on a valid sample next to a hole is fine.
     bad = (
         ((v00 == raster.nodata) & (w00 > 0))
         | ((v01 == raster.nodata) & (w01 > 0))
@@ -167,3 +162,18 @@ def sample_bilinear(raster: Raster, x, y, clamp: bool = True):
     if not clamp:
         bad = bad | ~inside
     return np.where(bad, raster.nodata, out)
+
+
+def sample_bilinear(raster: Raster, x, y, clamp: bool = True):
+    """Bilinearly sample a raster at georeferenced (x, y) positions.
+
+    Cell centers sit half a cell in from the corner, so the value of cell
+    (row, col) lives at x = x0 + (col + 0.5) * cell. Clamping and nodata
+    follow :func:`interpolate`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    fx = (x - raster.origin[0]) / raster.cell_size - 0.5
+    # Row index grows downward while y grows upward.
+    fy = (raster.nrows - 0.5) - (y - raster.origin[1]) / raster.cell_size
+    return interpolate(raster, fx, fy, clamp)

@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
-from .raster import Raster
-from .rpc import project_forward
+from .raster import Raster, interpolate
 
 if TYPE_CHECKING:
     from .equivalence import PinholeCamera, VirtualGrid
@@ -203,8 +202,12 @@ def build_refinement(
 ):
     """Fit the warp taking pinhole projections onto rational projections.
 
+    The rational projections are not recomputed: they come from
+    ``grid.pixels``, which must be *model*'s projections of the grid nodes, as
+    :func:`~satpinhole.equivalence.build_virtual_grid` makes them.
+
     Args:
-        model: rational polynomial model.
+        model: the rational polynomial model *grid* was sampled from.
         camera: equivalent pinhole camera.
         grid: correspondence grid (typically the fit grid from equate).
         kind: "polynomial" or "homography".
@@ -213,13 +216,11 @@ def build_refinement(
         PolynomialWarp or Homography with fit_rms_px filled in.
     """
     psamp, pline = camera.project(grid.enu)
-    rsamp, rline = project_forward(model, grid.lat, grid.lon, grid.alt)
     src = np.column_stack([psamp, pline])
-    dst = np.column_stack([rsamp, rline])
     if kind == "polynomial":
-        return fit_polynomial(src, dst)
+        return fit_polynomial(src, grid.pixels)
     if kind == "homography":
-        return fit_homography(src, dst)
+        return fit_homography(src, grid.pixels)
     raise ValueError(f"unknown refinement kind: {kind!r}")
 
 
@@ -234,39 +235,7 @@ def resample(image: Raster, warp) -> Raster:
     h, w = image.values.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     mx, my = warp.apply(xs, ys)
-
-    inside = (mx >= -0.5) & (mx <= w - 0.5) & (my >= -0.5) & (my <= h - 0.5)
-    cx = np.clip(mx, 0.0, w - 1.0)
-    cy = np.clip(my, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
-    y0 = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = cx - x0
-    wy = cy - y0
-
-    v = np.asarray(image.values, dtype=np.float64)
-    v00 = v[y0, x0]
-    v01 = v[y0, x1]
-    v10 = v[y1, x0]
-    v11 = v[y1, x1]
-    w00 = (1 - wy) * (1 - wx)
-    w01 = (1 - wy) * wx
-    w10 = wy * (1 - wx)
-    w11 = wy * wx
-    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    nd = image.nodata
-    # A nodata input pixel only poisons outputs whose stencil actually
-    # weights it; landing exactly on a valid sample next to a hole is fine.
-    bad = (
-        ~inside
-        | ((v00 == nd) & (w00 > 0))
-        | ((v01 == nd) & (w01 > 0))
-        | ((v10 == nd) & (w10 > 0))
-        | ((v11 == nd) & (w11 > 0))
-    )
-    out = np.where(bad, nd, out)
-    return image.like(out)
+    return image.like(interpolate(image, mx, my, clamp=False))
 
 
 def format_warp(warp) -> str:

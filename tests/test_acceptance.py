@@ -18,7 +18,6 @@ import pytest
 
 from satpinhole.cli import main
 from satpinhole.equivalence import (
-    build_virtual_grid,
     equate,
     fit_equivalence,
     format_camera,
@@ -61,9 +60,11 @@ def battery():
     for seed in SWEEP_SEEDS:
         scene = make_pushbroom_scene(seed, FULL_SIZE)
         model, _ = fit_scene_rpc(scene)
-        camera, report = equate(model, FULL_SIZE)
+        eq = fit_equivalence(model, FULL_SIZE)
         items.append(
-            SimpleNamespace(seed=seed, scene=scene, model=model, camera=camera, report=report)
+            SimpleNamespace(
+                seed=seed, scene=scene, model=model, camera=eq.camera, report=eq.report, eq=eq
+            )
         )
     return items
 
@@ -113,16 +114,13 @@ def test_error_shrinks_with_image_size(battery):
 
 def test_polynomial_refinement_ordering(battery):
     t0 = time.perf_counter()
-    dims = (20, 20, 10)
-    val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     improved = []
     no_worse_than_homography = []
     for item in battery:
-        fit_grid = build_virtual_grid(item.model, FULL_SIZE, dims=dims)
-        val_grid = build_virtual_grid(item.model, FULL_SIZE, dims=val_dims, stagger=True)
+        fit_grid, val_grid = item.eq.fit_grid, item.eq.val_grid
         poly = build_refinement(item.model, item.camera, fit_grid, kind="polynomial")
         homo = build_refinement(item.model, item.camera, fit_grid, kind="homography")
-        pre = item.report.rmse
+        pre = item.eq.report.rmse
         post_p = measure_equivalence_error(item.model, item.camera, val_grid, warp=poly).rmse
         post_h = measure_equivalence_error(item.model, item.camera, val_grid, warp=homo).rmse
         improved.append(post_p < pre)

@@ -50,21 +50,58 @@ def test_malformed_rpc_reports_parse_error(tmp_path, capsys):
 
 
 def test_unknown_config_key_reports_invalid(tmp_path, scene_dir, capsys):
+    rpc = str(scene_dir / "rpc.txt")
+    size = ["--image-size", "96", "96"]
+    commands = {
+        "equate": ["equate", rpc, *size, "--camera", str(tmp_path / "cam.txt")],
+        "refine": ["refine", rpc, *size, "--warp", str(tmp_path / "warp.txt")],
+        "error-map": ["error-map", rpc, *size, "--out", str(tmp_path / "err.asc")],
+        "partition": [
+            "partition", str(scene_dir / "image.asc"), rpc, "--out-dir", str(tmp_path / "tiles"),
+        ],
+        "fuse": ["fuse", str(scene_dir / "dsm.asc"), "--out", str(tmp_path / "fused.asc")],
+    }
+    # (subcommand, config, key the message must name); each value has the
+    # wrong type for its field.
+    cases = [
+        ("equate", {"bogus": 1}, "bogus"),
+        ("error-map", {"cell_px": "x"}, "cell_px"),
+        ("equate", {"grid_dims": 5}, "grid_dims"),
+        ("refine", {"grid_dims": 5}, "grid_dims"),
+        ("error-map", {"grid_dims": 5}, "grid_dims"),
+        ("equate", {"grid_dims": [8, 8]}, "grid_dims"),
+        ("equate", {"grid_dims": [8, 8, 4.5]}, "grid_dims"),
+        ("refine", {"warp_kind": 1}, "warp_kind"),
+        ("partition", {"tile_size": "64"}, "tile_size"),
+        ("partition", {"overlap": True}, "overlap"),
+        ("fuse", {"mad_k": "3"}, "mad_k"),
+        ("fuse", {"radius": "2"}, "radius"),
+        ("fuse", {"min_neighbors": 2.0}, "min_neighbors"),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
+    for command, config, key in cases:
+        cfg.write_text(json.dumps(config))
+        rc = main([*commands[command], "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1, (command, config)
+        assert err.startswith("error: invalid:"), (command, config, err)
+        assert key in err, (command, config, err)
+
+
+def test_config_file_values_apply(tmp_path, scene_dir, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_dims": [8, 8, 4], "cell_px": 48, "radius": None}))
+    out = tmp_path / "err.asc"
     rc = main(
         [
-            "equate",
-            str(scene_dir / "rpc.txt"),
+            "error-map", str(scene_dir / "rpc.txt"),
             "--image-size", "96", "96",
-            "--camera", str(tmp_path / "cam.txt"),
+            "--out", str(out),
             "--config", str(cfg),
         ]
     )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid:")
-    assert "bogus" in err
+    assert rc == 0
+    assert load_ascii_grid(out).values.shape == (2, 2)
 
 
 def test_degenerate_grid_reports_category(tmp_path, scene_dir, capsys):
@@ -216,20 +253,32 @@ def test_refine_image_without_corrected(tmp_path, scene_dir, capsys):
     assert capsys.readouterr().err.startswith("error: invalid:")
 
 
+def _tally_calls(monkeypatch, fn, tally, amount=lambda *args, **kwargs: 1):
+    """Add *amount* of each call of *fn* to ``tally[fn.__name__]``.
+
+    The function is replaced in every package module that binds it, so a
+    caller importing it by name is counted too.
+    """
+    name = fn.__name__
+
+    def counted(*args, **kwargs):
+        tally[name] += amount(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("satpinhole") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted)
+
+
+def _n_points(model, lat, lon, alt):
+    return int(np.broadcast(lat, lon, alt).size)
+
+
 def test_refine_fits_once_and_reuses_equate_grids(tmp_path, scene_dir, monkeypatch, capsys):
-    # Count calls through every package module that binds the function, so
-    # a caller importing it by name is counted too.
-    calls = {"build_virtual_grid": 0, "solve_projection": 0}
-    for name in calls:
-        fn = getattr(equivalence, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("satpinhole") and getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted)
+    calls = {"build_virtual_grid": 0, "solve_projection": 0, "project_forward": 0}
+    _tally_calls(monkeypatch, equivalence.build_virtual_grid, calls)
+    _tally_calls(monkeypatch, equivalence.solve_projection, calls)
+    _tally_calls(monkeypatch, project_forward, calls, amount=_n_points)
     rpc = str(scene_dir / "rpc.txt")
     size = ["--image-size", "96", "96", "--grid", "8", "8", "4"]
     before = tmp_path / "before.txt"
@@ -237,12 +286,30 @@ def test_refine_fits_once_and_reuses_equate_grids(tmp_path, scene_dir, monkeypat
         ["refine", rpc, *size, "--warp", str(tmp_path / "warp.txt"), "--report-before", str(before)]
     )
     assert rc == 0
-    assert calls == {"build_virtual_grid": 2, "solve_projection": 1}
+    # Only the nodes of the fit grid (8 x 8 x 4) and of the validation grid
+    # (16 x 16 x 8) go through the rational model; nothing is projected again.
+    assert calls == {"build_virtual_grid": 2, "solve_projection": 1, "project_forward": 256 + 2048}
 
     report = tmp_path / "report.txt"
     rc = main(["equate", rpc, *size, "--camera", str(tmp_path / "cam.txt"), "--report", str(report)])
     assert rc == 0
     assert before.read_bytes() == report.read_bytes()
+
+
+def test_error_map_projects_only_its_dense_grid(tmp_path, scene_dir, monkeypatch, capsys):
+    rpc = str(scene_dir / "rpc.txt")
+    size = ["--image-size", "96", "96"]
+    camera = tmp_path / "cam.txt"
+    assert main(["equate", rpc, *size, "--camera", str(camera)]) == 0
+
+    calls = {"project_forward": 0}
+    _tally_calls(monkeypatch, project_forward, calls, amount=_n_points)
+    rc = main(
+        ["error-map", rpc, *size, "--camera", str(camera), "--cell", "16", "--out", str(tmp_path / "e.asc")]
+    )
+    assert rc == 0
+    # n_side = 2 * ceil(96 / 16) = 12 nodes per ground axis, 5 altitude layers.
+    assert calls == {"project_forward": 12 * 12 * 5}
 
 
 # ---------------------------------------------------------------------------
