@@ -220,6 +220,17 @@ def cmd_refine(args) -> int:
     kind = _pick(args.kind, cfg.warp_kind)
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
+    image = None
+    if args.image:
+        if not args.corrected:
+            raise ValueError("--image requires --corrected for the output path")
+        image = load_ascii_grid(args.image)
+        if (image.ncols, image.nrows) != image_size:
+            raise ValueError(
+                f"--image is {image.ncols} x {image.nrows} pixels but --image-size "
+                f"is {image_size[0]} x {image_size[1]}; the warp is fitted in the "
+                "pixels of --image-size"
+            )
     eq = fit_equivalence(model, image_size, dims=dims)
     camera, before = eq.camera, eq.report
     warp = build_refinement(model, camera, eq.fit_grid, kind=kind)
@@ -232,10 +243,7 @@ def cmd_refine(args) -> int:
         Path(args.report_before).write_text(format_equivalence_report(before))
     if args.report_after:
         Path(args.report_after).write_text(format_equivalence_report(after))
-    if args.image:
-        if not args.corrected:
-            raise ValueError("--image requires --corrected for the output path")
-        image = load_ascii_grid(args.image)
+    if image is not None:
         save_ascii_grid(resample(image, warp), args.corrected)
     print(f"refined ({kind}): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
     return 0

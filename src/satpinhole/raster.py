@@ -73,7 +73,10 @@ def format_ascii_grid(raster: Raster) -> str:
         f"NODATA_value {fmt(raster.nodata)}\n"
     )
     rows = np.asarray(raster.values, dtype=np.float64)
-    body = "\n".join(" ".join(fmt(v) for v in row) for row in rows)
+    # One "%.17g" per column, applied to a whole row: the bytes of ``fmt``
+    # per value, without a Python call per value.
+    row_format = " ".join(["%.17g"] * raster.ncols)
+    body = "\n".join(row_format % tuple(row.tolist()) for row in rows)
     return header + body + "\n"
 
 

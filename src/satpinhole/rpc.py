@@ -11,6 +11,11 @@ with latitude/longitude/altitude denoted P/L/H:
 
     1, L, P, H, LP, LH, PH, L2, P2, H2,
     PLH, L3, LP2, LH2, L2P, P3, PH2, L2H, P2H, H3
+
+Every evaluation goes through one monomial basis, built from shared products
+a block of 8192 points at a time; all four cubics (samp/line numerator and
+denominator) of a block come from one (4, 20) @ (20, block) product, so the
+working memory is a few MB whatever the number of points.
 """
 
 from __future__ import annotations
@@ -66,43 +71,28 @@ class ExtrapolationWarning(UserWarning):
     """Projection evaluated outside the model's rated volume."""
 
 
-def eval_cubic(c: np.ndarray, lat, lon, alt):
-    """Evaluate a 20-term cubic at normalized (lat, lon, alt).
+_BLOCK = 1 << 13  # points per basis block: 20 rows of 8192 float64 take 1.3 MB
 
-    Expanded by hand rather than via a power table so large batches avoid
-    materializing an N x 20 basis matrix.
-    """
-    return (
-        c[0]
-        + c[1] * lon
-        + c[2] * lat
-        + c[3] * alt
-        + c[4] * lon * lat
-        + c[5] * lon * alt
-        + c[6] * lat * alt
-        + c[7] * lon * lon
-        + c[8] * lat * lat
-        + c[9] * alt * alt
-        + c[10] * lat * lon * alt
-        + c[11] * lon**3
-        + c[12] * lon * lat * lat
-        + c[13] * lon * alt * alt
-        + c[14] * lon * lon * lat
-        + c[15] * lat**3
-        + c[16] * lat * alt * alt
-        + c[17] * lon * lon * alt
-        + c[18] * lat * lat * alt
-        + c[19] * alt**3
-    )
+
+def _monomials(p, l, h, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of *out* with the monomials of 1-D (p, l, h) in CUBIC_POWERS
+    order; each term above degree one is one product of two rows already filled."""
+    out[0] = 1.0
+    out[1], out[2], out[3] = l, p, h
+    lp, ll, pp, hh = out[4], out[7], out[8], out[9]
+    for row, a, b in (
+        (4, l, p), (5, l, h), (6, p, h), (7, l, l), (8, p, p), (9, h, h),
+        (10, lp, h), (11, ll, l), (12, l, pp), (13, l, hh), (14, ll, p),
+        (15, pp, p), (16, p, hh), (17, ll, h), (18, pp, h), (19, hh, h),
+    ):
+        np.multiply(a, b, out=out[row])
+    return out
 
 
 def cubic_basis(lat, lon, alt) -> np.ndarray:
     """Return the (N, 20) monomial basis matrix in sidecar term order."""
-    lat = np.asarray(lat, dtype=np.float64).ravel()
-    lon = np.asarray(lon, dtype=np.float64).ravel()
-    alt = np.asarray(alt, dtype=np.float64).ravel()
-    cols = [lat**i * lon**j * alt**k for i, j, k in CUBIC_POWERS]
-    return np.column_stack(cols)
+    p, l, h = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (lat, lon, alt)))
+    return _monomials(p.ravel(), l.ravel(), h.ravel(), np.empty((20, p.size))).T
 
 
 _NORMALIZER_FIELDS = (
@@ -224,13 +214,26 @@ def save_rpc(model: RpcModel, path) -> None:
         fh.write(format_rpc(model))
 
 
-def _eval_ratio(num: np.ndarray, den: np.ndarray, p, l, h, check: bool):
-    d = eval_cubic(den, p, l, h)
-    if check and np.any(np.abs(d) < DENOMINATOR_FLOOR):
-        raise SingularEvaluationError(
-            f"rational denominator magnitude below {DENOMINATOR_FLOOR:g}"
-        )
-    return eval_cubic(num, p, l, h) / d
+def _ratios(model: RpcModel, p, l, h, check: bool):
+    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
+
+    With *check*, a denominator magnitude under 1e-10 at any point raises
+    SingularEvaluationError.
+    """
+    coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
+    n = p.size
+    samp, line = np.empty(n), np.empty(n)
+    basis = np.empty((20, min(n, _BLOCK)))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        vals = coef @ _monomials(p[lo:hi], l[lo:hi], h[lo:hi], basis[:, : hi - lo])
+        if check and np.any(np.abs(vals[1::2]) < DENOMINATOR_FLOOR):
+            raise SingularEvaluationError(
+                f"rational denominator magnitude below {DENOMINATOR_FLOOR:g}"
+            )
+        np.divide(vals[0], vals[1], out=samp[lo:hi])
+        np.divide(vals[2], vals[3], out=line[lo:hi])
+    return samp, line
 
 
 def project_forward(model: RpcModel, lat, lon, alt):
@@ -248,12 +251,8 @@ def project_forward(model: RpcModel, lat, lon, alt):
     fit carries no accuracy guarantee out there. A denominator magnitude under
     1e-10 raises SingularEvaluationError.
     """
-    p, l, h = model.normalize_ground(lat, lon, alt)
-    bound = max(
-        np.max(np.abs(p), initial=0.0),
-        np.max(np.abs(l), initial=0.0),
-        np.max(np.abs(h), initial=0.0),
-    )
+    p, l, h = np.broadcast_arrays(*model.normalize_ground(lat, lon, alt))
+    bound = max(np.max(np.abs(a), initial=0.0) for a in (p, l, h))
     if bound > SOFT_BOUND:
         warnings.warn(
             f"normalized coordinates reach {bound:.3g}, beyond the rated "
@@ -261,8 +260,8 @@ def project_forward(model: RpcModel, lat, lon, alt):
             ExtrapolationWarning,
             stacklevel=2,
         )
-    samp_n = _eval_ratio(model.samp_num, model.samp_den, p, l, h, check=True)
-    line_n = _eval_ratio(model.line_num, model.line_den, p, l, h, check=True)
+    samp_n, line_n = _ratios(model, p.ravel(), l.ravel(), h.ravel(), check=True)
+    samp_n, line_n = samp_n.reshape(p.shape), line_n.reshape(p.shape)
     return samp_n * model.samp_scale + model.samp_off, line_n * model.line_scale + model.line_off
 
 
@@ -309,9 +308,8 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
 
     def residual(pp, ll):
         with np.errstate(divide="ignore", invalid="ignore"):
-            fs = _eval_ratio(model.samp_num, model.samp_den, pp, ll, h, check=False) - u
-            fl = _eval_ratio(model.line_num, model.line_den, pp, ll, h, check=False) - v
-        return fs, fl
+            fs, fl = _ratios(model, pp, ll, h, check=False)
+        return fs - u, fl - v
 
     eps = 1e-6
     tol_s = tol_px / model.samp_scale

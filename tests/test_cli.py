@@ -253,6 +253,30 @@ def test_refine_image_without_corrected(tmp_path, scene_dir, capsys):
     assert capsys.readouterr().err.startswith("error: invalid:")
 
 
+def test_refine_rejects_image_of_another_size(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    rc = main(["synth", "--kind", "pinhole", "--seed", "4", "--out-dir", str(scene), "--image-size", "512", "512"])
+    assert rc == 0
+    assert load_ascii_grid(scene / "dsm.asc").values.shape == (129, 129)
+    capsys.readouterr()
+    warp, corrected = tmp_path / "warp.txt", tmp_path / "corrected.asc"
+    rc = main(
+        [
+            "refine",
+            str(scene / "rpc.txt"),
+            "--image-size", "512", "512",
+            "--warp", str(warp),
+            "--image", str(scene / "dsm.asc"),
+            "--corrected", str(corrected),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid:")
+    assert "129 x 129" in err and "512 x 512" in err
+    assert not warp.exists() and not corrected.exists()
+
+
 def _tally_calls(monkeypatch, fn, tally, amount=lambda *args, **kwargs: 1):
     """Add *amount* of each call of *fn* to ``tally[fn.__name__]``.
 

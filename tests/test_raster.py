@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satpinhole.kvio import fmt
 from satpinhole.raster import (
     GridFormatError,
     Raster,
@@ -24,6 +25,18 @@ def test_round_trip_is_byte_identical():
     text = format_ascii_grid(r)
     again = format_ascii_grid(parse_ascii_grid(text))
     assert text == again
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (1, 9), (9, 1)])
+def test_format_matches_per_value_fmt(shape):
+    rng = np.random.default_rng(5)
+    values = rng.normal(scale=1e3, size=shape).ravel()
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e300, -9999.0, 0.1]
+    values[: len(specials)] = specials
+    r = Raster(values=values.reshape(shape), cell_size=0.5, origin=(-1.25, 3.0), nodata=-9999.0)
+    # The body must carry exactly the bytes of ``fmt`` applied cell by cell.
+    body = format_ascii_grid(r).split("\n", 6)[6]
+    assert body == "\n".join(" ".join(fmt(v) for v in row) for row in r.values) + "\n"
 
 
 def test_parse_recovers_geometry():

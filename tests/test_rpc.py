@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satpinhole import rpc
 from satpinhole.geodesy import geodetic_to_enu
 from satpinhole.rpc import (
     CUBIC_POWERS,
@@ -10,12 +11,37 @@ from satpinhole.rpc import (
     RpcParseError,
     SingularEvaluationError,
     cubic_basis,
-    eval_cubic,
     format_rpc,
     parse_rpc,
     project_forward,
     project_inverse,
 )
+
+
+def eval_cubic(c: np.ndarray, lat, lon, alt):
+    """Reference: a 20-term cubic expanded by hand, term by term in sidecar order."""
+    return (
+        c[0]
+        + c[1] * lon
+        + c[2] * lat
+        + c[3] * alt
+        + c[4] * lon * lat
+        + c[5] * lon * alt
+        + c[6] * lat * alt
+        + c[7] * lon * lon
+        + c[8] * lat * lat
+        + c[9] * alt * alt
+        + c[10] * lat * lon * alt
+        + c[11] * lon**3
+        + c[12] * lon * lat * lat
+        + c[13] * lon * alt * alt
+        + c[14] * lon * lon * lat
+        + c[15] * lat**3
+        + c[16] * lat * alt * alt
+        + c[17] * lon * lon * alt
+        + c[18] * lat * lat * alt
+        + c[19] * alt**3
+    )
 
 
 def _coeffs(**terms):
@@ -76,6 +102,112 @@ def test_cubic_powers_table_shape():
     assert len(CUBIC_POWERS) == 20
     assert all(sum(p) <= 3 for p in CUBIC_POWERS)
     assert len(set(CUBIC_POWERS)) == 20
+    # The basis columns are the monomials the table names.
+    rng = np.random.default_rng(12)
+    lat, lon, alt = rng.uniform(-1.5, 1.5, (3, 50))
+    table = np.column_stack([lat**i * lon**j * alt**k for i, j, k in CUBIC_POWERS])
+    np.testing.assert_allclose(cubic_basis(lat, lon, alt), table, rtol=1e-15, atol=0)
+
+
+def _unit_model(rng, samp_den=None, line_den=None):
+    """A random model whose normalized and physical coordinates coincide.
+
+    Denominator terms stay small, so denominators lie in [0.6, 1.4] on the
+    unit cube unless one is given.
+    """
+    def den():
+        return np.concatenate([[1.0], rng.uniform(-0.02, 0.02, 19)])
+
+    return RpcModel(
+        line_off=0.0,
+        samp_off=0.0,
+        lat_off=0.0,
+        lon_off=0.0,
+        alt_off=0.0,
+        line_scale=1.0,
+        samp_scale=1.0,
+        lat_scale=1.0,
+        lon_scale=1.0,
+        alt_scale=1.0,
+        line_num=rng.normal(size=20),
+        line_den=den() if line_den is None else line_den,
+        samp_num=rng.normal(size=20),
+        samp_den=den() if samp_den is None else samp_den,
+    )
+
+
+def _reference_ratio(model, lat, lon, alt):
+    return (
+        eval_cubic(model.samp_num, lat, lon, alt) / eval_cubic(model.samp_den, lat, lon, alt),
+        eval_cubic(model.line_num, lat, lon, alt) / eval_cubic(model.line_den, lat, lon, alt),
+    )
+
+
+BLOCK_SIZES = (1, rpc._BLOCK - 1, rpc._BLOCK, rpc._BLOCK + 1, 3 * rpc._BLOCK + 7)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_forward_matches_reference_ratio_across_blocks(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        model = _unit_model(rng)
+        lat, lon, alt = rng.uniform(-1, 1, (3, n))
+        samp, line = project_forward(model, lat, lon, alt)
+        ref_samp, ref_line = _reference_ratio(model, lat, lon, alt)
+        assert samp.shape == line.shape == (n,)
+        np.testing.assert_allclose(samp, ref_samp, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(line, ref_line, rtol=1e-13, atol=1e-13)
+
+
+def test_forward_keeps_input_shape():
+    rng = np.random.default_rng(3)
+    model = _unit_model(rng)
+    lat, lon, alt = rng.uniform(-1, 1, (3, 4, 5))
+    cases = [
+        ((0.3, -0.2, 0.5), ()),
+        ((np.array(0.3), np.array(-0.2), np.array(0.5)), ()),
+        ((lat, lon, alt), (4, 5)),
+        ((lat[:, :1], lon[:1, :], 0.5), (4, 5)),
+    ]
+    for (la, lo, al), shape in cases:
+        samp, line = project_forward(model, la, lo, al)
+        assert np.shape(samp) == np.shape(line) == shape
+        ref_samp, ref_line = _reference_ratio(model, *np.broadcast_arrays(la, lo, al))
+        np.testing.assert_allclose(samp, ref_samp, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(line, ref_line, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", ["samp", "line"])
+def test_singular_denominator_in_last_block_raises(axis):
+    # Denominator 1 + alt vanishes at alt = -1, set only at the very last point.
+    rng = np.random.default_rng(8)
+    vanishing = _coeffs(i0=1.0, i3=1.0)
+    model = _unit_model(rng, **{f"{axis}_den": vanishing})
+    n = 3 * rpc._BLOCK + 7
+    lat, lon = rng.uniform(-1, 1, (2, n))
+    alt = rng.uniform(0.0, 0.5, n)
+    project_forward(model, lat, lon, alt)
+    alt[-1] = -1.0
+    with pytest.raises(SingularEvaluationError):
+        project_forward(model, lat, lon, alt)
+
+
+def test_nan_input_stays_at_its_index():
+    rng = np.random.default_rng(21)
+    model = _unit_model(rng)
+    n = 2 * rpc._BLOCK + 3
+    lat, lon, alt = rng.uniform(-1, 1, (3, n))
+    ref_samp, ref_line = _reference_ratio(model, lat, lon, alt)
+    for k, coord in ((0, lat), (rpc._BLOCK + 5, lon), (n - 1, alt)):
+        saved = coord[k]
+        coord[k] = np.nan
+        samp, line = project_forward(model, lat, lon, alt)
+        coord[k] = saved
+        expect_nan = np.arange(n) == k
+        np.testing.assert_array_equal(np.isnan(samp), expect_nan)
+        np.testing.assert_array_equal(np.isnan(line), expect_nan)
+        np.testing.assert_allclose(samp[~expect_nan], ref_samp[~expect_nan], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(line[~expect_nan], ref_line[~expect_nan], rtol=1e-13, atol=1e-13)
 
 
 def test_affine_model_hand_values():
