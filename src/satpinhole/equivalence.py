@@ -9,7 +9,7 @@ into intrinsics, rotation, and translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,10 +128,6 @@ class PinholeCamera:
         e = center[0] + lam * d[0]
         n = center[1] + lam * d[1]
         return e.reshape(samp.shape), n.reshape(samp.shape)
-
-    @property
-    def projection_matrix(self) -> np.ndarray:
-        return self.k @ np.column_stack([self.r, self.t])
 
 
 def _axis_nodes(lo: float, hi: float, n: int, stagger: bool) -> np.ndarray:
@@ -258,12 +254,11 @@ def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
     elif det == 0.0:
         raise IllConditionedError("left 3x3 of the projection matrix is singular")
 
-    x = np.column_stack([enu, np.ones(n)]) @ p.T
-    du = x[:, 0] / x[:, 2] - pix[:, 0]
-    dv = x[:, 1] / x[:, 2] - pix[:, 1]
-    rms = float(np.sqrt(np.mean(du * du + dv * dv)))
-    cond = float(np.linalg.cond(p[:, :3]))
-    return ProjectionMatrix(p=p, cond=cond, residual_rms_px=rms)
+    pm = ProjectionMatrix(p=p, cond=float(np.linalg.cond(p[:, :3])), residual_rms_px=0.0)
+    samp, line = pm.project(enu)
+    du = samp - pix[:, 0]
+    dv = line - pix[:, 1]
+    return replace(pm, residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))))
 
 
 def decompose_projection(
@@ -294,8 +289,16 @@ def decompose_projection(
         t = -t
     scale = k[2, 2]
     k = k / scale
+    camera = PinholeCamera(
+        k=k,
+        r=r,
+        t=t,
+        anchor=grid.anchor,
+        image_size=image_size,
+        residual_rms_px=pm.residual_rms_px,
+    )
 
-    depths = grid.enu @ r.T[:, 2] + t[2]
+    depths = camera.depths(grid.enu)
     behind = depths <= 0
     if behind.all():
         raise DecompositionError(
@@ -318,15 +321,7 @@ def decompose_projection(
         raise DecompositionError(
             f"factorization does not reproduce the projection matrix (max dev {mismatch:.3g})"
         )
-
-    return PinholeCamera(
-        k=k,
-        r=r,
-        t=t,
-        anchor=grid.anchor,
-        image_size=image_size,
-        residual_rms_px=pm.residual_rms_px,
-    )
+    return camera
 
 
 @dataclass(frozen=True)

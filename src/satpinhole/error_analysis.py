@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kvio import KvFormatError, fmt, get_float, read_kv
-from .raster import Raster
+from .raster import NODATA, Raster
 from .rpc import RpcModel
 
 if TYPE_CHECKING:
@@ -136,7 +136,8 @@ def error_field(
             from, when *grid* is given).
         camera: its pinhole stand-in.
         image_size: (width, height) in pixels.
-        cell_px: edge length of the square aggregation cells, pixels.
+        cell_px: edge length of the square aggregation cells, pixels;
+            finite and positive.
         grid: optional explicit correspondence grid to aggregate instead. Its
             rational projections come from ``grid.pixels``, which must be
             *model*'s projections, as ``build_virtual_grid`` makes them.
@@ -146,8 +147,8 @@ def error_field(
     """
     from .equivalence import build_virtual_grid
 
-    if not cell_px > 0:
-        raise ValueError(f"cell size must be positive, got {cell_px}")
+    if not (np.isfinite(cell_px) and cell_px > 0):
+        raise ValueError(f"cell size must be finite and positive, got {cell_px}")
     w, h = image_size
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
@@ -168,10 +169,9 @@ def error_field(
     count = np.zeros((nrows, ncols))
     np.add.at(total, (row, col), err)
     np.add.at(count, (row, col), 1.0)
-    nodata = -9999.0
     with np.errstate(invalid="ignore"):
-        values = np.where(count > 0, total / np.maximum(count, 1.0), nodata)
-    return Raster(values=values, cell_size=float(cell_px), origin=(0.0, 0.0), nodata=nodata)
+        values = np.where(count > 0, total / np.maximum(count, 1.0), NODATA)
+    return Raster(values=values, cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)
 
 
 def size_sweep(

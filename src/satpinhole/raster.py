@@ -14,6 +14,10 @@ import numpy as np
 
 from .kvio import fmt
 
+# The nodata sentinel of rasters made from scratch; derived rasters keep their
+# input's sentinel.
+NODATA = -9999.0
+
 
 class GridFormatError(ValueError):
     """An ASCII grid document is malformed."""
@@ -33,7 +37,7 @@ class Raster:
     values: np.ndarray
     cell_size: float = 1.0
     origin: tuple[float, float] = (0.0, 0.0)
-    nodata: float = -9999.0
+    nodata: float = NODATA
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
@@ -62,9 +66,9 @@ class Raster:
         return replace(self, values=values)
 
 
-def format_ascii_grid(raster: Raster) -> str:
-    """Serialize to Arc/Info ASCII grid text (top row first)."""
-    header = (
+def _ascii_grid_lines(raster: Raster):
+    """Yield the Arc/Info ASCII grid text line by line (top row first)."""
+    yield (
         f"ncols {raster.ncols}\n"
         f"nrows {raster.nrows}\n"
         f"xllcorner {fmt(raster.origin[0])}\n"
@@ -72,12 +76,16 @@ def format_ascii_grid(raster: Raster) -> str:
         f"cellsize {fmt(raster.cell_size)}\n"
         f"NODATA_value {fmt(raster.nodata)}\n"
     )
-    rows = np.asarray(raster.values, dtype=np.float64)
     # One "%.17g" per column, applied to a whole row: the bytes of ``fmt``
     # per value, without a Python call per value.
-    row_format = " ".join(["%.17g"] * raster.ncols)
-    body = "\n".join(row_format % tuple(row.tolist()) for row in rows)
-    return header + body + "\n"
+    row_format = " ".join(["%.17g"] * raster.ncols) + "\n"
+    for row in raster.values:
+        yield row_format % tuple(np.asarray(row, dtype=np.float64).tolist())
+
+
+def format_ascii_grid(raster: Raster) -> str:
+    """Serialize to Arc/Info ASCII grid text (top row first)."""
+    return "".join(_ascii_grid_lines(raster))
 
 
 def parse_ascii_grid(text: str) -> Raster:
@@ -113,7 +121,7 @@ def parse_ascii_grid(text: str) -> Raster:
         values=data.reshape(nrows, ncols),
         cell_size=header["cellsize"],
         origin=(header["xllcorner"], header["yllcorner"]),
-        nodata=header.get("nodata_value", -9999.0),
+        nodata=header.get("nodata_value", NODATA),
     )
 
 
@@ -123,8 +131,9 @@ def load_ascii_grid(path) -> Raster:
 
 
 def save_ascii_grid(raster: Raster, path) -> None:
+    """Write the grid one row at a time, so memory is bounded by a row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_ascii_grid(raster))
+        fh.writelines(_ascii_grid_lines(raster))
 
 
 def interpolate(raster: Raster, fx, fy, clamp: bool = True):

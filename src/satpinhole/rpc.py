@@ -21,7 +21,7 @@ working memory is a few MB whatever the number of points.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,10 +161,6 @@ class RpcModel:
         l = (np.asarray(lon, dtype=np.float64) - self.lon_off) / self.lon_scale
         h = (np.asarray(alt, dtype=np.float64) - self.alt_off) / self.alt_scale
         return p, l, h
-
-    def shifted(self, dsamp: float, dline: float) -> "RpcModel":
-        """Model for an image whose origin moved by (dsamp, dline) pixels."""
-        return replace(self, samp_off=self.samp_off - dsamp, line_off=self.line_off - dline)
 
 
 def parse_rpc(text: str) -> RpcModel:

@@ -16,10 +16,17 @@ import numpy as np
 
 from .equivalence import PinholeCamera
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
-from .raster import Raster, sample_bilinear
+from .raster import NODATA, Raster, sample_bilinear
 from .rpc import RpcModel, cubic_basis
 
-MIN_FIT_DIMS = (30, 30, 15)
+# Rational fits sample the rated volume on this many (lat, lon, alt) nodes.
+FIT_DIMS = (30, 30, 15)
+# Terrain lattice edge in cells, and the amplitude decay per halving of the
+# midpoint-displacement step.
+TERRAIN_SIZE = 129
+ROUGHNESS = 0.55
+# Edge of the rendered checkerboard squares, ground meters.
+CHECKER_PERIOD_M = 48.0
 
 
 class RpcFitError(ValueError):
@@ -116,21 +123,16 @@ class PushbroomCamera:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """A terrain patch, its geodetic volume, and the generator cameras."""
+    """A terrain patch, its geodetic volume, and the generator camera."""
 
     terrain: Raster
-    cameras: tuple
+    camera: PinholeCamera | PushbroomCamera
     volume: Volume
     anchor: GeoPoint
     image_size: tuple[int, int]
-    checker_period: float = 48.0
-
-    @property
-    def camera(self):
-        return self.cameras[0]
 
 
-def make_terrain(seed: int, size: int, relief: float, roughness: float = 0.55) -> Raster:
+def make_terrain(seed: int, size: int, relief: float) -> Raster:
     """Generate fractal terrain by midpoint displacement.
 
     The classic diamond-square recursion runs on the smallest power-of-two
@@ -177,7 +179,7 @@ def make_terrain(seed: int, size: int, relief: float, roughness: float = 0.55) -
                 cnt[ok] += 1
             g[rr, cc] = total / cnt + rng.normal(0.0, amp, rr.shape)
         step = half
-        amp *= roughness
+        amp *= ROUGHNESS
 
     sub = g[:size, :size]
     lo = float(sub.min())
@@ -186,29 +188,23 @@ def make_terrain(seed: int, size: int, relief: float, roughness: float = 0.55) -
         values = (sub - lo) / (hi - lo) * relief
     else:
         values = np.zeros_like(sub)
-    return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=-9999.0)
+    return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA)
 
 
-def fit_rpc(
-    project,
-    volume: Volume,
-    image_size: tuple[int, int],
-    dims: tuple[int, int, int] = MIN_FIT_DIMS,
-):
+def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
     """Fit a rational polynomial model to an arbitrary projection function.
 
-    Samples a dense grid over the volume, sets the ground normalizers to the
-    volume center and half-ranges and the pixel normalizers to half the image
-    size, then solves the linearized rational system per axis: 20 numerator
-    coefficients plus 19 denominator coefficients (the leading denominator
-    term is pinned to 1), minimizing sum (num(x) - target * den(x))^2 by
-    linear least squares.
+    Samples a grid of ``FIT_DIMS`` nodes over the volume, sets the ground
+    normalizers to the volume center and half-ranges and the pixel
+    normalizers to half the image size, then solves the linearized rational
+    system per axis: 20 numerator coefficients plus 19 denominator
+    coefficients (the leading denominator term is pinned to 1), minimizing
+    sum (num(x) - target * den(x))^2 by linear least squares.
 
     Args:
         project: callable (lat, lon, alt arrays) -> (samp, line) arrays.
         volume: geodetic box to rate the model over.
         image_size: (width, height) used for the pixel normalizers.
-        dims: sample grid node counts; each axis must meet (30, 30, 15).
 
     Returns:
         (RpcModel, fit_rms_px): the model plus its RMS residual against the
@@ -218,10 +214,7 @@ def fit_rpc(
         RpcFitError: near-constant projection along an axis, or a fitted
             denominator approaching zero inside the volume.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d < m for d, m in zip(dims, MIN_FIT_DIMS)):
-        raise RpcFitError(f"fit grid dims must be at least {MIN_FIT_DIMS}, got {dims}")
-    lat, lon, alt = volume.sample_grid(dims)
+    lat, lon, alt = volume.sample_grid(FIT_DIMS)
     samp, line = project(lat, lon, alt)
     samp = np.asarray(samp, dtype=np.float64).ravel()
     line = np.asarray(line, dtype=np.float64).ravel()
@@ -282,9 +275,9 @@ def fit_rpc(
     return model, rms
 
 
-def scene_projection(scene: SyntheticScene, camera=None):
-    """Exact geodetic-to-pixel projection closure for a scene camera."""
-    cam = camera if camera is not None else scene.cameras[0]
+def scene_projection(scene: SyntheticScene):
+    """Exact geodetic-to-pixel projection closure for the scene camera."""
+    cam = scene.camera
     anchor = scene.anchor
 
     def project(lat, lon, alt):
@@ -294,9 +287,9 @@ def scene_projection(scene: SyntheticScene, camera=None):
     return project
 
 
-def fit_scene_rpc(scene: SyntheticScene, camera=None, dims: tuple[int, int, int] = MIN_FIT_DIMS):
-    """Fit an RPC against a scene camera's exact projection."""
-    return fit_rpc(scene_projection(scene, camera), scene.volume, scene.image_size, dims)
+def fit_scene_rpc(scene: SyntheticScene):
+    """Fit an RPC against the scene camera's exact projection."""
+    return fit_rpc(scene_projection(scene), scene.volume, scene.image_size)
 
 
 def _terrain_relief(terrain: Raster) -> tuple[float, float]:
@@ -306,8 +299,8 @@ def _terrain_relief(terrain: Raster) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def render_image(scene: SyntheticScene, camera=None, image_size=None) -> Raster:
-    """Render a deterministic procedural image as seen by a scene camera.
+def render_image(scene: SyntheticScene) -> Raster:
+    """Render a deterministic procedural image as seen by the scene camera.
 
     Each pixel ray is intersected with the terrain surface by fixed-point
     iteration on the height, then shaded with a checkerboard in ground meters
@@ -317,8 +310,8 @@ def render_image(scene: SyntheticScene, camera=None, image_size=None) -> Raster:
     Returns:
         Raster of DN values in [0, 255], pixel georeference.
     """
-    cam = camera if camera is not None else scene.cameras[0]
-    w, h = image_size if image_size is not None else scene.image_size
+    cam = scene.camera
+    w, h = scene.image_size
     anchor = scene.anchor
     terrain = scene.terrain
     alt_lo, alt_hi = _terrain_relief(terrain)
@@ -346,8 +339,7 @@ def render_image(scene: SyntheticScene, camera=None, image_size=None) -> Raster:
             break
 
     # Procedural texture: checkerboard in ground meters plus height shading.
-    period = scene.checker_period
-    parity = (np.floor(e / period) + np.floor(n / period)) % 2.0
+    parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
     dn = 70.0 + 115.0 * parity
     if alt_hi > alt_lo:
         dn = dn + 55.0 * (height - alt_lo) / (alt_hi - alt_lo)
@@ -362,12 +354,19 @@ def render_image(scene: SyntheticScene, camera=None, image_size=None) -> Raster:
         | (lon > scene.volume.lon_max + margin_lon)
     )
     bad = off_terrain | ~np.isfinite(e) | ~np.isfinite(n)
-    nodata = -9999.0
-    values = np.where(bad, nodata, dn).reshape(h, w)
-    return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=nodata)
+    values = np.where(bad, NODATA, dn).reshape(h, w)
+    return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA)
 
 
-def _scene_frame(rng, relief: float, extent_deg: float, terrain_size: int, seed: int):
+def _check_staging(image_size: tuple[int, int], sensor_height: float) -> None:
+    w, h = image_size
+    if not (w >= 1 and h >= 1):
+        raise ValueError(f"image size must be positive, got {w} x {h}")
+    if not (np.isfinite(sensor_height) and sensor_height > 0):
+        raise ValueError(f"sensor height must be finite and positive, got {sensor_height}")
+
+
+def _scene_frame(rng, relief: float, extent_deg: float, seed: int):
     lat0 = float(rng.uniform(25.0, 45.0))
     lon0 = float(rng.uniform(-100.0, 100.0))
     half = extent_deg / 2.0
@@ -381,10 +380,10 @@ def _scene_frame(rng, relief: float, extent_deg: float, terrain_size: int, seed:
         alt_max=relief + alt_pad,
     )
     anchor = GeoPoint(lat0, lon0, (volume.alt_min + volume.alt_max) / 2.0)
-    base = make_terrain(seed, terrain_size, relief)
+    base = make_terrain(seed, TERRAIN_SIZE, relief)
     terrain = Raster(
         values=base.values,
-        cell_size=extent_deg / terrain_size,
+        cell_size=extent_deg / TERRAIN_SIZE,
         origin=(volume.lon_min, volume.lat_min),
         nodata=base.nodata,
     )
@@ -401,7 +400,7 @@ def _assert_in_image(camera, box_enu: np.ndarray, image_size: tuple[int, int]) -
     samp, line = camera.project(box_enu)
     w, h = image_size
     if not (samp.min() >= 0.0 and samp.max() < w and line.min() >= 0.0 and line.max() < h):
-        raise RuntimeError(
+        raise ValueError(
             "scene construction failed: rated volume does not project inside the image"
         )
 
@@ -412,8 +411,6 @@ def make_pinhole_scene(
     relief: float = 120.0,
     sensor_height: float = 6.0e4,
     extent_deg: float = 0.04,
-    terrain_size: int = 129,
-    checker_period: float = 48.0,
 ) -> SyntheticScene:
     """Build a scene viewed by an exact pinhole camera.
 
@@ -421,9 +418,15 @@ def make_pinhole_scene(
     randomized lateral offset (hence a mild off-nadir tilt), aimed at the
     center, with focal length chosen so that the whole rated volume projects
     safely inside the image. Deterministic per seed.
+
+    Raises:
+        ValueError: a non-positive image size, a sensor height that is not
+            finite and positive, or a staging whose rated volume does not
+            project inside the image.
     """
+    _check_staging(image_size, sensor_height)
     rng = np.random.default_rng([seed, 1])
-    volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, terrain_size, seed)
+    volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, seed)
     w, h = image_size
 
     offset = rng.uniform(-0.18, 0.18, 2) * sensor_height
@@ -452,12 +455,7 @@ def make_pinhole_scene(
     camera = PinholeCamera(k=k, r=r, t=t, anchor=anchor, image_size=image_size)
     _assert_in_image(camera, box, image_size)
     return SyntheticScene(
-        terrain=terrain,
-        cameras=(camera,),
-        volume=volume,
-        anchor=anchor,
-        image_size=image_size,
-        checker_period=checker_period,
+        terrain=terrain, camera=camera, volume=volume, anchor=anchor, image_size=image_size
     )
 
 
@@ -467,8 +465,6 @@ def make_pushbroom_scene(
     relief: float = 120.0,
     sensor_height: float = 6.0e4,
     extent_deg: float = 0.04,
-    terrain_size: int = 129,
-    checker_period: float = 48.0,
 ) -> SyntheticScene:
     """Build a scene viewed by a pushbroom scanner.
 
@@ -477,9 +473,15 @@ def make_pushbroom_scene(
     height. The depth-to-relief ratio, and with it the size of the pinhole
     approximation error, follows directly from *sensor_height*. Deterministic
     per seed.
+
+    Raises:
+        ValueError: a non-positive image size, a sensor height that is not
+            finite and positive, a scan depth that is not positive, or a
+            staging whose rated volume does not project inside the image.
     """
+    _check_staging(image_size, sensor_height)
     rng = np.random.default_rng([seed, 2])
-    volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, terrain_size, seed)
+    volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, seed)
     w, h = image_size
 
     box = _volume_enu_samples(volume, anchor)
@@ -507,13 +509,8 @@ def make_pushbroom_scene(
 
     camera = PushbroomCamera(a=a, b=b, c=c)
     if np.min(depth) <= 0:
-        raise RuntimeError("scene construction failed: non-positive scan depth")
+        raise ValueError("scene construction failed: non-positive scan depth")
     _assert_in_image(camera, box, image_size)
     return SyntheticScene(
-        terrain=terrain,
-        cameras=(camera,),
-        volume=volume,
-        anchor=anchor,
-        image_size=image_size,
-        checker_period=checker_period,
+        terrain=terrain, camera=camera, volume=volume, anchor=anchor, image_size=image_size
     )

@@ -7,7 +7,7 @@ tile has identical dimensions and the image is covered exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +84,11 @@ def crop_rpc(model: RpcModel, origin: tuple[float, float]) -> RpcModel:
     so that projecting a ground point through the result yields coordinates in
     the cropped image. Ground normalizers and coefficients are untouched.
     """
-    return model.shifted(float(origin[0]), float(origin[1]))
+    return replace(
+        model,
+        samp_off=model.samp_off - float(origin[0]),
+        line_off=model.line_off - float(origin[1]),
+    )
 
 
 def crop_raster(image: Raster, tile: Tile) -> Raster:
@@ -93,41 +97,27 @@ def crop_raster(image: Raster, tile: Tile) -> Raster:
     return Raster(values=sub.copy(), cell_size=image.cell_size, origin=(0.0, 0.0), nodata=image.nodata)
 
 
-def enhance_brightness(
-    image: Raster,
-    trigger_percentile: float = 0.95,
-    threshold: float = 200.0,
-    dn_max: float | None = None,
-) -> Raster:
+def enhance_brightness(image: Raster) -> Raster:
     """Conditionally stretch a dark image's histogram.
 
-    If the *trigger_percentile* quantile of valid pixel values exceeds
-    *threshold*, the image is returned unchanged. Otherwise values are
-    clipped to their [2nd, 98th] percentile range and rescaled linearly to
-    [0, dn_max]. For integer rasters the result is rounded half away from
-    zero and dn_max defaults to the dtype maximum; floating rasters keep full
-    precision and default to dn_max = 255.
-
-    Args:
-        trigger_percentile: fraction in (0, 1).
-        threshold: DN value the trigger quantile is compared against.
-        dn_max: top of the output range; default depends on dtype as above.
+    If the 95th percentile of valid pixel values exceeds 200, the image is
+    returned unchanged. Otherwise values are clipped to their [2nd, 98th]
+    percentile range and rescaled linearly to [0, dn_max]. For integer
+    rasters the result is rounded half away from zero and dn_max is the dtype
+    maximum; floating rasters keep full precision and dn_max is 255.
     """
-    if not 0.0 < trigger_percentile < 1.0:
-        raise ValueError(f"trigger percentile must be in (0, 1), got {trigger_percentile}")
     valid = image.valid_mask()
     if not valid.any():
         return image
     sample = image.values[valid].astype(np.float64)
-    if np.percentile(sample, 100.0 * trigger_percentile) > threshold:
+    if np.percentile(sample, 95.0) > 200.0:
         return image
 
     p2, p98 = np.percentile(sample, [2.0, 98.0])
     if p98 <= p2:
         return image
     integral = np.issubdtype(image.values.dtype, np.integer)
-    if dn_max is None:
-        dn_max = float(np.iinfo(image.values.dtype).max) if integral else 255.0
+    dn_max = float(np.iinfo(image.values.dtype).max) if integral else 255.0
 
     stretched = (np.clip(image.values.astype(np.float64), p2, p98) - p2) / (p98 - p2) * dn_max
     if integral:

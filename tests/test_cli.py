@@ -148,6 +148,22 @@ def test_synth_pushbroom_camera_file(tmp_path):
     assert load_rpc(out / "rpc.txt").samp_off == 48.0
 
 
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("pushbroom", ["--image-size", "0", "0"]),
+        ("pinhole", ["--sensor-height", "0"]),
+        ("pushbroom", ["--sensor-height", "inf"]),
+    ],
+)
+def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
+    out = tmp_path / "scene"
+    rc = main(["synth", "--kind", kind, "--seed", "6", "--out-dir", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid:")
+    assert not out.exists()
+
+
 def test_inspect_json_matches_model(scene_dir, capsys):
     rc = main(["inspect", str(scene_dir / "rpc.txt"), "--json"])
     assert rc == 0
@@ -432,6 +448,22 @@ def test_error_map_outputs(tmp_path, scene_dir, capsys):
     field = load_ascii_grid(out)
     assert field.cell_size == 32.0
     assert ppm.read_bytes().startswith(b"P6")
+
+
+def test_error_map_rejects_infinite_cell(tmp_path, scene_dir, capsys):
+    out = tmp_path / "field.asc"
+    rc = main(
+        [
+            "error-map",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--out", str(out),
+            "--cell", "inf",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid:")
+    assert not out.exists()
 
 
 def test_fuse_and_metrics_pipeline(tmp_path, scene_dir, capsys):

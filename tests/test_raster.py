@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from satpinhole.raster import (
     format_ascii_grid,
     parse_ascii_grid,
     sample_bilinear,
+    save_ascii_grid,
 )
 
 
@@ -37,6 +40,21 @@ def test_format_matches_per_value_fmt(shape):
     # The body must carry exactly the bytes of ``fmt`` applied cell by cell.
     body = format_ascii_grid(r).split("\n", 6)[6]
     assert body == "\n".join(" ".join(fmt(v) for v in row) for row in r.values) + "\n"
+
+
+def test_save_streams_rows(tmp_path):
+    r = Raster(values=np.random.default_rng(3).normal(size=(256, 256)))
+    path = tmp_path / "grid.asc"
+    tracemalloc.start()
+    try:
+        save_ascii_grid(r, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The writer holds one row of text at a time, never the whole file.
+    size = path.stat().st_size
+    assert peak < size / 4, (peak, size)
+    assert path.read_text(encoding="utf-8") == format_ascii_grid(r)
 
 
 def test_parse_recovers_geometry():

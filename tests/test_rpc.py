@@ -355,19 +355,6 @@ def test_parse_tolerates_unknown_keys(pushbroom_bundle):
     assert model.samp_off == pushbroom_bundle.model.samp_off
 
 
-def test_shift_moves_pixel_origin(pushbroom_bundle):
-    model = pushbroom_bundle.model
-    shifted = model.shifted(128.0, 256.0)
-    vol = pushbroom_bundle.scene.volume
-    lat = np.array([vol.lat_min * 0.3 + vol.lat_max * 0.7])
-    lon = np.array([vol.lon_min * 0.6 + vol.lon_max * 0.4])
-    alt = np.array([12.5])
-    s0, l0 = project_forward(model, lat, lon, alt)
-    s1, l1 = project_forward(shifted, lat, lon, alt)
-    np.testing.assert_allclose(s0 - s1, 128.0, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(l0 - l1, 256.0, rtol=0, atol=1e-9)
-
-
 def test_inverse_round_trip(pushbroom_bundle):
     model = pushbroom_bundle.model
     vol = pushbroom_bundle.scene.volume

@@ -7,7 +7,6 @@ from satpinhole.geodesy import GeoPoint, geodetic_to_enu
 from satpinhole.raster import Raster
 from satpinhole.rpc import project_forward
 from satpinhole.synth import (
-    MIN_FIT_DIMS,
     PushbroomCamera,
     RpcFitError,
     SyntheticScene,
@@ -120,17 +119,6 @@ def test_fit_recovers_pushbroom_projection():
     np.testing.assert_allclose(ml, el, atol=1e-6)
 
 
-def test_fit_rejects_small_grid():
-    v = Volume(29.9, 30.1, 39.9, 40.1, 0.0, 100.0)
-
-    def project(lat, lon, alt):
-        return lon * 10.0, lat * 10.0
-
-    with pytest.raises(RpcFitError, match="at least"):
-        fit_rpc(project, v, (256, 256), dims=(29, 30, 15))
-    assert MIN_FIT_DIMS == (30, 30, 15)
-
-
 def test_fit_rejects_constant_axis():
     v = Volume(29.9, 30.1, 39.9, 40.1, 0.0, 100.0)
 
@@ -241,12 +229,7 @@ def _flat_linear_scene():
         c=(0.0, 0.0, -1.0, height),
     )
     return SyntheticScene(
-        terrain=terrain,
-        cameras=(cam,),
-        volume=volume,
-        anchor=anchor,
-        image_size=(256, 256),
-        checker_period=48.0,
+        terrain=terrain, camera=cam, volume=volume, anchor=anchor, image_size=(256, 256)
     )
 
 

@@ -171,22 +171,6 @@ def test_enhance_all_nodata_unchanged():
     np.testing.assert_array_equal(out.values, image.values)
 
 
-def test_enhance_custom_ceiling():
-    values = np.arange(101, dtype=float).reshape(101, 1)
-    image = Raster(values=values, cell_size=1.0, origin=(0.0, 0.0))
-    out = enhance_brightness(image, dn_max=1.0)
-    assert out.values.max() == 1.0
-    assert out.values[50, 0] == pytest.approx(0.5)
-
-
-def test_enhance_trigger_validation():
-    image = Raster(values=np.zeros((2, 2)), cell_size=1.0, origin=(0.0, 0.0))
-    with pytest.raises(ValueError, match="trigger percentile"):
-        enhance_brightness(image, trigger_percentile=0.0)
-    with pytest.raises(ValueError, match="trigger percentile"):
-        enhance_brightness(image, trigger_percentile=1.0)
-
-
 # ---------------------------------------------------------------------------
 # Manifests
 
