@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,72 +99,6 @@ _ERROR_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Tunable defaults shared across subcommands.
-
-    A JSON file passed via --config overrides these; explicit flags override
-    the file. Unknown keys in the file, and values of the wrong type for
-    their field, are rejected.
-    """
-
-    grid_dims: tuple[int, int, int] = DEFAULT_GRID_DIMS
-    tile_size: int = 512
-    overlap: int = 64
-    cell_px: float = 32.0
-    warp_kind: str = "polynomial"
-    mad_k: float = FusionConfig.mad_k
-    mad_floor: float = FusionConfig.mad_floor
-    radius: float | None = FusionConfig.radius
-    min_neighbors: int = FusionConfig.min_neighbors
-    aggregator: str = FusionConfig.aggregator
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-# Config field annotation -> (what a JSON value must be, its check).
-_CONFIG_TYPES = {
-    "tuple[int, int, int]": (
-        "a list of 3 ints",
-        lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) for d in v),
-    ),
-    "int": ("an int", _is_int),
-    "float": ("a number", _is_number),
-    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _load_config(path: str | None) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if path is None:
-        return cfg
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        expected, check = _CONFIG_TYPES[types[key]]
-        if not check(value):
-            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-    if "grid_dims" in data:
-        data["grid_dims"] = tuple(data["grid_dims"])
-    return replace(cfg, **data)
-
-
-def _pick(flag, fallback):
-    return fallback if flag is None else flag
-
-
 def _category_for(exc: Exception) -> str | None:
     for klass, category in _ERROR_CATEGORIES:
         if isinstance(exc, klass):
@@ -200,10 +133,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_equate(args) -> int:
-    cfg = _load_config(args.config)
-    dims = tuple(_pick(args.grid, cfg.grid_dims))
     model = load_rpc(args.rpc)
-    camera, report = equate(model, tuple(args.image_size), dims=dims)
+    camera, report = equate(model, tuple(args.image_size), dims=tuple(args.grid))
     save_camera(camera, args.camera)
     if args.report:
         Path(args.report).write_text(format_equivalence_report(report))
@@ -215,9 +146,6 @@ def cmd_equate(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    cfg = _load_config(args.config)
-    dims = tuple(_pick(args.grid, cfg.grid_dims))
-    kind = _pick(args.kind, cfg.warp_kind)
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
     image = None
@@ -231,9 +159,9 @@ def cmd_refine(args) -> int:
                 f"is {image_size[0]} x {image_size[1]}; the warp is fitted in the "
                 "pixels of --image-size"
             )
-    eq = fit_equivalence(model, image_size, dims=dims)
+    eq = fit_equivalence(model, image_size, dims=tuple(args.grid))
     camera, before = eq.camera, eq.report
-    warp = build_refinement(model, camera, eq.fit_grid, kind=kind)
+    warp = build_refinement(model, camera, eq.fit_grid, kind=args.kind)
     after = measure_equivalence_error(model, camera, eq.val_grid, warp=warp)
 
     save_warp(warp, args.warp)
@@ -245,17 +173,14 @@ def cmd_refine(args) -> int:
         Path(args.report_after).write_text(format_equivalence_report(after))
     if image is not None:
         save_ascii_grid(resample(image, warp), args.corrected)
-    print(f"refined ({kind}): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
+    print(f"refined ({args.kind}): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
     return 0
 
 
 def cmd_partition(args) -> int:
-    cfg = _load_config(args.config)
-    tile_size = _pick(args.tile_size, cfg.tile_size)
-    overlap = _pick(args.overlap, cfg.overlap)
     image = load_ascii_grid(args.image)
     model = load_rpc(args.rpc)
-    plan = plan_tiles((image.ncols, image.nrows), tile_size, overlap)
+    plan = plan_tiles((image.ncols, image.nrows), args.tile_size, args.overlap)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,23 +193,19 @@ def cmd_partition(args) -> int:
         save_ascii_grid(sub, out_dir / image_name)
         save_rpc(crop_rpc(model, (tile.col, tile.row)), out_dir / rpc_name)
 
-    manifest = out_dir / args.manifest
-    manifest.write_text(format_manifest(plan, image_names, rpc_names))
-    print(f"wrote {len(plan.tiles)} tiles and {manifest.name} to {out_dir}")
+    (out_dir / "tiles.txt").write_text(format_manifest(plan, image_names, rpc_names))
+    print(f"wrote {len(plan.tiles)} tiles and tiles.txt to {out_dir}")
     return 0
 
 
 def cmd_error_map(args) -> int:
-    cfg = _load_config(args.config)
-    dims = tuple(_pick(args.grid, cfg.grid_dims))
-    cell_px = _pick(args.cell, cfg.cell_px)
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
     if args.camera:
         camera = load_camera(args.camera)
     else:
-        camera, _ = equate(model, image_size, dims=dims)
-    field = error_field(model, camera, image_size, cell_px)
+        camera, _ = equate(model, image_size, dims=tuple(args.grid))
+    field = error_field(model, camera, image_size, args.cell)
     save_ascii_grid(field, args.out)
     if args.preview:
         write_field_preview(field, args.preview)
@@ -297,13 +218,12 @@ def cmd_error_map(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    cfg = _load_config(args.config)
     config = FusionConfig(
-        mad_k=_pick(args.mad_k, cfg.mad_k),
-        mad_floor=_pick(args.mad_floor, cfg.mad_floor),
-        radius=_pick(args.radius, cfg.radius),
-        min_neighbors=_pick(args.min_neighbors, cfg.min_neighbors),
-        aggregator=_pick(args.aggregator, cfg.aggregator),
+        mad_k=args.mad_k,
+        mad_floor=args.mad_floor,
+        radius=args.radius,
+        min_neighbors=args.min_neighbors,
+        aggregator=args.aggregator,
     )
     dsms = [load_ascii_grid(p) for p in args.dsms]
     fused = fuse_views(dsms, config)
@@ -357,15 +277,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_config(sub) -> None:
-    sub.add_argument("--config", help="JSON file of pipeline defaults")
-
-
 def _add_grid(sub) -> None:
     sub.add_argument(
         "--grid",
         nargs=3,
         type=int,
+        default=DEFAULT_GRID_DIMS,
         metavar=("NLAT", "NLON", "NALT"),
         help="virtual grid node counts per axis",
     )
@@ -389,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True, help="output camera file")
     p.add_argument("--report", help="output equivalence report file")
     _add_grid(p)
-    _add_config(p)
     p.set_defaults(func=cmd_equate)
 
     p = subs.add_parser("refine", help="fit an image refinement warp")
@@ -397,24 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", nargs=2, type=int, metavar=("W", "H"), required=True)
     p.add_argument("--warp", required=True, help="output warp file")
     p.add_argument("--camera", help="also write the equivalent camera here")
-    p.add_argument("--kind", choices=("polynomial", "homography"))
+    p.add_argument("--kind", choices=("polynomial", "homography"), default="polynomial")
     p.add_argument("--image", help="input image grid to correct")
     p.add_argument("--corrected", help="output path for the corrected image")
     p.add_argument("--report-before", help="equivalence report before correction")
     p.add_argument("--report-after", help="equivalence report after correction")
     _add_grid(p)
-    _add_config(p)
     p.set_defaults(func=cmd_refine)
 
     p = subs.add_parser("partition", help="split an image and model into tiles")
     p.add_argument("image")
     p.add_argument("rpc")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tile-size", type=int)
-    p.add_argument("--overlap", type=int)
-    p.add_argument("--manifest", default="tiles.txt", help="manifest file name")
+    p.add_argument("--tile-size", type=int, default=512)
+    p.add_argument("--overlap", type=int, default=64)
     p.add_argument("--enhance", action="store_true", help="stretch dark tiles before writing")
-    _add_config(p)
     p.set_defaults(func=cmd_partition)
 
     p = subs.add_parser("error-map", help="rate equivalence error over the image plane")
@@ -422,21 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", nargs=2, type=int, metavar=("W", "H"), required=True)
     p.add_argument("--out", required=True, help="output grid of per-cell mean error")
     p.add_argument("--camera", help="reuse a saved camera instead of re-deriving")
-    p.add_argument("--cell", type=float, help="cell size in pixels")
+    p.add_argument("--cell", type=float, default=32.0, help="cell size in pixels")
     p.add_argument("--preview", help="also write a color preview image (PPM)")
     _add_grid(p)
-    _add_config(p)
     p.set_defaults(func=cmd_error_map)
 
     p = subs.add_parser("fuse", help="fuse height maps from multiple views")
     p.add_argument("dsms", nargs="+", help="input height grids")
     p.add_argument("--out", required=True)
-    p.add_argument("--mad-k", type=float)
-    p.add_argument("--mad-floor", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--min-neighbors", type=int)
-    p.add_argument("--aggregator", choices=("median", "mean"))
-    _add_config(p)
+    p.add_argument("--mad-k", type=float, default=FusionConfig.mad_k)
+    p.add_argument("--mad-floor", type=float, default=FusionConfig.mad_floor)
+    p.add_argument("--radius", type=float, default=FusionConfig.radius)
+    p.add_argument("--min-neighbors", type=int, default=FusionConfig.min_neighbors)
+    p.add_argument("--aggregator", choices=("median", "mean"), default=FusionConfig.aggregator)
     p.set_defaults(func=cmd_fuse)
 
     p = subs.add_parser("metrics", help="score a height map against ground truth")

@@ -37,8 +37,8 @@ class FusionConfig:
         mad_k: rejection threshold in robust-sigma units.
         mad_floor: lower bound on the MAD (same units as the heights) so a
             degenerate spread never rejects everything.
-        radius: neighborhood radius for the isolation filter, in the raster's
-            georeference units; None means 3 cells.
+        radius: finite neighborhood radius for the isolation filter, in the
+            raster's georeference units; None means 3 cells.
         min_neighbors: valid cells required within the radius (the cell
             itself counts) for a fused cell to survive.
         aggregator: "median" or "mean" over the surviving samples.
@@ -55,8 +55,8 @@ class FusionConfig:
             raise ValueError(f"mad_k must be positive, got {self.mad_k}")
         if not self.mad_floor >= 0:
             raise ValueError(f"mad_floor must be non-negative, got {self.mad_floor}")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if self.radius is not None and not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.min_neighbors < 1:
             raise ValueError(f"min_neighbors must be >= 1, got {self.min_neighbors}")
         if self.aggregator not in ("median", "mean"):
@@ -204,11 +204,12 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     estimate exists and errs by less than t.
 
     Raises:
+        ValueError: a threshold that is not positive (NaN included).
         LatticeMismatchError: grids are not lattice-aligned.
         EmptyOverlapError: no cell is valid in both inputs.
     """
     thresholds = tuple(float(t) for t in thresholds)
-    if any(t <= 0 for t in thresholds):
+    if not all(t > 0 for t in thresholds):
         raise ValueError(f"thresholds must be positive, got {thresholds}")
     origin, nrows, ncols, offsets = _overlay([estimate, truth])
 

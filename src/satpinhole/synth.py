@@ -358,12 +358,18 @@ def render_image(scene: SyntheticScene) -> Raster:
     return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA)
 
 
-def _check_staging(image_size: tuple[int, int], sensor_height: float) -> None:
+def _check_staging(
+    image_size: tuple[int, int], relief: float, sensor_height: float, extent_deg: float
+) -> None:
     w, h = image_size
     if not (w >= 1 and h >= 1):
         raise ValueError(f"image size must be positive, got {w} x {h}")
+    if not (np.isfinite(relief) and relief >= 0):
+        raise ValueError(f"relief must be finite and non-negative, got {relief}")
     if not (np.isfinite(sensor_height) and sensor_height > 0):
         raise ValueError(f"sensor height must be finite and positive, got {sensor_height}")
+    if not (np.isfinite(extent_deg) and extent_deg > 0):
+        raise ValueError(f"extent must be finite and positive, got {extent_deg}")
 
 
 def _scene_frame(rng, relief: float, extent_deg: float, seed: int):
@@ -420,11 +426,12 @@ def make_pinhole_scene(
     safely inside the image. Deterministic per seed.
 
     Raises:
-        ValueError: a non-positive image size, a sensor height that is not
-            finite and positive, or a staging whose rated volume does not
-            project inside the image.
+        ValueError: a non-positive image size, a relief that is not finite
+            and non-negative, a sensor height or extent that is not finite
+            and positive, or a staging whose rated volume does not project
+            inside the image.
     """
-    _check_staging(image_size, sensor_height)
+    _check_staging(image_size, relief, sensor_height, extent_deg)
     rng = np.random.default_rng([seed, 1])
     volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, seed)
     w, h = image_size
@@ -475,11 +482,12 @@ def make_pushbroom_scene(
     per seed.
 
     Raises:
-        ValueError: a non-positive image size, a sensor height that is not
-            finite and positive, a scan depth that is not positive, or a
-            staging whose rated volume does not project inside the image.
+        ValueError: a non-positive image size, a relief that is not finite
+            and non-negative, a sensor height or extent that is not finite
+            and positive, a scan depth that is not positive, or a staging
+            whose rated volume does not project inside the image.
     """
-    _check_staging(image_size, sensor_height)
+    _check_staging(image_size, relief, sensor_height, extent_deg)
     rng = np.random.default_rng([seed, 2])
     volume, anchor, terrain = _scene_frame(rng, relief, extent_deg, seed)
     w, h = image_size

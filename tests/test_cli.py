@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import argparse
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from satpinhole import equivalence
-from satpinhole.cli import main
+from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera
 from satpinhole.error_analysis import parse_equivalence_report
 from satpinhole.raster import load_ascii_grid, save_ascii_grid
@@ -49,59 +53,28 @@ def test_malformed_rpc_reports_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: parse:")
 
 
-def test_unknown_config_key_reports_invalid(tmp_path, scene_dir, capsys):
-    rpc = str(scene_dir / "rpc.txt")
-    size = ["--image-size", "96", "96"]
-    commands = {
-        "equate": ["equate", rpc, *size, "--camera", str(tmp_path / "cam.txt")],
-        "refine": ["refine", rpc, *size, "--warp", str(tmp_path / "warp.txt")],
-        "error-map": ["error-map", rpc, *size, "--out", str(tmp_path / "err.asc")],
-        "partition": [
-            "partition", str(scene_dir / "image.asc"), rpc, "--out-dir", str(tmp_path / "tiles"),
-        ],
-        "fuse": ["fuse", str(scene_dir / "dsm.asc"), "--out", str(tmp_path / "fused.asc")],
-    }
-    # (subcommand, config, key the message must name); each value has the
-    # wrong type for its field.
-    cases = [
-        ("equate", {"bogus": 1}, "bogus"),
-        ("error-map", {"cell_px": "x"}, "cell_px"),
-        ("equate", {"grid_dims": 5}, "grid_dims"),
-        ("refine", {"grid_dims": 5}, "grid_dims"),
-        ("error-map", {"grid_dims": 5}, "grid_dims"),
-        ("equate", {"grid_dims": [8, 8]}, "grid_dims"),
-        ("equate", {"grid_dims": [8, 8, 4.5]}, "grid_dims"),
-        ("refine", {"warp_kind": 1}, "warp_kind"),
-        ("partition", {"tile_size": "64"}, "tile_size"),
-        ("partition", {"overlap": True}, "overlap"),
-        ("fuse", {"mad_k": "3"}, "mad_k"),
-        ("fuse", {"radius": "2"}, "radius"),
-        ("fuse", {"min_neighbors": 2.0}, "min_neighbors"),
-    ]
-    cfg = tmp_path / "cfg.json"
-    for command, config, key in cases:
-        cfg.write_text(json.dumps(config))
-        rc = main([*commands[command], "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert rc == 1, (command, config)
-        assert err.startswith("error: invalid:"), (command, config, err)
-        assert key in err, (command, config, err)
+def _readme_commands(text):
+    """Yield every ``satpinhole`` command of the README's fenced blocks as tokens."""
+    for block in re.findall(r"^```\w*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line)
+            if tokens[:1] == ["satpinhole"]:
+                yield tokens
 
 
-def test_config_file_values_apply(tmp_path, scene_dir, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_dims": [8, 8, 4], "cell_px": 48, "radius": None}))
-    out = tmp_path / "err.asc"
-    rc = main(
-        [
-            "error-map", str(scene_dir / "rpc.txt"),
-            "--image-size", "96", "96",
-            "--out", str(out),
-            "--config", str(cfg),
-        ]
-    )
-    assert rc == 0
-    assert load_ascii_grid(out).values.shape == (2, 2)
+def test_readme_matches_parser():
+    parser = build_parser()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = list(_readme_commands(text))
+    assert len(commands) >= 10
+    for tokens in commands:
+        parser.parse_args(tokens[1:])
+
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for sub in subparsers.choices.values() for o in sub._option_string_actions}
+    usage = text[text.index("## Quick start") :]
+    unknown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage)) - options
+    assert not unknown, sorted(unknown)
 
 
 def test_degenerate_grid_reports_category(tmp_path, scene_dir, capsys):
@@ -154,13 +127,17 @@ def test_synth_pushbroom_camera_file(tmp_path):
         ("pushbroom", ["--image-size", "0", "0"]),
         ("pinhole", ["--sensor-height", "0"]),
         ("pushbroom", ["--sensor-height", "inf"]),
+        ("pushbroom", ["--relief", "inf"]),
+        ("pinhole", ["--extent-deg", "inf"]),
     ],
 )
 def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
     out = tmp_path / "scene"
     rc = main(["synth", "--kind", kind, "--seed", "6", "--out-dir", str(out), *flags])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: invalid:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid:")
+    assert len(err.splitlines()) == 1, err
     assert not out.exists()
 
 
@@ -502,6 +479,23 @@ def test_fuse_and_metrics_pipeline(tmp_path, scene_dir, capsys):
     assert "COMP_0.5: 0" in out
     assert "COMP_2: 1" in out
     assert (tmp_path / "report.txt").read_text() == out
+
+
+def test_fuse_rejects_infinite_radius(tmp_path, scene_dir, capsys):
+    out = tmp_path / "fused.asc"
+    rc = main(["fuse", str(scene_dir / "dsm.asc"), "--out", str(out), "--radius", "inf"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid:")
+    assert not out.exists()
+
+
+def test_metrics_rejects_nan_threshold(scene_dir, capsys):
+    dsm = str(scene_dir / "dsm.asc")
+    rc = main(["metrics", dsm, dsm, "--thresholds", "1", "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid:")
+    assert captured.out == ""
 
 
 def test_metrics_lattice_mismatch(tmp_path, scene_dir, capsys):

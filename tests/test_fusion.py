@@ -169,6 +169,8 @@ def test_fuse_config_validation():
         FusionConfig(mad_floor=-0.1)
     with pytest.raises(ValueError, match="radius"):
         FusionConfig(radius=0.0)
+    with pytest.raises(ValueError, match="radius"):
+        FusionConfig(radius=float("inf"))
     with pytest.raises(ValueError, match="min_neighbors"):
         FusionConfig(min_neighbors=0)
     with pytest.raises(ValueError, match="aggregator"):
@@ -195,6 +197,13 @@ def test_dsm_metrics_hand_case():
     assert m.n_overlap == 3
     assert m.n_truth == 4
     assert m.comp == ((1.5, 0.5),)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_dsm_metrics_rejects_threshold_not_positive(threshold):
+    est = _raster([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        dsm_metrics(est, est, thresholds=(1.0, threshold))
 
 
 def test_dsm_metrics_matches_brute_force():
