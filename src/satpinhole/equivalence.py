@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .geodesy import GeoPoint, geodetic_to_enu
 from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
@@ -261,6 +260,19 @@ def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
     return replace(pm, residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))))
 
 
+def _rq(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M = K R with K upper triangular, positive diagonal, and R orthonormal.
+
+    With P the row reversal, the QR factorization (P M)^T = Q U gives
+    M = (P U^T P)(P Q^T), an upper-triangular times an orthonormal matrix.
+    """
+    q, u = np.linalg.qr(m[::-1].T)
+    k = u.T[::-1, ::-1]
+    r = q.T[::-1]
+    s = np.diag(np.where(np.diag(k) < 0, -1.0, 1.0))
+    return k @ s, s @ r
+
+
 def decompose_projection(
     pm: ProjectionMatrix,
     grid: VirtualGrid,
@@ -277,12 +289,7 @@ def decompose_projection(
             factorization fails to reproduce the matrix.
     """
     p = pm.p
-    m = p[:, :3]
-    k, r = scipy.linalg.rq(m)
-    signs = np.where(np.diag(k) < 0, -1.0, 1.0)
-    s = np.diag(signs)
-    k = k @ s
-    r = s @ r
+    k, r = _rq(p[:, :3])
     t = np.linalg.solve(k, p[:, 3])
     if np.linalg.det(r) < 0:
         r = -r

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 
 from .kvio import fmt
 from .raster import Raster
@@ -124,6 +123,38 @@ def mosaic_tiles(tiles) -> Raster:
     return Raster(values=values, cell_size=cell, origin=origin, nodata=nodata)
 
 
+def _median_views(stack: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(stack, axis=0)``, bit for bit, from one sort.
+
+    NaN sorts last, so the n non-NaN samples of a cell are its first n
+    entries; an all-NaN cell picks a NaN and stays NaN. Like numpy, halve
+    the middle pair (the middle value twice for an odd n) summed onto +0.0:
+    that keeps numpy's sign of zero and its overflow above half the float
+    range.
+    """
+    ordered = np.sort(stack, axis=0)
+    n = np.count_nonzero(~np.isnan(stack), axis=0)
+    lo = np.take_along_axis(ordered, np.maximum((n - 1) // 2, 0)[None], axis=0)[0]
+    hi = np.take_along_axis(ordered, (n // 2)[None], axis=0)[0]
+    return (0.0 + lo + hi) / 2
+
+
+def _neighbor_counts(valid: np.ndarray, radius_cells: float) -> np.ndarray:
+    """Valid cells within *radius_cells* of each cell (itself included).
+
+    Cells beyond the grid count as invalid.
+    """
+    reach = int(np.floor(radius_cells))
+    padded = np.pad(valid, reach)
+    nrows, ncols = valid.shape
+    counts = np.zeros(valid.shape, dtype=np.intp)
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            if dy * dy + dx * dx <= radius_cells * radius_cells:
+                counts += padded[reach + dy : reach + dy + nrows, reach + dx : reach + dx + ncols]
+    return counts
+
+
 def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
     """Fuse per-view DSMs into one surface with robust outlier rejection.
 
@@ -154,13 +185,13 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        med = np.nanmedian(stack, axis=0)
-        mad = np.nanmedian(np.abs(stack - med), axis=0)
+        med = _median_views(stack)
+        mad = _median_views(np.abs(stack - med))
         thresh = config.mad_k * MAD_CONSISTENCY * np.maximum(mad, config.mad_floor)
         keep = np.abs(stack - med) <= thresh
         survivors = np.where(keep, stack, np.nan)
         if config.aggregator == "median":
-            fused = np.nanmedian(survivors, axis=0)
+            fused = _median_views(survivors)
         else:
             fused = np.nanmean(survivors, axis=0)
 
@@ -168,13 +199,7 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
     values = np.where(valid, fused, nodata)
 
     radius = config.radius if config.radius is not None else 3.0 * cell
-    radius_cells = radius / cell
-    reach = int(np.floor(radius_cells))
-    dy, dx = np.mgrid[-reach : reach + 1, -reach : reach + 1]
-    kernel = (dy * dy + dx * dx) <= radius_cells * radius_cells
-    counts = scipy.ndimage.convolve(
-        valid.astype(np.int64), kernel.astype(np.int64), mode="constant", cval=0
-    )
+    counts = _neighbor_counts(valid, radius / cell)
     values = np.where(valid & (counts >= config.min_neighbors), values, nodata)
     return Raster(values=values, cell_size=cell, origin=origin, nodata=nodata)
 

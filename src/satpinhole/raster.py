@@ -8,6 +8,8 @@ the lower-left corner, matching the ASCII grid header convention.
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +19,11 @@ from .kvio import fmt
 # The nodata sentinel of rasters made from scratch; derived rasters keep their
 # input's sentinel.
 NODATA = -9999.0
+
+# Characters of grid body handed to numpy's parser at a time: small enough
+# that the text in flight stays well under the grid's own bytes, large enough
+# that the per-call cost vanishes.
+_BLOCK = 1 << 14
 
 
 class GridFormatError(ValueError):
@@ -88,35 +95,76 @@ def format_ascii_grid(raster: Raster) -> str:
     return "".join(_ascii_grid_lines(raster))
 
 
-def parse_ascii_grid(text: str) -> Raster:
-    """Parse Arc/Info ASCII grid text into a float64 raster."""
-    lines = text.splitlines()
+def _parse_values(text: str) -> np.ndarray:
+    """The whitespace-separated numbers of *text*, through numpy's C parser."""
+    try:
+        # loadtxt reads one row per item, so the line breaks become spaces and
+        # the whole block is a single row.
+        return np.loadtxt([text.replace("\n", " ")], comments=None, ndmin=1)
+    except ValueError:
+        raise GridFormatError("non-numeric cell value in grid body") from None
+
+
+def _read_ascii_grid(fh, size: int) -> Raster:
+    """Read an ASCII grid from a text stream of *size* characters or fewer.
+
+    The body is parsed in blocks of ``_BLOCK`` characters, each cut after its
+    last space, tab or newline, into an array allocated from the header, so
+    memory is bounded by the grid plus one block. Any other whitespace still
+    separates values; it just ends no block.
+    """
     header: dict[str, float] = {}
-    idx = 0
     expected = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
-    while idx < len(lines) and len(header) < 6:
-        parts = lines[idx].split()
+    line = ""
+    while len(header) < 6:
+        # A header line is a keyword and a number; the bound keeps a long
+        # first body line out of memory.
+        line = fh.readline(256)
+        parts = line.split()
         if len(parts) != 2 or parts[0].lower() not in expected:
             break
         try:
             header[parts[0].lower()] = float(parts[1])
         except ValueError:
-            raise GridFormatError(f"bad header value in line {lines[idx]!r}") from None
-        idx += 1
+            bad = line.rstrip("\n")
+            raise GridFormatError(f"bad header value in line {bad!r}") from None
+        line = ""
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"missing header field: {key}")
+    if not all(header[key] >= 0 and header[key].is_integer() for key in ("ncols", "nrows")):
+        raise GridFormatError(
+            f"ncols and nrows must be non-negative integers, got "
+            f"{fmt(header['ncols'])} and {fmt(header['nrows'])}"
+        )
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    body = " ".join(lines[idx:])
-    try:
-        data = np.array(body.split(), dtype=np.float64)
-    except ValueError:
-        raise GridFormatError("non-numeric cell value in grid body") from None
-    if data.size != nrows * ncols:
+    total = nrows * ncols
+    # Every value takes at least one character, so a header promising more
+    # than that cannot be right; checking first keeps the allocation bounded.
+    if total > size:
         raise GridFormatError(
-            f"grid body holds {data.size} values, header promises {nrows * ncols}"
+            f"header promises {total} values, more than {size} characters can hold"
         )
+    data = np.empty(total)
+    count = 0
+    tail = line  # the first body line, read while looking for the header
+    while True:
+        block = fh.read(_BLOCK)
+        text = tail + block
+        if block:
+            cut = max(text.rfind(" "), text.rfind("\t"), text.rfind("\n")) + 1
+            text, tail = text[:cut], text[cut:]
+        if text and not text.isspace():
+            values = _parse_values(text)
+            end = count + values.size
+            if end <= total:
+                data[count:end] = values
+            count = end
+        if not block:
+            break
+    if count != total:
+        raise GridFormatError(f"grid body holds {count} values, header promises {total}")
     return Raster(
         values=data.reshape(nrows, ncols),
         cell_size=header["cellsize"],
@@ -125,9 +173,19 @@ def parse_ascii_grid(text: str) -> Raster:
     )
 
 
+def parse_ascii_grid(text: str) -> Raster:
+    """Parse Arc/Info ASCII grid text into a float64 raster.
+
+    Body values may be laid out with any whitespace: one grid row per line or
+    wrapped anywhere, with CRLF or LF line ends.
+    """
+    return _read_ascii_grid(io.StringIO(text, newline=None), len(text))
+
+
 def load_ascii_grid(path) -> Raster:
+    """Read an Arc/Info ASCII grid file; see :func:`parse_ascii_grid`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_ascii_grid(fh.read())
+        return _read_ascii_grid(fh, os.fstat(fh.fileno()).st_size)
 
 
 def save_ascii_grid(raster: Raster, path) -> None:

@@ -376,6 +376,10 @@ def _scene_frame(rng, relief: float, extent_deg: float, seed: int):
     lat0 = float(rng.uniform(25.0, 45.0))
     lon0 = float(rng.uniform(-100.0, 100.0))
     half = extent_deg / 2.0
+    if not (-90.0 < lat0 - half and lat0 + half < 90.0):
+        raise ValueError(
+            f"extent of {extent_deg} deg around latitude {lat0:.6g} reaches past a pole"
+        )
     alt_pad = max(30.0, 0.3 * relief)
     volume = Volume(
         lat_min=lat0 - half,
@@ -428,8 +432,8 @@ def make_pinhole_scene(
     Raises:
         ValueError: a non-positive image size, a relief that is not finite
             and non-negative, a sensor height or extent that is not finite
-            and positive, or a staging whose rated volume does not project
-            inside the image.
+            and positive, an extent reaching past a pole, or a staging whose
+            rated volume does not project inside the image.
     """
     _check_staging(image_size, relief, sensor_height, extent_deg)
     rng = np.random.default_rng([seed, 1])
@@ -484,8 +488,9 @@ def make_pushbroom_scene(
     Raises:
         ValueError: a non-positive image size, a relief that is not finite
             and non-negative, a sensor height or extent that is not finite
-            and positive, a scan depth that is not positive, or a staging
-            whose rated volume does not project inside the image.
+            and positive, an extent reaching past a pole, a scan depth that
+            is not positive, or a staging whose rated volume does not
+            project inside the image.
     """
     _check_staging(image_size, relief, sensor_height, extent_deg)
     rng = np.random.default_rng([seed, 2])

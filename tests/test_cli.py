@@ -2,14 +2,17 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import satpinhole
 from satpinhole import equivalence
 from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera
@@ -129,6 +132,8 @@ def test_synth_pushbroom_camera_file(tmp_path):
         ("pushbroom", ["--sensor-height", "inf"]),
         ("pushbroom", ["--relief", "inf"]),
         ("pinhole", ["--extent-deg", "inf"]),
+        ("pushbroom", ["--extent-deg", "200"]),
+        ("pushbroom", ["--extent-deg", "1e300"]),
     ],
 )
 def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
@@ -139,6 +144,21 @@ def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
     assert err.startswith("error: invalid:")
     assert len(err.splitlines()) == 1, err
     assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # Every shell call of the CLI pays its import; scipy alone cost about
+    # half a second of it.
+    code = (
+        "import satpinhole.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(satpinhole.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_inspect_json_matches_model(scene_dir, capsys):

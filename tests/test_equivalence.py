@@ -9,6 +9,7 @@ from satpinhole.equivalence import (
     PinholeCamera,
     ProjectionMatrix,
     VirtualGrid,
+    _rq,
     build_virtual_grid,
     decompose_projection,
     equate,
@@ -184,6 +185,19 @@ def test_mirror_camera_rejected():
     pm = ProjectionMatrix(p=p / np.linalg.norm(p), cond=1.0, residual_rms_px=0.0)
     with pytest.raises(DecompositionError, match="mirror"):
         decompose_projection(pm, grid, (640, 480))
+
+
+def test_rq_factors_random_matrices():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 1e4, size=(3, 1))
+        k, r = _rq(m)
+        assert np.array_equal(k, np.triu(k))
+        assert (np.diag(k) > 0).all()
+        np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-12)
+        # A positive diagonal leaves the sign of det(M) to R.
+        assert np.linalg.det(r) == pytest.approx(np.sign(np.linalg.det(m)), abs=1e-12)
+        assert np.abs(k @ r - m).max() <= 1e-12 * np.abs(m).max()
 
 
 def test_decompose_recovers_synthetic_camera():

@@ -1,7 +1,12 @@
 """Tests for DSM mosaicking, robust fusion, and accuracy metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satpinhole.fusion import (
     MAD_CONSISTENCY,
@@ -11,6 +16,8 @@ from satpinhole.fusion import (
     LatticeMismatchError,
     dsm_metrics,
     format_metrics_report,
+    _median_views,
+    _neighbor_counts,
     fuse_views,
     mosaic_tiles,
 )
@@ -91,6 +98,45 @@ def _stack_views(columns):
     return [
         _raster(np.asarray(col, dtype=float).reshape(1, -1)) for col in columns
     ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 7), st.integers(1, 4), st.integers(1, 4)),
+        elements=st.one_of(
+            st.just(np.nan),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324]),
+            st.floats(allow_nan=False),
+        ),
+    )
+)
+def test_median_views_matches_nanmedian(stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = np.nanmedian(stack, axis=0)
+        got = _median_views(stack)
+    # The same cells are NaN, and every other cell carries the same bits,
+    # down to the sign of zero.
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(
+        got[finite].view(np.uint64), expected[finite].view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("radius_cells", [0.5, 2.5, 3.0])
+def test_neighbor_counts_match_brute_force(radius_cells):
+    valid = np.random.default_rng(6).random((9, 11)) < 0.6
+    valid[0, :4] = False  # holes on the border
+    valid[:, -1] = False
+    expected = np.zeros(valid.shape, dtype=int)
+    for r, c in np.ndindex(valid.shape):
+        for r2, c2 in np.ndindex(valid.shape):
+            if (r2 - r) ** 2 + (c2 - c) ** 2 <= radius_cells**2:
+                expected[r, c] += valid[r2, c2]
+    np.testing.assert_array_equal(_neighbor_counts(valid, radius_cells), expected)
 
 
 def test_fuse_rejects_gross_outlier():

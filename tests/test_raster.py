@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from satpinhole import raster as raster_module
 from satpinhole.kvio import fmt
 from satpinhole.raster import (
     GridFormatError,
     Raster,
     format_ascii_grid,
+    load_ascii_grid,
     parse_ascii_grid,
     sample_bilinear,
     save_ascii_grid,
@@ -55,6 +57,104 @@ def test_save_streams_rows(tmp_path):
     size = path.stat().st_size
     assert peak < size / 4, (peak, size)
     assert path.read_text(encoding="utf-8") == format_ascii_grid(r)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e300, 5e-324, -9999.0]
+
+
+def _layouts():
+    """The same 4 x 5 grid written in several whitespace layouts."""
+    values = np.arange(20, dtype=np.float64).reshape(4, 5) * 1.25 - 7.0
+    values.ravel()[: len(_SPECIALS)] = _SPECIALS
+    header = format_ascii_grid(Raster(values=values)).split("\n", 6)
+    head = "\n".join(header[:6]) + "\n"
+    tokens = [fmt(v) for v in values.ravel()]
+    wrapped = "\n".join(" ".join(tokens[i : i + 7]) for i in range(0, 20, 7)) + "\n"
+    rows = ["\t".join(tokens[i : i + 5]) for i in range(0, 20, 5)]
+    return values, {
+        "wrapped_7_per_line": head + wrapped,
+        "one_line": head + " ".join(tokens),
+        "tabs": head + "\n".join(rows) + "\n",
+        "crlf": (head + wrapped).replace("\n", "\r\n"),
+        "trailing_blank_lines": head + wrapped + "\n  \n\n",
+    }
+
+
+@pytest.mark.parametrize("block", [1, 3, 16, None])
+@pytest.mark.parametrize("layout", list(_layouts()[1]))
+def test_reader_takes_any_whitespace_layout(tmp_path, monkeypatch, block, layout):
+    # Small blocks put block boundaries inside tokens and between lines.
+    if block is not None:
+        monkeypatch.setattr(raster_module, "_BLOCK", block)
+    values, texts = _layouts()
+    path = tmp_path / "grid.asc"
+    path.write_bytes(texts[layout].encode("utf-8"))
+    for r in (parse_ascii_grid(texts[layout]), load_ascii_grid(path)):
+        assert r.values.shape == (4, 5)
+        np.testing.assert_array_equal(_bits(r.values), _bits(values))
+
+
+def test_save_load_round_trip_is_bit_identical(tmp_path):
+    values = np.random.default_rng(9).normal(scale=1e3, size=(3, 4))
+    values.ravel()[: len(_SPECIALS)] = _SPECIALS
+    r = Raster(values=values, cell_size=0.5, origin=(-1.25, 3.0), nodata=-9999.0)
+    path = tmp_path / "grid.asc"
+    save_ascii_grid(r, path)
+    again = load_ascii_grid(path)
+    np.testing.assert_array_equal(_bits(again.values), _bits(values))
+    assert (again.cell_size, again.origin, again.nodata) == (0.5, (-1.25, 3.0), -9999.0)
+
+
+@pytest.mark.parametrize("block", [5, None])
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda tokens: tokens[:17] + ["x"] + tokens[18:], "non-numeric"),
+        (lambda tokens: tokens + ["1.5"], "values"),
+        (lambda tokens: tokens[:-1], "values"),
+    ],
+    ids=["letter", "one_too_many", "one_too_few"],
+)
+def test_reader_rejects_bad_body(monkeypatch, block, edit, match):
+    if block is not None:
+        monkeypatch.setattr(raster_module, "_BLOCK", block)
+    values = np.random.default_rng(4).normal(size=(6, 5))
+    head, body = format_ascii_grid(Raster(values=values)).split("NODATA_value -9999\n")
+    text = head + "NODATA_value -9999\n" + " ".join(edit(body.split())) + "\n"
+    with pytest.raises(GridFormatError, match=match):
+        parse_ascii_grid(text)
+
+
+@pytest.mark.parametrize(
+    "ncols, nrows",
+    [("-2", "-3"), ("2.5", "2"), ("nan", "2"), ("inf", "2"), ("100000", "100000")],
+)
+def test_reader_rejects_impossible_dimensions(ncols, nrows):
+    text = (
+        f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value -9999\n1 2 3 4 5 6\n"
+    )
+    with pytest.raises(GridFormatError):
+        parse_ascii_grid(text)
+
+
+def test_load_streams_blocks(tmp_path):
+    r = Raster(values=np.random.default_rng(3).normal(size=(256, 256)))
+    path = tmp_path / "grid.asc"
+    save_ascii_grid(r, path)
+    tracemalloc.start()
+    try:
+        again = load_ascii_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The reader holds the grid and one block of text, never the whole file.
+    assert peak < 2.5 * r.values.nbytes, (peak, r.values.nbytes)
+    np.testing.assert_array_equal(_bits(again.values), _bits(r.values))
 
 
 def test_parse_recovers_geometry():
