@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kvio import fmt
-from .raster import Raster
+from .raster import Raster, _row_blocks
 
 MAD_CONSISTENCY = 1.4826  # scales MAD to a Gaussian sigma estimate
 
@@ -178,29 +178,34 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
     cell = dsms[0].cell_size
     nodata = dsms[0].nodata
 
-    stack = np.full((len(dsms), nrows, ncols), np.nan)
-    for i, (r, (row, col)) in enumerate(zip(dsms, offsets)):
-        layer = np.where(r.valid_mask(), r.values.astype(np.float64), np.nan)
-        stack[i, row : row + r.nrows, col : col + r.ncols] = layer
-
+    fused = np.empty((nrows, ncols))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        med = _median_views(stack)
-        mad = _median_views(np.abs(stack - med))
-        thresh = config.mad_k * MAD_CONSISTENCY * np.maximum(mad, config.mad_floor)
-        keep = np.abs(stack - med) <= thresh
-        survivors = np.where(keep, stack, np.nan)
-        if config.aggregator == "median":
-            fused = _median_views(survivors)
-        else:
-            fused = np.nanmean(survivors, axis=0)
+        for rows in _row_blocks(nrows, ncols):
+            stack = np.full((len(dsms), rows.stop - rows.start, ncols), np.nan)
+            for i, (r, (row, col)) in enumerate(zip(dsms, offsets)):
+                # The raster's rows that fall inside this block.
+                lo = max(rows.start, row)
+                hi = min(rows.stop, row + r.nrows)
+                if lo < hi:
+                    part = r.values[lo - row : hi - row]
+                    stack[i, lo - rows.start : hi - rows.start, col : col + r.ncols] = np.where(
+                        part != r.nodata, part.astype(np.float64), np.nan
+                    )
+            med = _median_views(stack)
+            dev = np.abs(stack - med)
+            mad = _median_views(dev)
+            thresh = config.mad_k * MAD_CONSISTENCY * np.maximum(mad, config.mad_floor)
+            survivors = np.where(dev <= thresh, stack, np.nan)
+            if config.aggregator == "median":
+                fused[rows] = _median_views(survivors)
+            else:
+                fused[rows] = np.nanmean(survivors, axis=0)
 
     valid = np.isfinite(fused)
-    values = np.where(valid, fused, nodata)
-
     radius = config.radius if config.radius is not None else 3.0 * cell
     counts = _neighbor_counts(valid, radius / cell)
-    values = np.where(valid & (counts >= config.min_neighbors), values, nodata)
+    values = np.where(valid & (counts >= config.min_neighbors), fused, nodata)
     return Raster(values=values, cell_size=cell, origin=origin, nodata=nodata)
 
 

@@ -25,6 +25,11 @@ NODATA = -9999.0
 # that the per-call cost vanishes.
 _BLOCK = 1 << 14
 
+# Cells per row block of the full-frame kernels (``synth.render_image``,
+# ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
+# few MB whatever the frame size.
+_BLOCK_CELLS = 1 << 14
+
 
 class GridFormatError(ValueError):
     """An ASCII grid document is malformed."""
@@ -194,13 +199,21 @@ def save_ascii_grid(raster: Raster, path) -> None:
         fh.writelines(_ascii_grid_lines(raster))
 
 
+def _row_blocks(nrows: int, ncols: int) -> list[slice]:
+    """Split a frame into slices of whole rows, each about ``_BLOCK_CELLS``
+    cells and at least one row."""
+    step = max(1, _BLOCK_CELLS // max(ncols, 1))
+    return [slice(start, min(start + step, nrows)) for start in range(0, nrows, step)]
+
+
 def interpolate(raster: Raster, fx, fy, clamp: bool = True):
     """Bilinearly interpolate a raster at fractional (column, row) indices.
 
     Index (0, 0) is the center of the top-left cell. With clamp=True indices
     outside the grid are clamped to the border cells; otherwise indices more
-    than half a cell outside return the nodata sentinel. Any nodata among the
-    four neighbors also yields nodata, if its weight is nonzero.
+    than half a cell outside return the nodata sentinel. A neighbor that is
+    nodata, NaN or infinite yields nodata if its weight is nonzero and is
+    ignored otherwise.
     """
     inside = (fx >= -0.5) & (fx <= raster.ncols - 0.5) & (fy >= -0.5) & (fy <= raster.nrows - 0.5)
     cx = np.clip(fx, 0.0, raster.ncols - 1.0)
@@ -212,23 +225,22 @@ def interpolate(raster: Raster, fx, fy, clamp: bool = True):
     wx = cx - c0
     wy = cy - r0
     v = np.asarray(raster.values, dtype=np.float64)
-    v00 = v[r0, c0]
-    v01 = v[r0, c1]
-    v10 = v[r1, c0]
-    v11 = v[r1, c1]
-    w00 = (1 - wy) * (1 - wx)
-    w01 = (1 - wy) * wx
-    w10 = wy * (1 - wx)
-    w11 = wy * wx
-    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    # A nodata neighbor only poisons the sample if it actually contributes;
-    # landing exactly on a valid sample next to a hole is fine.
-    bad = (
-        ((v00 == raster.nodata) & (w00 > 0))
-        | ((v01 == raster.nodata) & (w01 > 0))
-        | ((v10 == raster.nodata) & (w10 > 0))
-        | ((v11 == raster.nodata) & (w11 > 0))
-    )
+    bad = False
+    terms = []
+    for r, c, weight in (
+        (r0, c0, (1 - wy) * (1 - wx)),
+        (r0, c1, (1 - wy) * wx),
+        (r1, c0, wy * (1 - wx)),
+        (r1, c1, wy * wx),
+    ):
+        value = v[r, c]
+        finite = np.isfinite(value)
+        # A missing neighbor only poisons the sample if it actually
+        # contributes; landing exactly on a valid sample next to a hole is
+        # fine. A non-finite value is zeroed so that 0 * inf cannot leak NaN.
+        bad = bad | (((value == raster.nodata) | ~finite) & (weight > 0))
+        terms.append(np.where(finite, value, 0.0) * weight)
+    out = terms[0] + terms[1] + terms[2] + terms[3]
     if not clamp:
         bad = bad | ~inside
     return np.where(bad, raster.nodata, out)

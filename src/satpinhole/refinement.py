@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
-from .raster import Raster, interpolate
+from .raster import Raster, _row_blocks, interpolate
 
 if TYPE_CHECKING:
     from .equivalence import PinholeCamera, VirtualGrid
@@ -230,12 +230,19 @@ def resample(image: Raster, warp) -> Raster:
     Each output pixel (x, y) takes the value of the input image at warp(x, y).
     Mapped positions up to half a pixel outside the sample domain clamp to the
     border; farther out, the output is nodata, as is any interpolation that
-    would touch a nodata input pixel.
+    gives weight to a nodata, NaN or infinite input pixel. The work runs in
+    row blocks, so the frame-sized memory is the output (plus a float64 copy
+    of an input of another dtype).
     """
     h, w = image.values.shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    mx, my = warp.apply(xs, ys)
-    return image.like(interpolate(image, mx, my, clamp=False))
+    source = image.like(np.asarray(image.values, dtype=np.float64))
+    xs = np.arange(w, dtype=np.float64)
+    out = np.empty((h, w))
+    for rows in _row_blocks(h, w):
+        ys, xb = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), xs, indexing="ij")
+        mx, my = warp.apply(xb, ys)
+        out[rows] = interpolate(source, mx, my, clamp=False)
+    return image.like(out)
 
 
 def format_warp(warp) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .equivalence import PinholeCamera
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
-from .raster import NODATA, Raster, sample_bilinear
+from .raster import NODATA, Raster, _row_blocks, sample_bilinear
 from .rpc import RpcModel, cubic_basis
 
 # Rational fits sample the rated volume on this many (lat, lon, alt) nodes.
@@ -307,6 +307,10 @@ def render_image(scene: SyntheticScene) -> Raster:
     plus a height ramp. Pixels whose ground intersection falls well outside
     the terrain footprint (or whose ray is degenerate) come out nodata.
 
+    The sweeps run in row blocks, so the frame-sized memory is the output and
+    the ray heights. Every sweep shades each block into the output, and the
+    sweeps stop only once the height update is below 1e-6 m in every block.
+
     Returns:
         Raster of DN values in [0, 255], pixel georeference.
     """
@@ -314,47 +318,45 @@ def render_image(scene: SyntheticScene) -> Raster:
     w, h = scene.image_size
     anchor = scene.anchor
     terrain = scene.terrain
+    volume = scene.volume
     alt_lo, alt_hi = _terrain_relief(terrain)
+    margin_lat = 0.05 * (volume.lat_max - volume.lat_min)
+    margin_lon = 0.05 * (volume.lon_max - volume.lon_min)
 
-    rows, cols = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    samp = cols.ravel()
-    line = rows.ravel()
-
-    height = np.full(samp.shape, (alt_lo + alt_hi) / 2.0)
-    u = height - anchor.alt
-    lat = np.full(samp.shape, anchor.lat)
-    lon = np.full(samp.shape, anchor.lon)
-    e = np.zeros(samp.shape)
-    n = np.zeros(samp.shape)
+    cols = np.arange(w, dtype=np.float64)
+    u = np.full((h, w), (alt_lo + alt_hi) / 2.0 - anchor.alt)
+    values = np.empty((h, w))
     for _ in range(12):
-        e, n = cam.localize_at_height(samp, line, u)
-        finite = np.isfinite(e) & np.isfinite(n)
-        e = np.where(finite, e, 0.0)
-        n = np.where(finite, n, 0.0)
-        lat, lon, alt_geo = enu_to_geodetic(e, n, u, anchor)
-        height = sample_bilinear(terrain, lon, lat, clamp=True)
-        delta = height - alt_geo
-        u = u + delta
-        if np.max(np.abs(delta)) < 1e-6:
+        converged = True
+        for rows in _row_blocks(h, w):
+            line, samp = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), cols, indexing="ij")
+            e, n = cam.localize_at_height(samp, line, u[rows])
+            finite = np.isfinite(e) & np.isfinite(n)
+            e = np.where(finite, e, 0.0)
+            n = np.where(finite, n, 0.0)
+            lat, lon, alt_geo = enu_to_geodetic(e, n, u[rows], anchor)
+            height = sample_bilinear(terrain, lon, lat, clamp=True)
+            delta = height - alt_geo
+            u[rows] += delta
+            # A NaN update compares False, so it never counts as converged.
+            converged = converged and bool(np.max(np.abs(delta)) < 1e-6)
+
+            # Procedural texture: checkerboard in ground meters plus height shading.
+            parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
+            dn = 70.0 + 115.0 * parity
+            if alt_hi > alt_lo:
+                dn = dn + 55.0 * (height - alt_lo) / (alt_hi - alt_lo)
+            dn = np.clip(dn, 0.0, 255.0)
+            off_terrain = (
+                (lat < volume.lat_min - margin_lat)
+                | (lat > volume.lat_max + margin_lat)
+                | (lon < volume.lon_min - margin_lon)
+                | (lon > volume.lon_max + margin_lon)
+            )
+            bad = off_terrain | ~np.isfinite(e) | ~np.isfinite(n)
+            values[rows] = np.where(bad, NODATA, dn)
+        if converged:
             break
-
-    # Procedural texture: checkerboard in ground meters plus height shading.
-    parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
-    dn = 70.0 + 115.0 * parity
-    if alt_hi > alt_lo:
-        dn = dn + 55.0 * (height - alt_lo) / (alt_hi - alt_lo)
-    dn = np.clip(dn, 0.0, 255.0)
-
-    margin_lat = 0.05 * (scene.volume.lat_max - scene.volume.lat_min)
-    margin_lon = 0.05 * (scene.volume.lon_max - scene.volume.lon_min)
-    off_terrain = (
-        (lat < scene.volume.lat_min - margin_lat)
-        | (lat > scene.volume.lat_max + margin_lat)
-        | (lon < scene.volume.lon_min - margin_lon)
-        | (lon > scene.volume.lon_max + margin_lon)
-    )
-    bad = off_terrain | ~np.isfinite(e) | ~np.isfinite(n)
-    values = np.where(bad, NODATA, dn).reshape(h, w)
     return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA)
 
 

@@ -223,6 +223,51 @@ def test_fuse_config_validation():
         FusionConfig(aggregator="mode")
 
 
+@st.composite
+def _views_with_nan_holes(draw, max_views):
+    """Pairs of views on one lattice, each pair holding the same heights and
+    the same holes, marked in the first by the nodata sentinel and in the
+    second by the sentinel or NaN, cell by cell."""
+    pairs = []
+    for _ in range(draw(st.integers(1, max_views))):
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        heights = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        holes = draw(arrays(np.bool_, shape))
+        as_nan = draw(arrays(np.bool_, shape))
+        origin = (float(draw(st.integers(0, 3))), float(draw(st.integers(-3, 0))))
+        sentinel = np.where(holes, -9999.0, heights)
+        nan = np.where(holes & as_nan, np.nan, sentinel)
+        pairs.append((_raster(sentinel, origin), _raster(nan, origin)))
+    return pairs
+
+
+@settings(deadline=None, max_examples=100)
+@given(_views_with_nan_holes(max_views=4), st.sampled_from(["median", "mean"]))
+def test_fuse_reads_nan_as_nodata(pairs, aggregator):
+    config = FusionConfig(aggregator=aggregator, min_neighbors=2)
+    expected = fuse_views([sentinel for sentinel, _ in pairs], config)
+    got = fuse_views([nan for _, nan in pairs], config)
+    assert got.origin == expected.origin
+    np.testing.assert_array_equal(got.values.view(np.uint64), expected.values.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_views_with_nan_holes(max_views=1), _views_with_nan_holes(max_views=1))
+def test_dsm_metrics_reads_nan_as_nodata(estimates, truths):
+    def metrics(estimate, truth):
+        try:
+            return dsm_metrics(estimate, truth, thresholds=(1.0, 100.0))
+        except EmptyOverlapError:
+            return None
+
+    ((estimate, estimate_nan),) = estimates
+    ((truth, truth_nan),) = truths
+    expected = metrics(estimate, truth)
+    assert metrics(estimate_nan, truth) == expected
+    assert metrics(estimate, truth_nan) == expected
+    assert metrics(estimate_nan, truth_nan) == expected
+
+
 def test_fuse_requires_input():
     with pytest.raises(ValueError, match="at least one"):
         fuse_views([])

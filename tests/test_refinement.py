@@ -262,6 +262,27 @@ def test_resample_nodata_spreads_to_touching_stencils():
     assert out.values[21, 21] != image.nodata
 
 
+@pytest.mark.parametrize("missing", [np.nan, np.inf, -np.inf])
+def test_resample_treats_non_finite_pixels_as_nodata(missing):
+    image = Raster(values=np.arange(16.0).reshape(4, 4))
+    image.values[1, 1] = missing
+    # An identity warp lands exactly on each pixel: only the pixel itself
+    # carries weight, so its neighbors come through unchanged.
+    out = resample(image, PolynomialWarp(m=IDENTITY_COEFFS))
+    expected = np.arange(16.0).reshape(4, 4)
+    expected[1, 1] = image.nodata
+    np.testing.assert_array_equal(out.values, expected)
+    # Half a pixel off, every stencil that gives (1, 1) weight is nodata.
+    m = np.array(IDENTITY_COEFFS, dtype=float)
+    m[0] = m[6] = 0.5
+    out = resample(image, PolynomialWarp(m=m))
+    touching = np.zeros((4, 4), dtype=bool)
+    touching[0:2, 0:2] = True
+    assert (out.values[touching] == image.nodata).all()
+    assert np.isfinite(out.values).all()
+    assert (out.values[~touching] != image.nodata).all()
+
+
 def test_resample_preserves_georeferencing():
     image = Raster(values=np.ones((6, 5)), cell_size=2.5, origin=(10.0, 20.0))
     out = resample(image, PolynomialWarp(m=IDENTITY_COEFFS))
