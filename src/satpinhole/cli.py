@@ -19,81 +19,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .equivalence import (
-    DEFAULT_GRID_DIMS,
-    CameraFormatError,
-    DecompositionError,
-    DegenerateGridError,
-    IllConditionedError,
-    equate,
-    fit_equivalence,
-    load_camera,
-    save_camera,
-)
+from .equivalence import DEFAULT_GRID_DIMS, equate, fit_equivalence, load_camera, save_camera
 from .error_analysis import (
     error_field,
     format_equivalence_report,
     measure_equivalence_error,
     write_field_preview,
 )
-from .fusion import (
-    EmptyOverlapError,
-    FusionConfig,
-    LatticeMismatchError,
-    dsm_metrics,
-    format_metrics_report,
-    fuse_views,
-)
-from .kvio import KvFormatError, fmt
-from .raster import GridFormatError, Raster, load_ascii_grid, save_ascii_grid
-from .refinement import (
-    DegenerateCorrespondencesError,
-    WarpFormatError,
-    build_refinement,
-    resample,
-    save_warp,
-)
-from .rpc import (
+from .errors import (
     ConvergenceError,
-    RpcParseError,
-    SingularEvaluationError,
-    load_rpc,
-    save_rpc,
+    DecompositionError,
+    DegenerateError,
+    FormatError,
+    IllConditionedError,
+    LatticeError,
 )
-from .synth import (
-    RpcFitError,
-    fit_scene_rpc,
-    make_pinhole_scene,
-    make_pushbroom_scene,
-    render_image,
-)
-from .tiling import (
-    ManifestFormatError,
-    crop_raster,
-    crop_rpc,
-    enhance_brightness,
-    format_manifest,
-    plan_tiles,
-)
+from .fusion import FusionConfig, dsm_metrics, format_metrics_report, fuse_views
+from .kvio import fmt
+from .raster import load_ascii_grid, save_ascii_grid
+from .refinement import build_refinement, resample, save_warp
+from .rpc import load_rpc, save_rpc
+from .synth import fit_scene_rpc, make_pinhole_scene, make_pushbroom_scene, render_image
+from .tiling import crop_raster, crop_rpc, enhance_brightness, format_manifest, plan_tiles
 
-# Ordered most-specific first; every entry maps to a stable category word so
-# scripts can branch on stderr without parsing prose.
+# Every entry maps to a stable category word so scripts can branch on stderr
+# without parsing prose. The package classes are disjoint; the two builtin
+# bases come last, because every package class but ConvergenceError is a
+# ValueError.
 _ERROR_CATEGORIES = (
-    (RpcParseError, "parse"),
-    (CameraFormatError, "parse"),
-    (WarpFormatError, "parse"),
-    (GridFormatError, "parse"),
-    (ManifestFormatError, "parse"),
-    (KvFormatError, "parse"),
-    (DegenerateGridError, "degenerate"),
-    (DegenerateCorrespondencesError, "degenerate"),
-    (RpcFitError, "degenerate"),
-    (SingularEvaluationError, "degenerate"),
+    (FormatError, "parse"),
+    (DegenerateError, "degenerate"),
     (ConvergenceError, "convergence"),
     (IllConditionedError, "ill-conditioned"),
     (DecompositionError, "decomposition"),
-    (LatticeMismatchError, "lattice"),
-    (EmptyOverlapError, "lattice"),
+    (LatticeError, "lattice"),
     (OSError, "io"),
     (ValueError, "invalid"),
 )

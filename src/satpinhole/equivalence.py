@@ -14,30 +14,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, geodetic_to_enu
-from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
+from .kvio import fmt, get_float, get_floats, get_ints, read_kv
 from .rpc import RpcModel, project_forward
 
 if TYPE_CHECKING:
     from .error_analysis import EquivalenceReport
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
-
-
-class DegenerateGridError(ValueError):
-    """Too few usable grid points, or a geometrically degenerate set."""
-
-
-class IllConditionedError(ValueError):
-    """The projection system does not pin down a unique solution."""
-
-
-class DecompositionError(ValueError):
-    """The projection matrix does not factor into a physical camera."""
-
-
-class CameraFormatError(ValueError):
-    """A camera document is missing keys or malformed."""
 
 
 @dataclass(frozen=True)
@@ -153,13 +138,13 @@ def build_virtual_grid(
     model's offset point (or an explicit *anchor*).
 
     Raises:
-        DegenerateGridError: if any dim < 2, fewer than 6 points survive,
+        DegenerateError: if any dim < 2, fewer than 6 points survive,
             fewer than 3 distinct altitude layers survive, or the surviving
             points are numerically coplanar.
     """
     n_lat, n_lon, n_alt = (int(d) for d in dims)
     if min(n_lat, n_lon, n_alt) < 2:
-        raise DegenerateGridError(f"grid dims must each be >= 2, got {dims}")
+        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
     lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
     lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
     alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
@@ -172,11 +157,11 @@ def build_virtual_grid(
     samp, line = samp[keep], line[keep]
 
     if lat.size < 6:
-        raise DegenerateGridError(
+        raise DegenerateError(
             f"only {lat.size} grid points project inside the image; need >= 6"
         )
     if np.unique(alt).size < 3:
-        raise DegenerateGridError(
+        raise DegenerateError(
             f"only {np.unique(alt).size} altitude layers survive; need >= 3"
         )
     if anchor is None:
@@ -187,7 +172,7 @@ def build_virtual_grid(
     centered = enu - enu.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[2] < 1e-9 * sv[0]:
-        raise DegenerateGridError("surviving grid points are coplanar")
+        raise DegenerateError("surviving grid points are coplanar")
 
     return VirtualGrid(
         lat=lat,
@@ -406,23 +391,20 @@ def format_camera(cam: PinholeCamera) -> str:
 
 def parse_camera(text: str) -> PinholeCamera:
     """Parse key-value camera text written by format_camera."""
+    kv = read_kv(text)
+    size = get_ints(kv, "IMAGE_SIZE", 2)
+    lat, lon, alt = (get_float(kv, key) for key in ("ANCHOR_LAT", "ANCHOR_LON", "ANCHOR_ALT"))
     try:
-        kv = read_kv(text)
-        size = get_floats(kv, "IMAGE_SIZE", 2)
-        anchor = GeoPoint(
-            get_float(kv, "ANCHOR_LAT"),
-            get_float(kv, "ANCHOR_LON"),
-            get_float(kv, "ANCHOR_ALT"),
-        )
-        k = np.array(get_floats(kv, "K", 9)).reshape(3, 3)
-        r = np.array(get_floats(kv, "R", 9)).reshape(3, 3)
-        t = np.array(get_floats(kv, "T", 3))
-        rms = get_float(kv, "RESIDUAL_RMS_PX")
-    except (KvFormatError, ValueError) as exc:
-        raise CameraFormatError(str(exc)) from None
+        anchor = GeoPoint(lat, lon, alt)
+    except ValueError as exc:  # an anchor off the globe
+        raise FormatError(str(exc)) from None
+    k = np.array(get_floats(kv, "K", 9)).reshape(3, 3)
+    r = np.array(get_floats(kv, "R", 9)).reshape(3, 3)
+    t = np.array(get_floats(kv, "T", 3))
+    rms = get_float(kv, "RESIDUAL_RMS_PX")
     return PinholeCamera(
         k=k, r=r, t=t, anchor=anchor,
-        image_size=(int(size[0]), int(size[1])),
+        image_size=tuple(size),
         residual_rms_px=rms,
     )
 

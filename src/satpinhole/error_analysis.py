@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kvio import KvFormatError, fmt, get_float, read_kv
+from .kvio import fmt, get_float, get_ints, read_kv
 from .raster import NODATA, Raster
 from .rpc import RpcModel
 
@@ -66,17 +66,14 @@ def format_equivalence_report(report: EquivalenceReport) -> str:
 
 
 def parse_equivalence_report(text: str) -> EquivalenceReport:
-    try:
-        kv = read_kv(text)
-        return EquivalenceReport(
-            samp_rmse=get_float(kv, "SAMP_RMSE_PX"),
-            line_rmse=get_float(kv, "LINE_RMSE_PX"),
-            rmse=get_float(kv, "RMSE_PX"),
-            max_error=get_float(kv, "MAX_ERROR_PX"),
-            n_points=int(get_float(kv, "N_POINTS")),
-        )
-    except KvFormatError as exc:
-        raise ValueError(str(exc)) from None
+    kv = read_kv(text)
+    return EquivalenceReport(
+        samp_rmse=get_float(kv, "SAMP_RMSE_PX"),
+        line_rmse=get_float(kv, "LINE_RMSE_PX"),
+        rmse=get_float(kv, "RMSE_PX"),
+        max_error=get_float(kv, "MAX_ERROR_PX"),
+        n_points=get_ints(kv, "N_POINTS", 1)[0],
+    )
 
 
 def measure_equivalence_error(

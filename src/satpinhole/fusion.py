@@ -14,18 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LatticeError
 from .kvio import fmt
 from .raster import Raster, _row_blocks
 
 MAD_CONSISTENCY = 1.4826  # scales MAD to a Gaussian sigma estimate
-
-
-class LatticeMismatchError(ValueError):
-    """Input rasters do not share a cell lattice."""
-
-
-class EmptyOverlapError(ValueError):
-    """Two rasters have no cell where both carry valid data."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ def _check_cells(rasters) -> float:
     cell = rasters[0].cell_size
     for r in rasters[1:]:
         if abs(r.cell_size - cell) > 1e-9 * cell:
-            raise LatticeMismatchError(
+            raise LatticeError(
                 f"cell sizes differ: {cell} vs {r.cell_size}"
             )
     return cell
@@ -92,7 +85,7 @@ def _overlay(rasters):
         col = int(round(fc))
         row = int(round(fr))
         if abs(fc - col) > 1e-6 or abs(fr - row) > 1e-6:
-            raise LatticeMismatchError(
+            raise LatticeError(
                 f"raster origin off-lattice by ({fc - col:.3g}, {fr - row:.3g}) cells"
             )
         offsets.append((row, col))
@@ -235,8 +228,8 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
 
     Raises:
         ValueError: a threshold that is not positive (NaN included).
-        LatticeMismatchError: grids are not lattice-aligned.
-        EmptyOverlapError: no cell is valid in both inputs.
+        LatticeError: grids are not lattice-aligned, or no cell is valid in
+            both inputs.
     """
     thresholds = tuple(float(t) for t in thresholds)
     if not all(t > 0 for t in thresholds):
@@ -257,7 +250,7 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     n_truth = int(np.isfinite(tru).sum())
     n_overlap = int(both.sum())
     if n_overlap == 0:
-        raise EmptyOverlapError("estimate and truth share no valid cell")
+        raise LatticeError("estimate and truth share no valid cell")
 
     resid = est[both] - tru[both]
     abs_resid = np.abs(resid)

@@ -6,9 +6,7 @@ parsed and written again, is byte-identical.
 
 from __future__ import annotations
 
-
-class KvFormatError(ValueError):
-    """A key-value document is structurally malformed."""
+from .errors import FormatError
 
 
 def fmt(x: float) -> str:
@@ -20,7 +18,7 @@ def read_kv(text: str) -> dict[str, str]:
     """Parse ``KEY: value`` lines into an ordered dict of raw value strings.
 
     Blank lines and lines starting with ``#`` are skipped. A non-blank line
-    without a colon raises KvFormatError.
+    without a colon raises FormatError.
     """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -28,7 +26,7 @@ def read_kv(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise KvFormatError(f"line {lineno}: expected 'KEY: value', got {line!r}")
+            raise FormatError(f"line {lineno}: expected 'KEY: value', got {line!r}")
         key, _, value = line.partition(":")
         out[key.strip()] = value.strip()
     return out
@@ -37,22 +35,30 @@ def read_kv(text: str) -> dict[str, str]:
 def get_float(kv: dict[str, str], key: str) -> float:
     """Fetch a required numeric value, tolerating a trailing unit token."""
     if key not in kv:
-        raise KvFormatError(f"missing required key: {key}")
+        raise FormatError(f"missing required key: {key}")
     token = kv[key].split()[0] if kv[key].split() else ""
     try:
         return float(token)
     except ValueError:
-        raise KvFormatError(f"{key}: non-numeric value {kv[key]!r}") from None
+        raise FormatError(f"{key}: non-numeric value {kv[key]!r}") from None
 
 
 def get_floats(kv: dict[str, str], key: str, count: int) -> list[float]:
     """Fetch a required whitespace-separated list of exactly *count* floats."""
     if key not in kv:
-        raise KvFormatError(f"missing required key: {key}")
+        raise FormatError(f"missing required key: {key}")
     tokens = kv[key].split()
     if len(tokens) != count:
-        raise KvFormatError(f"{key}: expected {count} values, got {len(tokens)}")
+        raise FormatError(f"{key}: expected {count} values, got {len(tokens)}")
     try:
         return [float(t) for t in tokens]
     except ValueError:
-        raise KvFormatError(f"{key}: non-numeric value {kv[key]!r}") from None
+        raise FormatError(f"{key}: non-numeric value {kv[key]!r}") from None
+
+
+def get_ints(kv: dict[str, str], key: str, count: int) -> list[int]:
+    """Fetch a required list of exactly *count* positive integers."""
+    values = get_floats(kv, key, count)
+    if not all(v >= 1 and v.is_integer() for v in values):
+        raise FormatError(f"{key}: expected {count} positive integers, got {kv[key]!r}")
+    return [int(v) for v in values]

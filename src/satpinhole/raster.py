@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import FormatError
 from .kvio import fmt
 
 # The nodata sentinel of rasters made from scratch; derived rasters keep their
@@ -29,10 +30,6 @@ _BLOCK = 1 << 14
 # ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
 # few MB whatever the frame size.
 _BLOCK_CELLS = 1 << 14
-
-
-class GridFormatError(ValueError):
-    """An ASCII grid document is malformed."""
 
 
 @dataclass
@@ -107,7 +104,7 @@ def _parse_values(text: str) -> np.ndarray:
         # the whole block is a single row.
         return np.loadtxt([text.replace("\n", " ")], comments=None, ndmin=1)
     except ValueError:
-        raise GridFormatError("non-numeric cell value in grid body") from None
+        raise FormatError("non-numeric cell value in grid body") from None
 
 
 def _read_ascii_grid(fh, size: int) -> Raster:
@@ -132,23 +129,28 @@ def _read_ascii_grid(fh, size: int) -> Raster:
             header[parts[0].lower()] = float(parts[1])
         except ValueError:
             bad = line.rstrip("\n")
-            raise GridFormatError(f"bad header value in line {bad!r}") from None
+            raise FormatError(f"bad header value in line {bad!r}") from None
         line = ""
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
-            raise GridFormatError(f"missing header field: {key}")
+            raise FormatError(f"missing header field: {key}")
     if not all(header[key] >= 0 and header[key].is_integer() for key in ("ncols", "nrows")):
-        raise GridFormatError(
+        raise FormatError(
             f"ncols and nrows must be non-negative integers, got "
             f"{fmt(header['ncols'])} and {fmt(header['nrows'])}"
         )
+    for key in ("xllcorner", "yllcorner", "cellsize"):
+        if not np.isfinite(header[key]):
+            raise FormatError(f"{key} must be finite, got {fmt(header[key])}")
+    if not header["cellsize"] > 0:
+        raise FormatError(f"cellsize must be positive, got {fmt(header['cellsize'])}")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     total = nrows * ncols
     # Every value takes at least one character, so a header promising more
     # than that cannot be right; checking first keeps the allocation bounded.
     if total > size:
-        raise GridFormatError(
+        raise FormatError(
             f"header promises {total} values, more than {size} characters can hold"
         )
     data = np.empty(total)
@@ -169,7 +171,7 @@ def _read_ascii_grid(fh, size: int) -> Raster:
         if not block:
             break
     if count != total:
-        raise GridFormatError(f"grid body holds {count} values, header promises {total}")
+        raise FormatError(f"grid body holds {count} values, header promises {total}")
     return Raster(
         values=data.reshape(nrows, ncols),
         cell_size=header["cellsize"],

@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kvio import KvFormatError, fmt, get_float, get_floats, read_kv
+from .errors import DegenerateError, FormatError
+from .kvio import fmt, get_float, get_floats, read_kv
 from .raster import Raster, _row_blocks, interpolate
 
 if TYPE_CHECKING:
@@ -24,14 +25,6 @@ if TYPE_CHECKING:
 
 # Coefficients of the identity quadratic warp: x' = x, y' = y.
 IDENTITY_COEFFS = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-
-
-class DegenerateCorrespondencesError(ValueError):
-    """Correspondences do not pin down the warp (too few or degenerate)."""
-
-
-class WarpFormatError(ValueError):
-    """A warp document is malformed."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     state.
 
     Raises:
-        DegenerateCorrespondencesError: fewer than 6 points, or source points
+        DegenerateError: fewer than 6 points, or source points
             lying on a single conic (rank-deficient design).
     """
     src = _as_points(src)
@@ -119,7 +112,7 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
         raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
     n = src.shape[0]
     if n < 6:
-        raise DegenerateCorrespondencesError(f"need at least 6 correspondences, got {n}")
+        raise DegenerateError(f"need at least 6 correspondences, got {n}")
 
     lo = src.min(axis=0)
     hi = src.max(axis=0)
@@ -131,7 +124,7 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     a = np.column_stack([np.ones(n), xn, yn, xn * yn, xn * xn, yn * yn])
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
-        raise DegenerateCorrespondencesError(
+        raise DegenerateError(
             "source points lie on a single conic; quadratic warp is not determined"
         )
     coeffs, _, _, _ = np.linalg.lstsq(a, dst, rcond=None)
@@ -151,7 +144,7 @@ def fit_homography(src, dst) -> Homography:
     """Fit a plane homography by normalized direct linear transform.
 
     Raises:
-        DegenerateCorrespondencesError: fewer than 4 points or a collinear
+        DegenerateError: fewer than 4 points or a collinear
             source configuration.
     """
     src = _as_points(src)
@@ -160,7 +153,7 @@ def fit_homography(src, dst) -> Homography:
         raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
     n = src.shape[0]
     if n < 4:
-        raise DegenerateCorrespondencesError(f"need at least 4 correspondences, got {n}")
+        raise DegenerateError(f"need at least 4 correspondences, got {n}")
 
     def conditioner(pts):
         c = pts.mean(axis=0)
@@ -179,13 +172,13 @@ def fit_homography(src, dst) -> Homography:
     a[1 : 2 * n : 2, 6:9] = -dn[:, 1][:, None] * sh
     _, sv, vt = np.linalg.svd(a, full_matrices=False)
     if sv[7] < 1e-8 * sv[0]:
-        raise DegenerateCorrespondencesError(
+        raise DegenerateError(
             "source points are collinear; homography is not determined"
         )
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t2) @ hn @ t1
     if abs(h[2, 2]) < 1e-12 * np.abs(h).max():
-        raise DegenerateCorrespondencesError("homography is degenerate (h22 vanishes)")
+        raise DegenerateError("homography is degenerate (h22 vanishes)")
     h = h / h[2, 2]
 
     trial = Homography(h=h)
@@ -271,23 +264,17 @@ def parse_warp(text: str):
     normalization (``NORM_*`` keys); the coefficients are in raw pixels, so
     those lines are ignored.
     """
-    try:
-        kv = read_kv(text)
-    except KvFormatError as exc:
-        raise WarpFormatError(str(exc)) from None
+    kv = read_kv(text)
     kind = kv.get("KIND")
-    try:
-        if kind == "polynomial":
-            m = get_floats(kv, "M", 12)
-            rms = get_float(kv, "FIT_RMS_PX")
-            return PolynomialWarp(m=np.array(m), fit_rms_px=rms)
-        if kind == "homography":
-            hv = get_floats(kv, "H", 9)
-            rms = get_float(kv, "FIT_RMS_PX")
-            return Homography(h=np.array(hv).reshape(3, 3), fit_rms_px=rms)
-    except KvFormatError as exc:
-        raise WarpFormatError(str(exc)) from None
-    raise WarpFormatError(f"unknown warp kind: {kind!r}")
+    if kind == "polynomial":
+        m = get_floats(kv, "M", 12)
+        rms = get_float(kv, "FIT_RMS_PX")
+        return PolynomialWarp(m=np.array(m), fit_rms_px=rms)
+    if kind == "homography":
+        hv = get_floats(kv, "H", 9)
+        rms = get_float(kv, "FIT_RMS_PX")
+        return Homography(h=np.array(hv).reshape(3, 3), fit_rms_px=rms)
+    raise FormatError(f"unknown warp kind: {kind!r}")
 
 
 def load_warp(path):

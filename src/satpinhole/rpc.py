@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kvio
+from .errors import ConvergenceError, DegenerateError, FormatError
 
 # Exponents of (lat, lon, alt) for each of the 20 terms, in sidecar order.
 CUBIC_POWERS: tuple[tuple[int, int, int], ...] = (
@@ -53,18 +54,6 @@ CUBIC_POWERS: tuple[tuple[int, int, int], ...] = (
 
 SOFT_BOUND = 1.5  # normalized coordinates beyond this are extrapolations
 DENOMINATOR_FLOOR = 1e-10
-
-
-class RpcParseError(ValueError):
-    """An RPC sidecar document is missing, malformed, or invalid."""
-
-
-class SingularEvaluationError(ValueError):
-    """A rational evaluation hit a denominator magnitude below 1e-10."""
-
-
-class ConvergenceError(RuntimeError):
-    """The inverse projection iteration failed to converge."""
 
 
 class ExtrapolationWarning(UserWarning):
@@ -145,16 +134,16 @@ class RpcModel:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
             if name.endswith("_scale") and not value > 0.0:
-                raise RpcParseError(f"{key}: scale must be strictly positive, got {value}")
+                raise FormatError(f"{key}: scale must be strictly positive, got {value}")
         for name, key in _COEFF_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (20,):
-                raise RpcParseError(f"{key}: expected 20 coefficients, got shape {arr.shape}")
+                raise FormatError(f"{key}: expected 20 coefficients, got shape {arr.shape}")
             object.__setattr__(self, name, arr)
         if self.line_den[0] != 1.0:
-            raise RpcParseError("LINE_DEN_COEFF_1: leading denominator coefficient must be 1")
+            raise FormatError("LINE_DEN_COEFF_1: leading denominator coefficient must be 1")
         if self.samp_den[0] != 1.0:
-            raise RpcParseError("SAMP_DEN_COEFF_1: leading denominator coefficient must be 1")
+            raise FormatError("SAMP_DEN_COEFF_1: leading denominator coefficient must be 1")
 
     def normalize_ground(self, lat, lon, alt):
         p = (np.asarray(lat, dtype=np.float64) - self.lat_off) / self.lat_scale
@@ -169,22 +158,16 @@ def parse_rpc(text: str) -> RpcModel:
     Values may carry a trailing unit token (``pixels``, ``degrees``,
     ``meters``), which is ignored. Unknown keys are tolerated. Missing keys,
     non-numeric values, non-positive scales, and denominators whose first
-    coefficient differs from 1 all raise RpcParseError naming the key.
+    coefficient differs from 1 all raise FormatError naming the key.
     """
-    try:
-        kv = kvio.read_kv(text)
-    except kvio.KvFormatError as exc:
-        raise RpcParseError(str(exc)) from None
+    kv = kvio.read_kv(text)
     fields: dict[str, object] = {}
-    try:
-        for name, key, _ in _NORMALIZER_FIELDS:
-            fields[name] = kvio.get_float(kv, key)
-        for name, prefix in _COEFF_FIELDS:
-            fields[name] = np.array(
-                [kvio.get_float(kv, f"{prefix}_{i}") for i in range(1, 21)]
-            )
-    except kvio.KvFormatError as exc:
-        raise RpcParseError(str(exc)) from None
+    for name, key, _ in _NORMALIZER_FIELDS:
+        fields[name] = kvio.get_float(kv, key)
+    for name, prefix in _COEFF_FIELDS:
+        fields[name] = np.array(
+            [kvio.get_float(kv, f"{prefix}_{i}") for i in range(1, 21)]
+        )
     return RpcModel(**fields)  # type: ignore[arg-type]
 
 
@@ -214,7 +197,7 @@ def _ratios(model: RpcModel, p, l, h, check: bool):
     """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
 
     With *check*, a denominator magnitude under 1e-10 at any point raises
-    SingularEvaluationError.
+    DegenerateError.
     """
     coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
     n = p.size
@@ -224,7 +207,7 @@ def _ratios(model: RpcModel, p, l, h, check: bool):
         hi = min(lo + _BLOCK, n)
         vals = coef @ _monomials(p[lo:hi], l[lo:hi], h[lo:hi], basis[:, : hi - lo])
         if check and np.any(np.abs(vals[1::2]) < DENOMINATOR_FLOOR):
-            raise SingularEvaluationError(
+            raise DegenerateError(
                 f"rational denominator magnitude below {DENOMINATOR_FLOOR:g}"
             )
         np.divide(vals[0], vals[1], out=samp[lo:hi])
@@ -245,7 +228,7 @@ def project_forward(model: RpcModel, lat, lon, alt):
     Points whose normalized coordinates fall outside [-1.5, 1.5] on any axis
     still evaluate, but an ExtrapolationWarning is issued because the rational
     fit carries no accuracy guarantee out there. A denominator magnitude under
-    1e-10 raises SingularEvaluationError.
+    1e-10 raises DegenerateError.
     """
     p, l, h = np.broadcast_arrays(*model.normalize_ground(lat, lon, alt))
     bound = max(np.max(np.abs(a), initial=0.0) for a in (p, l, h))

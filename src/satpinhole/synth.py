@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import PinholeCamera
+from .errors import DegenerateError
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
 from .raster import NODATA, Raster, _row_blocks, sample_bilinear
 from .rpc import RpcModel, cubic_basis
@@ -27,10 +28,6 @@ TERRAIN_SIZE = 129
 ROUGHNESS = 0.55
 # Edge of the rendered checkerboard squares, ground meters.
 CHECKER_PERIOD_M = 48.0
-
-
-class RpcFitError(ValueError):
-    """The rational fit is degenerate or numerically untrustworthy."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
         projection function on the sample grid.
 
     Raises:
-        RpcFitError: near-constant projection along an axis, or a fitted
+        DegenerateError: near-constant projection along an axis, or a fitted
             denominator approaching zero inside the volume.
     """
     lat, lon, alt = volume.sample_grid(FIT_DIMS)
@@ -232,7 +229,7 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
 
     def solve_axis(target: np.ndarray, label: str):
         if np.std(target) < 1e-12:
-            raise RpcFitError(
+            raise DegenerateError(
                 f"projection is (near-)constant along the {label} axis; "
                 "the rational system is ill conditioned"
             )
@@ -242,7 +239,7 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
         den = np.concatenate([[1.0], sol[20:]])
         den_vals = basis @ den
         if np.min(den_vals) < 1e-3:
-            raise RpcFitError(
+            raise DegenerateError(
                 f"fitted {label} denominator approaches zero inside the volume "
                 f"(min {np.min(den_vals):.3g})"
             )
@@ -353,7 +350,7 @@ def render_image(scene: SyntheticScene) -> Raster:
                 | (lon < volume.lon_min - margin_lon)
                 | (lon > volume.lon_max + margin_lon)
             )
-            bad = off_terrain | ~np.isfinite(e) | ~np.isfinite(n)
+            bad = off_terrain | ~finite
             values[rows] = np.where(bad, NODATA, dn)
         if converged:
             break

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import FormatError
 from .raster import Raster
 from .rpc import RpcModel
 
@@ -31,10 +32,6 @@ class TilePlan:
     tile_size: tuple[int, int]
     overlap: int
     parent_size: tuple[int, int]
-
-
-class ManifestFormatError(ValueError):
-    """A tile manifest document is malformed."""
 
 
 def _axis_starts(extent: int, tile: int, overlap: int) -> list[int]:
@@ -161,23 +158,26 @@ def parse_manifest(text: str):
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 5 and parts[0] == "parent":
-                parent = (int(parts[1]), int(parts[2]))
-                overlap = int(parts[4])
+                try:
+                    parent = (int(parts[1]), int(parts[2]))
+                    overlap = int(parts[4])
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-integer parent field") from None
             continue
         parts = line.split()
         if len(parts) != 7:
-            raise ManifestFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+            raise FormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         try:
             idx, col, row, width, height = (int(p) for p in parts[:5])
         except ValueError:
-            raise ManifestFormatError(f"line {lineno}: non-integer geometry field") from None
+            raise FormatError(f"line {lineno}: non-integer geometry field") from None
         if idx != len(tiles):
-            raise ManifestFormatError(f"line {lineno}: tile index {idx} out of order")
+            raise FormatError(f"line {lineno}: tile index {idx} out of order")
         tiles.append(Tile(col, row, width, height))
         image_paths.append(parts[5])
         rpc_paths.append(parts[6])
     if not tiles:
-        raise ManifestFormatError("manifest contains no tiles")
+        raise FormatError("manifest contains no tiles")
     size = (tiles[0].width, tiles[0].height)
     plan = TilePlan(tiles=tuple(tiles), tile_size=size, overlap=overlap, parent_size=parent)
     return plan, image_paths, rpc_paths

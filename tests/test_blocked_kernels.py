@@ -70,7 +70,7 @@ def _render_full(scene):
         | (lon < scene.volume.lon_min - margin_lon)
         | (lon > scene.volume.lon_max + margin_lon)
     )
-    bad = off_terrain | ~np.isfinite(e) | ~np.isfinite(n)
+    bad = off_terrain | ~finite
     values = np.where(bad, NODATA, dn).reshape(h, w)
     return values, np.array(row_updates)
 

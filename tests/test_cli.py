@@ -463,6 +463,40 @@ def test_error_map_rejects_infinite_cell(tmp_path, scene_dir, capsys):
     assert not out.exists()
 
 
+def test_error_map_malformed_camera_size_is_a_parse_error(tmp_path, scene_dir, capsys):
+    camera = tmp_path / "camera.txt"
+    text = (scene_dir / "camera.txt").read_text()
+    camera.write_text(re.sub(r"(?m)^IMAGE_SIZE: .*$", "IMAGE_SIZE: inf 96", text))
+    out = tmp_path / "field.asc"
+    rc = main(
+        [
+            "error-map",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--out", str(out),
+            "--camera", str(camera),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: IMAGE_SIZE:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["cellsize 0", "cellsize nan", "xllcorner inf", "yllcorner -inf"])
+def test_metrics_malformed_grid_header_is_a_parse_error(tmp_path, scene_dir, capsys, line):
+    key = line.split()[0]
+    text = (scene_dir / "dsm.asc").read_text()
+    bad = tmp_path / "bad.asc"
+    bad.write_text(re.sub(rf"(?m)^{key} .*$", line, text))
+    rc = main(["metrics", str(bad), str(scene_dir / "dsm.asc")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {key}")
+    assert err.count("\n") == 1
+
+
 def test_fuse_and_metrics_pipeline(tmp_path, scene_dir, capsys):
     truth = load_ascii_grid(scene_dir / "dsm.asc")
     est = truth.like(np.where(truth.valid_mask(), truth.values + 1.0, truth.values))

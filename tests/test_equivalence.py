@@ -2,10 +2,6 @@ import numpy as np
 import pytest
 
 from satpinhole.equivalence import (
-    CameraFormatError,
-    DecompositionError,
-    DegenerateGridError,
-    IllConditionedError,
     PinholeCamera,
     ProjectionMatrix,
     VirtualGrid,
@@ -17,6 +13,7 @@ from satpinhole.equivalence import (
     parse_camera,
     solve_projection,
 )
+from satpinhole.errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from satpinhole.geodesy import GeoPoint
 from satpinhole.rpc import project_forward
 
@@ -102,7 +99,7 @@ def test_localize_at_height_inverts_projection(pinhole_bundle):
 
 
 def test_single_altitude_layer_is_degenerate(pushbroom_bundle):
-    with pytest.raises(DegenerateGridError):
+    with pytest.raises(DegenerateError):
         build_virtual_grid(
             pushbroom_bundle.model,
             pushbroom_bundle.scene.image_size,
@@ -112,7 +109,7 @@ def test_single_altitude_layer_is_degenerate(pushbroom_bundle):
 
 def test_too_few_surviving_points_is_degenerate(pushbroom_bundle):
     # A 2-pixel image catches almost none of the rated volume.
-    with pytest.raises(DegenerateGridError):
+    with pytest.raises(DegenerateError):
         build_virtual_grid(pushbroom_bundle.model, (2, 2), dims=(5, 5, 4))
 
 
@@ -225,8 +222,17 @@ def test_camera_round_trip_is_byte_identical(pushbroom_bundle):
 
 
 def test_camera_parse_errors_name_problem():
-    with pytest.raises(CameraFormatError, match="IMAGE_SIZE"):
+    with pytest.raises(FormatError, match="IMAGE_SIZE"):
         parse_camera("K: 1 0 0 0 1 0 0 0 1\n")
+
+
+@pytest.mark.parametrize("size", ["inf 256", "-3 256", "256 2.5", "nan 256"])
+def test_camera_image_size_must_be_positive_integers(pinhole_bundle, size):
+    text = format_camera(pinhole_bundle.camera)
+    w, h = pinhole_bundle.camera.image_size
+    text = text.replace(f"IMAGE_SIZE: {w} {h}", f"IMAGE_SIZE: {size}")
+    with pytest.raises(FormatError, match="IMAGE_SIZE"):
+        parse_camera(text)
 
 
 def test_camera_parse_recovers_fields(pinhole_bundle):

@@ -12,6 +12,7 @@ from satpinhole.error_analysis import (
     size_sweep,
     write_field_preview,
 )
+from satpinhole.errors import FormatError
 from satpinhole.rpc import project_forward
 
 
@@ -34,6 +35,14 @@ def test_report_round_trip():
     back = parse_equivalence_report(text)
     assert format_equivalence_report(back) == text
     assert back.n_points == 3
+
+
+@pytest.mark.parametrize("line", ["N_POINTS: inf", "N_POINTS: 2.5", "N_POINTS: 0", ""])
+def test_report_point_count_must_be_a_positive_integer(line):
+    rep = EquivalenceReport.from_residuals(np.array([0.25, -1.5]), np.array([0.1, 0.6]))
+    text = format_equivalence_report(rep).replace("N_POINTS: 2", line)
+    with pytest.raises(FormatError, match="N_POINTS"):
+        parse_equivalence_report(text)
 
 
 def test_measure_is_tiny_for_exact_pinhole(pinhole_bundle):

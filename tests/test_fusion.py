@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from satpinhole.errors import LatticeError
 from satpinhole.fusion import (
     MAD_CONSISTENCY,
     DsmMetrics,
-    EmptyOverlapError,
     FusionConfig,
-    LatticeMismatchError,
     dsm_metrics,
     format_metrics_report,
     _median_views,
@@ -73,14 +72,14 @@ def test_mosaic_skips_nodata_contributions():
 def test_mosaic_rejects_cell_size_mismatch():
     a = _raster([[1.0]], cell=1.0)
     b = _raster([[1.0]], cell=2.0)
-    with pytest.raises(LatticeMismatchError, match="cell sizes differ"):
+    with pytest.raises(LatticeError, match="cell sizes differ"):
         mosaic_tiles([a, b])
 
 
 def test_mosaic_rejects_off_lattice_origin():
     a = _raster([[1.0]], origin=(0.0, 0.0))
     b = _raster([[1.0]], origin=(0.5, 0.0))
-    with pytest.raises(LatticeMismatchError, match="off-lattice"):
+    with pytest.raises(LatticeError, match="off-lattice"):
         mosaic_tiles([a, b])
 
 
@@ -257,7 +256,7 @@ def test_dsm_metrics_reads_nan_as_nodata(estimates, truths):
     def metrics(estimate, truth):
         try:
             return dsm_metrics(estimate, truth, thresholds=(1.0, 100.0))
-        except EmptyOverlapError:
+        except LatticeError:
             return None
 
     ((estimate, estimate_nan),) = estimates
@@ -334,14 +333,14 @@ def test_dsm_metrics_offset_grids():
 def test_dsm_metrics_disjoint_masks():
     est = _raster([[1.0, -9999.0]])
     truth = _raster([[-9999.0, 2.0]])
-    with pytest.raises(EmptyOverlapError):
+    with pytest.raises(LatticeError):
         dsm_metrics(est, truth, thresholds=(1.0,))
 
 
 def test_dsm_metrics_lattice_mismatch():
     est = _raster([[1.0]], cell=1.0)
     truth = _raster([[1.0]], cell=1.5)
-    with pytest.raises(LatticeMismatchError):
+    with pytest.raises(LatticeError):
         dsm_metrics(est, truth, thresholds=(1.0,))
 
 

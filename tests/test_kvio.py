@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from satpinhole.kvio import KvFormatError, fmt, get_float, get_floats, read_kv
+from satpinhole.errors import FormatError
+from satpinhole.kvio import fmt, get_float, get_floats, read_kv
 
 
 def test_fmt_round_trips_doubles():
@@ -21,7 +22,7 @@ def test_read_kv_skips_blanks_and_comments():
 
 
 def test_read_kv_requires_colon():
-    with pytest.raises(KvFormatError):
+    with pytest.raises(FormatError):
         read_kv("A 1\n")
 
 
@@ -31,12 +32,12 @@ def test_get_float_tolerates_units():
 
 
 def test_get_float_missing_key():
-    with pytest.raises(KvFormatError, match="LINE_OFF"):
+    with pytest.raises(FormatError, match="LINE_OFF"):
         get_float(read_kv("A: 1\n"), "LINE_OFF")
 
 
 def test_get_floats_count_mismatch():
     kv = read_kv("ROW: 1 2 3\n")
     assert get_floats(kv, "ROW", 3) == [1.0, 2.0, 3.0]
-    with pytest.raises(KvFormatError, match="ROW"):
+    with pytest.raises(FormatError, match="ROW"):
         get_floats(kv, "ROW", 4)

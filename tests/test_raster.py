@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from satpinhole import raster as raster_module
+from satpinhole.errors import FormatError
 from satpinhole.fusion import fuse_views
 from satpinhole.kvio import fmt
 from satpinhole.raster import (
-    GridFormatError,
     Raster,
     format_ascii_grid,
     load_ascii_grid,
@@ -128,7 +128,7 @@ def test_reader_rejects_bad_body(monkeypatch, block, edit, match):
     values = np.random.default_rng(4).normal(size=(6, 5))
     head, body = format_ascii_grid(Raster(values=values)).split("NODATA_value -9999\n")
     text = head + "NODATA_value -9999\n" + " ".join(edit(body.split())) + "\n"
-    with pytest.raises(GridFormatError, match=match):
+    with pytest.raises(FormatError, match=match):
         parse_ascii_grid(text)
 
 
@@ -141,7 +141,7 @@ def test_reader_rejects_impossible_dimensions(ncols, nrows):
         f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         "NODATA_value -9999\n1 2 3 4 5 6\n"
     )
-    with pytest.raises(GridFormatError):
+    with pytest.raises(FormatError):
         parse_ascii_grid(text)
 
 
@@ -209,19 +209,30 @@ def test_parse_recovers_geometry():
 def test_parse_missing_header_field():
     text = format_ascii_grid(_demo())
     broken = "\n".join(ln for ln in text.splitlines() if not ln.startswith("cellsize"))
-    with pytest.raises(GridFormatError, match="cellsize"):
+    with pytest.raises(FormatError, match="cellsize"):
         parse_ascii_grid(broken)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("cellsize", "0"), ("cellsize", "nan"), ("xllcorner", "inf"), ("yllcorner", "nan")],
+)
+def test_parse_header_georeference_must_be_finite(key, value):
+    lines = format_ascii_grid(_demo()).splitlines()
+    lines = [f"{key} {value}" if ln.startswith(key) else ln for ln in lines]
+    with pytest.raises(FormatError, match=key):
+        parse_ascii_grid("\n".join(lines))
 
 
 def test_parse_wrong_cell_count():
     text = format_ascii_grid(_demo()) + " 5.0"
-    with pytest.raises(GridFormatError, match="values"):
+    with pytest.raises(FormatError, match="values"):
         parse_ascii_grid(text)
 
 
 def test_parse_non_numeric_body():
     text = format_ascii_grid(_demo()).replace("4", "x")
-    with pytest.raises(GridFormatError):
+    with pytest.raises(FormatError):
         parse_ascii_grid(text)
 
 

@@ -5,14 +5,13 @@ import pytest
 
 from satpinhole.equivalence import build_virtual_grid
 from satpinhole.error_analysis import measure_equivalence_error
+from satpinhole.errors import DegenerateError, FormatError
 from satpinhole.kvio import fmt
 from satpinhole.raster import Raster
 from satpinhole.refinement import (
     IDENTITY_COEFFS,
-    DegenerateCorrespondencesError,
     Homography,
     PolynomialWarp,
-    WarpFormatError,
     build_refinement,
     fit_homography,
     fit_polynomial,
@@ -100,7 +99,7 @@ def test_fit_polynomial_reports_residual():
 
 def test_fit_polynomial_too_few_points():
     pts = np.zeros((5, 2))
-    with pytest.raises(DegenerateCorrespondencesError, match="at least 6"):
+    with pytest.raises(DegenerateError, match="at least 6"):
         fit_polynomial(pts, pts)
 
 
@@ -109,7 +108,7 @@ def test_fit_polynomial_conic_degeneracy():
     # the quadratic basis columns.
     t = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
     src = np.column_stack([50 + 20 * np.cos(t), 50 + 20 * np.sin(t)])
-    with pytest.raises(DegenerateCorrespondencesError, match="conic"):
+    with pytest.raises(DegenerateError, match="conic"):
         fit_polynomial(src, src)
 
 
@@ -158,14 +157,14 @@ def test_fit_homography_exact_on_four_points():
 
 def test_fit_homography_too_few_points():
     pts = np.zeros((3, 2))
-    with pytest.raises(DegenerateCorrespondencesError, match="at least 4"):
+    with pytest.raises(DegenerateError, match="at least 4"):
         fit_homography(pts, pts)
 
 
 def test_fit_homography_collinear():
     x = np.linspace(0.0, 50.0, 10)
     src = np.column_stack([x, 2 * x + 1])
-    with pytest.raises(DegenerateCorrespondencesError, match="collinear"):
+    with pytest.raises(DegenerateError, match="collinear"):
         fit_homography(src, src)
 
 
@@ -339,24 +338,24 @@ def test_parse_warp_ignores_old_normalization_keys():
 
 
 def test_parse_warp_unknown_kind():
-    with pytest.raises(WarpFormatError, match="unknown warp kind"):
+    with pytest.raises(FormatError, match="unknown warp kind"):
         parse_warp("KIND: thinplate\n")
 
 
 def test_parse_warp_wrong_coefficient_count():
     text = "KIND: polynomial\nM: 1 2 3\nFIT_RMS_PX: 0\nNORM_CENTER: 0 0\nNORM_SCALE: 1 1\n"
-    with pytest.raises(WarpFormatError, match="M"):
+    with pytest.raises(FormatError, match="M"):
         parse_warp(text)
 
 
 def test_parse_warp_missing_field():
     text = "KIND: homography\nH: 1 0 0 0 1 0 0 0 1\n"
-    with pytest.raises(WarpFormatError, match="FIT_RMS_PX"):
+    with pytest.raises(FormatError, match="FIT_RMS_PX"):
         parse_warp(text)
 
 
 def test_parse_warp_malformed_line():
-    with pytest.raises(WarpFormatError):
+    with pytest.raises(FormatError):
         parse_warp("KIND polynomial no colon here\n")
 
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from satpinhole import rpc
+from satpinhole.errors import ConvergenceError, DegenerateError, FormatError
 from satpinhole.geodesy import geodetic_to_enu
 from satpinhole.rpc import (
     CUBIC_POWERS,
-    ConvergenceError,
     ExtrapolationWarning,
     RpcModel,
-    RpcParseError,
-    SingularEvaluationError,
     cubic_basis,
     format_rpc,
     parse_rpc,
@@ -188,7 +186,7 @@ def test_singular_denominator_in_last_block_raises(axis):
     alt = rng.uniform(0.0, 0.5, n)
     project_forward(model, lat, lon, alt)
     alt[-1] = -1.0
-    with pytest.raises(SingularEvaluationError):
+    with pytest.raises(DegenerateError):
         project_forward(model, lat, lon, alt)
 
 
@@ -256,7 +254,7 @@ def test_singular_denominator_raises():
         samp_num=_coeffs(i1=1.0),
         samp_den=_coeffs(i0=1.0, i3=1.0),
     )
-    with pytest.raises(SingularEvaluationError):
+    with pytest.raises(DegenerateError):
         project_forward(model, 0.0, 0.2, -1.0)
 
 
@@ -273,7 +271,7 @@ def test_extrapolation_warning():
 
 
 def test_scale_validation_names_key():
-    with pytest.raises(RpcParseError, match="LAT_SCALE"):
+    with pytest.raises(FormatError, match="LAT_SCALE"):
         RpcModel(
             line_off=0.0,
             samp_off=0.0,
@@ -293,7 +291,7 @@ def test_scale_validation_names_key():
 
 
 def test_denominator_leading_one_enforced():
-    with pytest.raises(RpcParseError, match="SAMP_DEN_COEFF_1"):
+    with pytest.raises(FormatError, match="SAMP_DEN_COEFF_1"):
         RpcModel(
             line_off=0.0,
             samp_off=0.0,
@@ -323,7 +321,7 @@ def test_parse_missing_normalizer_names_key(pushbroom_bundle):
     broken = "\n".join(
         ln for ln in text.splitlines() if not ln.startswith("HEIGHT_SCALE")
     )
-    with pytest.raises(RpcParseError, match="HEIGHT_SCALE"):
+    with pytest.raises(FormatError, match="HEIGHT_SCALE"):
         parse_rpc(broken)
 
 
@@ -332,7 +330,7 @@ def test_parse_missing_coefficient_names_key(pushbroom_bundle):
     broken = "\n".join(
         ln for ln in text.splitlines() if not ln.startswith("SAMP_NUM_COEFF_17:")
     )
-    with pytest.raises(RpcParseError, match="SAMP_NUM_COEFF_17"):
+    with pytest.raises(FormatError, match="SAMP_NUM_COEFF_17"):
         parse_rpc(broken)
 
 
@@ -340,12 +338,12 @@ def test_parse_non_numeric_names_key(pushbroom_bundle):
     text = format_rpc(pushbroom_bundle.model).replace(
         "LINE_OFF: ", "LINE_OFF: abc ", 1
     )
-    with pytest.raises(RpcParseError, match="LINE_OFF"):
+    with pytest.raises(FormatError, match="LINE_OFF"):
         parse_rpc(text)
 
 
 def test_parse_line_without_colon():
-    with pytest.raises(RpcParseError):
+    with pytest.raises(FormatError):
         parse_rpc("LINE_OFF 5\n")
 
 

@@ -1,14 +1,16 @@
 """Tests for terrain generation, scene construction, rendering, and RPC fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from satpinhole.errors import DegenerateError
 from satpinhole.geodesy import GeoPoint, geodetic_to_enu
 from satpinhole.raster import Raster
 from satpinhole.rpc import project_forward
 from satpinhole.synth import (
     PushbroomCamera,
-    RpcFitError,
     SyntheticScene,
     Volume,
     fit_rpc,
@@ -125,7 +127,7 @@ def test_fit_rejects_constant_axis():
     def project(lat, lon, alt):
         return np.full_like(lat, 100.0), 128.0 + 500.0 * (lat - 30.0)
 
-    with pytest.raises(RpcFitError, match="constant along the samp axis"):
+    with pytest.raises(DegenerateError, match="constant along the samp axis"):
         fit_rpc(project, v, (256, 256))
 
 
@@ -141,7 +143,7 @@ def test_fit_rejects_interior_denominator_zero():
         line = 128.0 + 100.0 * lat_n + 10.0 * (alt - 50.0) / 50.0
         return samp, line
 
-    with pytest.raises(RpcFitError, match="denominator approaches zero"):
+    with pytest.raises(DegenerateError, match="denominator approaches zero"):
         fit_rpc(project, v, (256, 256))
 
 
@@ -255,6 +257,17 @@ def test_render_checkerboard_period_matches_ground_scale():
     assert np.median(row_runs) == 24
     assert np.median(col_runs) == 24
     assert len(row_runs) >= 8
+
+
+def test_render_marks_degenerate_rays_nodata():
+    # c[0] = b[0] / 64 makes the camera's 2x2 ground system singular on
+    # column 64, where localize_at_height returns non-finite (e, n).
+    scene = _flat_linear_scene()
+    b, c = scene.camera.b, scene.camera.c
+    cam = dataclasses.replace(scene.camera, c=(b[0] / 64, c[1], c[2], c[3]))
+    img = render_image(dataclasses.replace(scene, camera=cam))
+    assert (img.values[:, 64] == img.nodata).all()
+    assert (img.values != img.nodata).any()
 
 
 def test_render_is_deterministic():

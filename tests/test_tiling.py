@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from satpinhole.errors import FormatError
 from satpinhole.raster import Raster
 from satpinhole.rpc import project_forward
 from satpinhole.tiling import (
-    ManifestFormatError,
     Tile,
     crop_raster,
     crop_rpc,
@@ -209,23 +209,29 @@ def test_manifest_length_mismatch():
 
 
 def test_parse_manifest_field_count():
-    with pytest.raises(ManifestFormatError, match="expected 7 fields"):
+    with pytest.raises(FormatError, match="expected 7 fields"):
         parse_manifest("0 0 0 512 512 a.asc\n")
 
 
 def test_parse_manifest_non_integer():
-    with pytest.raises(ManifestFormatError, match="non-integer"):
+    with pytest.raises(FormatError, match="non-integer"):
         parse_manifest("0 0 x 512 512 a.asc a.rpc\n")
+
+
+def test_parse_manifest_non_integer_parent():
+    text = "# parent 512 x overlap 0\n0 0 0 512 512 a.asc a.rpc\n"
+    with pytest.raises(FormatError, match="line 1: non-integer parent"):
+        parse_manifest(text)
 
 
 def test_parse_manifest_out_of_order_index():
     text = "0 0 0 512 512 a.asc a.rpc\n2 512 0 512 512 b.asc b.rpc\n"
-    with pytest.raises(ManifestFormatError, match="out of order"):
+    with pytest.raises(FormatError, match="out of order"):
         parse_manifest(text)
 
 
 def test_parse_manifest_empty():
-    with pytest.raises(ManifestFormatError, match="no tiles"):
+    with pytest.raises(FormatError, match="no tiles"):
         parse_manifest("# just a comment\n")
 
 
