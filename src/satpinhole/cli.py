@@ -13,6 +13,7 @@ and exit nonzero; exit status 0 means every requested output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("metrics", help="score a height map against ground truth")
     p.add_argument("estimate")
     p.add_argument("truth")
-    p.add_argument("--thresholds", nargs="+", type=float, default=[1.0, 2.0, 5.0])
+    p.add_argument("--thresholds", nargs="+", type=float, default=(1.0, 2.0, 5.0))
     p.add_argument("--report", help="also write the report to this file")
     p.set_defaults(func=cmd_metrics)
 
@@ -329,9 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: each parse_args call
+    starts from a fresh namespace, and no default is mutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI boundary

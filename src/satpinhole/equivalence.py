@@ -394,14 +394,17 @@ def parse_camera(text: str) -> PinholeCamera:
     kv = read_kv(text)
     size = get_ints(kv, "IMAGE_SIZE", 2)
     lat, lon, alt = (get_float(kv, key) for key in ("ANCHOR_LAT", "ANCHOR_LON", "ANCHOR_ALT"))
-    try:
-        anchor = GeoPoint(lat, lon, alt)
-    except ValueError as exc:  # an anchor off the globe
-        raise FormatError(str(exc)) from None
     k = np.array(get_floats(kv, "K", 9)).reshape(3, 3)
     r = np.array(get_floats(kv, "R", 9)).reshape(3, 3)
     t = np.array(get_floats(kv, "T", 3))
     rms = get_float(kv, "RESIDUAL_RMS_PX")
+    for key, value in (("ANCHOR_ALT", alt), ("K", k), ("R", r), ("T", t), ("RESIDUAL_RMS_PX", rms)):
+        if not np.all(np.isfinite(value)):
+            raise FormatError(f"{key}: values must be finite, got {kv[key]!r}")
+    try:
+        anchor = GeoPoint(lat, lon, alt)
+    except ValueError as exc:  # an anchor off the globe
+        raise FormatError(str(exc)) from None
     return PinholeCamera(
         k=k, r=r, t=t, anchor=anchor,
         image_size=tuple(size),

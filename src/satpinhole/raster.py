@@ -8,6 +8,7 @@ the lower-left corner, matching the ASCII grid header convention.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 from dataclasses import dataclass, replace
@@ -30,6 +31,10 @@ _BLOCK = 1 << 14
 # ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
 # few MB whatever the frame size.
 _BLOCK_CELLS = 1 << 14
+
+# Cells per row block of the ASCII writer, which keeps about 120 B of
+# temporaries per cell.
+_WRITE_CELLS = 1 << 11
 
 
 @dataclass
@@ -75,8 +80,172 @@ class Raster:
         return replace(self, values=values)
 
 
-def _ascii_grid_lines(raster: Raster):
-    """Yield the Arc/Info ASCII grid text line by line (top row first)."""
+# Exact "%.17g" for whole blocks of cells. A cell x whose decimal exponent k
+# after rounding to 17 digits is in [-4, 16] prints in fixed notation from
+# the digits of D = round-half-even(|x| * 10**(16 - k)), 10**16 <= D < 10**17.
+# The product is formed exactly as the sum of two doubles with Dekker's
+# two-product (Numer. Math. 18, 1971): 10**e is an exact double for e <= 22,
+# and the operands stay far from overflow and underflow.
+_POW10 = np.array([float(10**e) for e in range(22)])
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a == hi + lo with 26 significant bits in each part."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _exact_product(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**e as p + lo exactly, with p the rounded product."""
+    p = a * _POW10.take(e)
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(e), _POW10_LO.take(e)
+    lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, lo
+
+
+def _decimal(x: np.ndarray):
+    """k and D of each cell of *x* (0 and 0 for a zero); None when a cell is
+    neither zero nor of magnitude in [1e-4, 1e17) after rounding."""
+    a = np.abs(x)
+    # Zeros run through as 1 and take D = 0 at the end.
+    zero = a == 0
+    a[zero] = 1.0
+    if not (a.min() >= 1e-5 and a.max() < 1e17):
+        return None
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.maximum(k, -5, out=k)
+    np.minimum(k, 16, out=k)
+    p, lo = _exact_product(a, 16 - k)
+    # log10 may miss by one next to a power of ten: move such cells so that
+    # 10**16 <= p + lo < 10**17.
+    if p.min() <= 1e16 or p.max() >= 1e17:
+        k += (p > 1e17) | ((p == 1e17) & (lo >= 0))
+        k -= (p < 1e16) | ((p == 1e16) & (lo < 0))
+        p, lo = _exact_product(a, 16 - k)
+    # p is an even integer above 2**53, so adding lo rounded half to even
+    # rounds p + lo half to even.
+    d = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+    if d.max() == 10**17:
+        carry = d == 10**17
+        d[carry] = 10**16
+        k += carry
+    if k.min() < -4:
+        return None
+    d *= ~zero
+    return k, d
+
+
+def _chunk_table() -> np.ndarray:
+    """D's digits are a leading one and four chunks of four. Entry c is the
+    little-endian word with the four digit values of chunk c in bytes 0, 2, 4
+    and 6 (the digit slots of the text) and, in byte 1, the count of c's
+    digits up to its last nonzero one (0 for c = 0)."""
+    chunk = np.arange(10000, dtype=np.uint16)
+    table = np.zeros((10000, 8), dtype=np.uint8)
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        table[:, 2 * i] = chunk // scale % 10
+        table[table[:, 2 * i] != 0, 1] = i + 1
+    return table.reshape(-1).view("<u8")
+
+
+# The count of D's digits before each chunk, plus one.
+_CHUNK_OFFSETS = np.arange(1, 17, 4, dtype=np.uint8)[:, None]
+_DIGIT_BYTES = np.uint64(0x00FF00FF00FF00FF)
+
+# A cell's text is cut out of 40 slots: a sign, the "0.000" of fixed notation
+# below 1, the 17 digits each followed by a point slot but the last, and the
+# separator. Which slots are kept depends only on the sign, k (-4 to 16) and
+# the count of significant digits (1 to 17), so each of those 2 * 21 * 17
+# layouts is one row of the table: kept slots hold their character ("0" for
+# a digit, to which its value is added), dropped ones hold 0. Rows are read
+# as five little-endian words.
+_LAYOUT_EXPONENTS = 21
+
+
+def _layout_table() -> np.ndarray:
+    neg = np.arange(2)[:, None, None, None]
+    k = np.arange(-4, 17)[None, :, None, None]
+    nd = np.arange(1, 18)[None, None, :, None]
+    j = np.arange(17)
+    keep = np.zeros((2, _LAYOUT_EXPONENTS, 17, 40), dtype=bool)
+    keep[..., 0] = neg[..., 0] == 1
+    keep[..., 1:6] = np.arange(5) < np.where(k < 0, 1 - k, 0)
+    keep[..., 6:40:2] = j < np.where(k < 0, nd, np.maximum(k + 1, nd))
+    keep[..., 7:39:2] = (j[:16] == k) & (nd > k + 1)
+    keep[..., 39] = True
+    chars = np.frombuffer(b"-0.000" + b"0." * 16 + b"0 ", dtype=np.uint8)
+    return (keep * chars).reshape(-1, 40).view("<u8")
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The chunk and layout tables, built by the first write, so that a
+    process that writes no grid does not hold them."""
+    return _chunk_table(), _layout_table()
+
+
+def _digit_words(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leading digit of each D as a word of its text, the chunk-table
+    words of its other 16 digits (4 x n) and its count of significant
+    digits. Apart from ``_text_words`` so that these temporaries are freed
+    before the text is built."""
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    chunks = np.empty((4, d.size), dtype=np.int64)
+    for i, scale in enumerate((10**12, 10**8, 10**4)):
+        chunks[i] = rest // scale
+        rest -= chunks[i] * scale
+    chunks[3] = rest
+    words = _tables()[0].take(chunks)
+    last = words.view(np.uint8)[:, 1::8]
+    nd = ((last + _CHUNK_OFFSETS) * (last > 0)).max(axis=0)
+    np.maximum(nd, 1, out=nd)
+    words &= _DIGIT_BYTES
+    return lead.astype(np.uint64) << np.uint64(48), words, nd
+
+
+def _text_words(x: np.ndarray):
+    """The 40 text slots of each cell of *x* as five words; None when a cell
+    is one that ``_decimal`` leaves out."""
+    decimal = _decimal(x)
+    if decimal is None:
+        return None
+    k, d = decimal
+    lead, digits, nd = _digit_words(d)
+    # The layout row, computed in k's place.
+    k += 4
+    k += np.signbit(x) * _LAYOUT_EXPONENTS
+    k *= 17
+    k += nd
+    k -= 1
+    text = _tables()[1].take(k, axis=0)
+    text[:, 0] += lead
+    for place, chunk in enumerate(digits, start=1):
+        text[:, place] += chunk
+    return text
+
+
+def _format_block(block: np.ndarray, row_format: str) -> bytes:
+    """The "%.17g" text of a float64 block, each cell followed by a space or,
+    at the end of a row, a newline. A block with a cell that ``_decimal``
+    leaves out goes through *row_format*, one "%.17g" per column."""
+    words = _text_words(block.reshape(-1)) if block.size else None
+    if words is None:
+        return "".join(row_format % tuple(row) for row in block.tolist()).encode("ascii")
+    text = words.view(np.uint8).reshape(block.shape + (40,))
+    text[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0")
+
+
+def _ascii_grid_chunks(raster: Raster):
+    """Yield the Arc/Info ASCII grid bytes: the header, then row blocks of
+    about ``_WRITE_CELLS`` cells (top row first)."""
     yield (
         f"ncols {raster.ncols}\n"
         f"nrows {raster.nrows}\n"
@@ -84,17 +253,15 @@ def _ascii_grid_lines(raster: Raster):
         f"yllcorner {fmt(raster.origin[1])}\n"
         f"cellsize {fmt(raster.cell_size)}\n"
         f"NODATA_value {fmt(raster.nodata)}\n"
-    )
-    # One "%.17g" per column, applied to a whole row: the bytes of ``fmt``
-    # per value, without a Python call per value.
+    ).encode("ascii")
     row_format = " ".join(["%.17g"] * raster.ncols) + "\n"
-    for row in raster.values:
-        yield row_format % tuple(np.asarray(row, dtype=np.float64).tolist())
+    for rows in _row_blocks(raster.nrows, raster.ncols, _WRITE_CELLS):
+        yield _format_block(np.asarray(raster.values[rows], dtype=np.float64), row_format)
 
 
 def format_ascii_grid(raster: Raster) -> str:
     """Serialize to Arc/Info ASCII grid text (top row first)."""
-    return "".join(_ascii_grid_lines(raster))
+    return b"".join(_ascii_grid_chunks(raster)).decode("ascii")
 
 
 def _parse_values(text: str) -> np.ndarray:
@@ -196,15 +363,16 @@ def load_ascii_grid(path) -> Raster:
 
 
 def save_ascii_grid(raster: Raster, path) -> None:
-    """Write the grid one row at a time, so memory is bounded by a row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_ascii_grid_lines(raster))
+    """Write the grid one row block at a time, so memory is bounded by a
+    block."""
+    with open(path, "wb") as fh:
+        fh.writelines(_ascii_grid_chunks(raster))
 
 
-def _row_blocks(nrows: int, ncols: int) -> list[slice]:
-    """Split a frame into slices of whole rows, each about ``_BLOCK_CELLS``
-    cells and at least one row."""
-    step = max(1, _BLOCK_CELLS // max(ncols, 1))
+def _row_blocks(nrows: int, ncols: int, cells: int | None = None) -> list[slice]:
+    """Split a frame into slices of whole rows, each about *cells* cells
+    (``_BLOCK_CELLS`` by default) and at least one row."""
+    step = max(1, (cells or _BLOCK_CELLS) // max(ncols, 1))
     return [slice(start, min(start + step, nrows)) for start in range(0, nrows, step)]
 
 

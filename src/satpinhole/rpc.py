@@ -133,6 +133,8 @@ class RpcModel:
         for name, key, _ in _NORMALIZER_FIELDS:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
+            if not np.isfinite(value):
+                raise FormatError(f"{key}: normalizer must be finite, got {value}")
             if name.endswith("_scale") and not value > 0.0:
                 raise FormatError(f"{key}: scale must be strictly positive, got {value}")
         for name, key in _COEFF_FIELDS:
@@ -157,8 +159,9 @@ def parse_rpc(text: str) -> RpcModel:
 
     Values may carry a trailing unit token (``pixels``, ``degrees``,
     ``meters``), which is ignored. Unknown keys are tolerated. Missing keys,
-    non-numeric values, non-positive scales, and denominators whose first
-    coefficient differs from 1 all raise FormatError naming the key.
+    non-numeric values, non-finite normalizers, non-positive scales, and
+    denominators whose first coefficient differs from 1 all raise FormatError
+    naming the key.
     """
     kv = kvio.read_kv(text)
     fields: dict[str, object] = {}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import satpinhole
-from satpinhole import equivalence
+from satpinhole import cli, equivalence
 from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera
 from satpinhole.error_analysis import parse_equivalence_report
@@ -484,6 +484,27 @@ def test_error_map_malformed_camera_size_is_a_parse_error(tmp_path, scene_dir, c
     assert not out.exists()
 
 
+def test_error_map_non_finite_camera_is_a_parse_error(tmp_path, scene_dir, capsys):
+    camera = tmp_path / "camera.txt"
+    text = (scene_dir / "camera.txt").read_text()
+    camera.write_text(re.sub(r"(?m)^K: \S+", "K: nan", text))
+    out = tmp_path / "field.asc"
+    rc = main(
+        [
+            "error-map",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--out", str(out),
+            "--camera", str(camera),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: K:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["cellsize 0", "cellsize nan", "xllcorner inf", "yllcorner -inf"])
 def test_metrics_malformed_grid_header_is_a_parse_error(tmp_path, scene_dir, capsys, line):
     key = line.split()[0]
@@ -533,6 +554,32 @@ def test_fuse_and_metrics_pipeline(tmp_path, scene_dir, capsys):
     assert "COMP_0.5: 0" in out
     assert "COMP_2: 1" in out
     assert (tmp_path / "report.txt").read_text() == out
+
+
+def test_main_calls_share_no_state(tmp_path, scene_dir, capsys):
+    # main() reuses one parser; an option given to one call must not leak
+    # into the next.
+    dsm = str(scene_dir / "dsm.asc")
+    assert main(["metrics", dsm, dsm, "--thresholds", "0.25"]) == 0
+    assert "COMP_0.25: 1" in capsys.readouterr().out
+    assert main(["metrics", dsm, dsm]) == 0
+    out = capsys.readouterr().out
+    assert "COMP_0.25" not in out
+    assert all(f"COMP_{t}: 1" in out for t in (1, 2, 5))
+
+    rpc = str(scene_dir / "rpc.txt")
+    before = tmp_path / "before.txt"
+    first = ["refine", rpc, "--image-size", "96", "96", "--warp", str(tmp_path / "w1.txt")]
+    assert main(first + ["--report-before", str(before)]) == 0
+    before.unlink()
+    assert main(["refine", rpc, "--image-size", "96", "96", "--warp", str(tmp_path / "w2.txt")]) == 0
+    assert not before.exists()
+    assert (tmp_path / "w1.txt").read_text() == (tmp_path / "w2.txt").read_text()
+
+
+def test_main_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
 
 
 def test_fuse_rejects_infinite_radius(tmp_path, scene_dir, capsys):

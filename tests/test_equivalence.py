@@ -235,6 +235,16 @@ def test_camera_image_size_must_be_positive_integers(pinhole_bundle, size):
         parse_camera(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["ANCHOR_ALT", "K", "R", "T", "RESIDUAL_RMS_PX"])
+def test_camera_values_must_be_finite(pinhole_bundle, key, value):
+    # Replace the last number of the key's line: one bad entry is enough.
+    lines = format_camera(pinhole_bundle.camera).splitlines()
+    lines = [ln.rsplit(" ", 1)[0] + f" {value}" if ln.startswith(f"{key}:") else ln for ln in lines]
+    with pytest.raises(FormatError, match=f"^{key}:"):
+        parse_camera("\n".join(lines))
+
+
 def test_camera_parse_recovers_fields(pinhole_bundle):
     cam = pinhole_bundle.camera
     back = parse_camera(format_camera(cam))

@@ -1,7 +1,11 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpinhole import raster as raster_module
 from satpinhole.errors import FormatError
@@ -60,6 +64,90 @@ def test_save_streams_rows(tmp_path):
     size = path.stat().st_size
     assert peak < size / 4, (peak, size)
     assert path.read_text(encoding="utf-8") == format_ascii_grid(r)
+
+
+def _body(values):
+    """The grid body ``format_ascii_grid`` writes for *values*."""
+    return format_ascii_grid(Raster(values=values)).split("\n", 6)[6]
+
+
+def _fmt_body(values):
+    return "".join(" ".join(fmt(v) for v in row) + "\n" for row in np.asarray(values).tolist())
+
+
+def _near_power_of_ten(exponent, steps):
+    x = float(f"1e{exponent}")
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+# Cells that test the writer: any float64 (with NaN, infinities and
+# subnormals), the ends of the range, values a few ulps from each power of
+# ten where the decimal exponent changes, and exact ties at the 17th digit:
+# odd multiples of 1/4 between 1e15 and 2**51 and of 1/8 between 1e14 and
+# 2**49 have 18 significant digits, the last a 5.
+_CELLS = st.builds(
+    lambda x, negate: -x if negate else x,
+    st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max]),
+        st.builds(_near_power_of_ten, st.integers(-5, 17), st.integers(-4, 4)),
+        st.integers(4 * 10**15, 2**53 - 1).map(lambda m: (m | 1) / 4),
+        st.integers(8 * 10**14, 2**52 - 1).map(lambda m: (m | 1) / 8),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_CELLS, min_size=1, max_size=8))
+def test_format_matches_fmt_on_any_float(cells):
+    values = np.array(cells)
+    # One block for the whole row, and one block per cell, so that a cell
+    # that needs the row template sends only itself there.
+    assert _body(values[None, :]) == _fmt_body(values[None, :])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(raster_module, "_WRITE_CELLS", 1)
+        assert _body(values[:, None]) == _fmt_body(values[:, None])
+
+
+# Block budgets as a function of the grid width: one cell, half a row, one
+# row, three rows and more than any grid below.
+_WRITE_BUDGETS = {
+    "one-cell": lambda ncols: 1,
+    "half-row": lambda ncols: max(ncols // 2, 1),
+    "one-row": lambda ncols: ncols,
+    "three-rows": lambda ncols: 3 * ncols,
+    "whole-frame": lambda ncols: 1 << 40,
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_WRITE_BUDGETS))
+@pytest.mark.parametrize("shape", [(1, 50), (50, 1), (7, 9)])
+def test_writer_blocks_give_the_same_bytes(monkeypatch, tmp_path, budget, shape):
+    rng = np.random.default_rng(11)
+    values = rng.normal(scale=500.0, size=shape[0] * shape[1])
+    # Zeros and nodata take the vectorized path; a NaN and a tiny value make
+    # the blocks that hold them take the row template.
+    values[::7] = -9999.0
+    values[3::11] = 0.0
+    values[5] = np.nan
+    values[-4] = 3e-7
+    values = values.reshape(shape)
+    monkeypatch.setattr(raster_module, "_WRITE_CELLS", _WRITE_BUDGETS[budget](shape[1]))
+    path = tmp_path / "grid.asc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = format_ascii_grid(Raster(values=values))
+        save_ascii_grid(Raster(values=values), path)
+    assert text.split("\n", 6)[6] == _fmt_body(values)
+    assert path.read_bytes() == text.encode("ascii")
+
+
+def test_writer_takes_empty_and_integer_grids():
+    for values in (np.zeros((0, 3)), np.zeros((3, 0)), np.arange(12).reshape(3, 4)):
+        assert _body(values) == _fmt_body(values)
 
 
 def _bits(values):

@@ -325,6 +325,17 @@ def test_parse_missing_normalizer_names_key(pushbroom_bundle):
         parse_rpc(broken)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [key for _, key, _ in rpc._NORMALIZER_FIELDS])
+def test_parse_non_finite_normalizer_names_key(pushbroom_bundle, key, value):
+    # A non-finite offset or scale would only surface later, as NaN pixels
+    # and a degenerate grid.
+    text = format_rpc(pushbroom_bundle.model)
+    lines = [f"{key}: {value}" if ln.startswith(f"{key}:") else ln for ln in text.splitlines()]
+    with pytest.raises(FormatError, match=key):
+        parse_rpc("\n".join(lines))
+
+
 def test_parse_missing_coefficient_names_key(pushbroom_bundle):
     text = format_rpc(pushbroom_bundle.model)
     broken = "\n".join(
