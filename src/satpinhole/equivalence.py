@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
-from .geodesy import GeoPoint, geodetic_to_enu
+from .geodesy import GeoPoint, lattice_to_enu
 from .kvio import fmt, get_float, get_floats, get_ints, read_kv
 from .rpc import RpcModel, project_forward
 
@@ -52,10 +52,9 @@ class VirtualGrid:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """A direct-linear-transform solution with its quality figures."""
+    """A direct-linear-transform solution with its reprojection residual."""
 
     p: np.ndarray
-    cond: float
     residual_rms_px: float
 
     def project(self, enu: np.ndarray):
@@ -137,6 +136,12 @@ def build_virtual_grid(
     extent masks ground coverage. The survivors are converted to ENU at the
     model's offset point (or an explicit *anchor*).
 
+    The nodes form a lattice, so the model is evaluated on the broadcast
+    axes, and once the lattice-sized projections are freed the survivors go
+    to ENU through :func:`~satpinhole.geodesy.lattice_to_enu`, which works
+    per axis value and in blocks. Survivors come in C order of (lat, lon,
+    alt) index.
+
     Raises:
         DegenerateError: if any dim < 2, fewer than 6 points survive,
             fewer than 3 distinct altitude layers survive, or the surviving
@@ -148,30 +153,25 @@ def build_virtual_grid(
     lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
     lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
     alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
-    lat, lon, alt = (a.ravel() for a in np.meshgrid(lats, lons, alts, indexing="ij"))
 
-    samp, line = project_forward(model, lat, lon, alt)
+    samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
     w, h = image_size
     keep = (samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h)
-    lat, lon, alt = lat[keep], lon[keep], alt[keep]
-    samp, line = samp[keep], line[keep]
+    pixels = np.column_stack([samp[keep], line[keep]])
+    i_lat, i_lon, i_alt = np.nonzero(keep)
+    del samp, line, keep
+    layers = np.unique(alts[np.bincount(i_alt, minlength=n_alt) > 0]).size
 
-    if lat.size < 6:
-        raise DegenerateError(
-            f"only {lat.size} grid points project inside the image; need >= 6"
-        )
-    if np.unique(alt).size < 3:
-        raise DegenerateError(
-            f"only {np.unique(alt).size} altitude layers survive; need >= 3"
-        )
+    size = pixels.shape[0]
+    if size < 6:
+        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
+    if layers < 3:
+        raise DegenerateError(f"only {layers} altitude layers survive; need >= 3")
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
-    e, n, u = geodetic_to_enu(lat, lon, alt, anchor)
-    enu = np.column_stack([e, n, u])
-
-    centered = enu - enu.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[2] < 1e-9 * sv[0]:
+    lat, lon, alt = lats[i_lat], lons[i_lon], alts[i_alt]
+    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
+    if _coplanar(enu):
         raise DegenerateError("surviving grid points are coplanar")
 
     return VirtualGrid(
@@ -179,28 +179,52 @@ def build_virtual_grid(
         lon=lon,
         alt=alt,
         enu=enu,
-        pixels=np.column_stack([samp, line]),
+        pixels=pixels,
         dims=(n_lat, n_lon, n_alt),
         anchor=anchor,
     )
+
+
+def _coplanar(points: np.ndarray) -> bool:
+    """Whether (N, 3) points are coplanar: sigma3 < 1e-9 sigma1 of the centred set.
+
+    The eigenvalues of the centred 3x3 Gram matrix are the squared singular
+    values, off by at most about N eps lambda1 in rounding. So a ratio
+    lambda3 / lambda1 above 1e-8 (sigma3 / sigma1 above 1e-4) settles the
+    question for any grid of fewer than 10^7 points; every other set goes to
+    the exact SVD.
+    """
+    centred = np.empty((3, len(points)))
+    for j in range(3):
+        np.subtract(points[:, j], points[:, j].mean(), out=centred[j])
+    gram = centred @ centred.T
+    if np.isfinite(gram).all():
+        lam = np.linalg.eigvalsh(gram)
+        if lam[0] > 1e-8 * lam[2]:
+            return False
+    sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return bool(sv[2] < 1e-9 * sv[0])
 
 
 def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
     """Solve for the 3x4 projection matrix by normalized DLT.
 
     Pixels are shifted to their centroid and scaled to RMS radius sqrt(2);
-    ENU points likewise to RMS radius sqrt(3). The homogeneous system is
-    solved by SVD and the conditioning of the solution checked via the ratio
-    of the two smallest singular values.
+    ENU points likewise to RMS radius sqrt(3) (Hartley & Zisserman, ch. 4).
+    The homogeneous system is solved by the SVD of its 12 x 12 R factor, and
+    the conditioning of the solution checked via the ratio of the two
+    smallest singular values.
     """
     pix = grid.pixels
     enu = grid.enu
     n = grid.n_points
 
     pc = pix.mean(axis=0)
-    pix_rms = np.sqrt(np.mean(np.sum((pix - pc) ** 2, axis=1)))
+    dp = pix - pc
+    pix_rms = np.sqrt(np.mean(np.sum(dp ** 2, axis=1)))
     xc = enu.mean(axis=0)
-    enu_rms = np.sqrt(np.mean(np.sum((enu - xc) ** 2, axis=1)))
+    dx = enu - xc
+    enu_rms = np.sqrt(np.mean(np.sum(dx ** 2, axis=1)))
     if pix_rms <= 0.0 or enu_rms <= 0.0:
         raise IllConditionedError("correspondences collapse to a single point")
     ps = np.sqrt(2.0) / pix_rms
@@ -211,18 +235,25 @@ def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
     t3[:3, :3] *= xs
     t3[:3, 3] = -xs * xc
 
-    xn = (enu - xc) * xs
-    un = (pix[:, 0] - pc[0]) * ps
-    vn = (pix[:, 1] - pc[1]) * ps
-    xh = np.column_stack([xn, np.ones(n)])
+    un = dp[:, 0] * ps
+    vn = dp[:, 1] * ps
+    xh = np.vstack([(dx * xs).T, np.ones(n)])
 
-    a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = xh
-    a[0::2, 8:12] = -un[:, None] * xh
-    a[1::2, 4:8] = xh
-    a[1::2, 8:12] = -vn[:, None] * xh
+    # Row 2i of the system is point i's samp equation, row 2i + 1 its line
+    # equation. It is filled by column, the layout LAPACK works in, so the
+    # factorization below makes no transposing copy.
+    at = np.zeros((12, 2 * n))
+    at[0:4, 0::2] = xh
+    at[8:12, 0::2] = -un * xh
+    at[4:8, 1::2] = xh
+    at[8:12, 1::2] = -vn * xh
+    a = at.T
 
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    # Only sv and V are needed. LAPACK's gesdd takes them from the SVD of the
+    # 12 x 12 R of a QR factorization once the system has at least 22 rows,
+    # so doing that here gives the same bits without forming U.
+    r = np.linalg.qr(a, mode="r") if len(a) >= 22 else a
+    _, sv, vt = np.linalg.svd(r, full_matrices=False)
     # Well-posedness: the nullspace direction must stand clear of the rest.
     if sv[10] < 10.0 * sv[11]:
         raise IllConditionedError(
@@ -238,7 +269,7 @@ def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
     elif det == 0.0:
         raise IllConditionedError("left 3x3 of the projection matrix is singular")
 
-    pm = ProjectionMatrix(p=p, cond=float(np.linalg.cond(p[:, :3])), residual_rms_px=0.0)
+    pm = ProjectionMatrix(p=p, residual_rms_px=0.0)
     samp, line = pm.project(enu)
     du = samp - pix[:, 0]
     dv = line - pix[:, 1]
@@ -398,15 +429,14 @@ def parse_camera(text: str) -> PinholeCamera:
     r = np.array(get_floats(kv, "R", 9)).reshape(3, 3)
     t = np.array(get_floats(kv, "T", 3))
     rms = get_float(kv, "RESIDUAL_RMS_PX")
+    for key, value, bound in (("ANCHOR_LAT", lat, 90.0), ("ANCHOR_LON", lon, 180.0)):
+        if not -bound <= value <= bound:
+            raise FormatError(f"{key}: must lie in [-{bound:g}, {bound:g}], got {kv[key]!r}")
     for key, value in (("ANCHOR_ALT", alt), ("K", k), ("R", r), ("T", t), ("RESIDUAL_RMS_PX", rms)):
         if not np.all(np.isfinite(value)):
             raise FormatError(f"{key}: values must be finite, got {kv[key]!r}")
-    try:
-        anchor = GeoPoint(lat, lon, alt)
-    except ValueError as exc:  # an anchor off the globe
-        raise FormatError(str(exc)) from None
     return PinholeCamera(
-        k=k, r=r, t=t, anchor=anchor,
+        k=k, r=r, t=t, anchor=GeoPoint(lat, lon, alt),
         image_size=tuple(size),
         residual_rms_px=rms,
     )

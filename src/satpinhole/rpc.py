@@ -110,8 +110,9 @@ class RpcModel:
     """An immutable rational polynomial camera model.
 
     Offsets and scales translate between physical and normalized coordinates;
-    the coefficient arrays each hold 20 values in sidecar order. Both
-    denominators must have a leading coefficient of exactly 1.
+    the coefficient arrays each hold 20 values in sidecar order. Every value
+    must be finite, and both denominators must have a leading coefficient of
+    exactly 1.
     """
 
     line_off: float
@@ -141,6 +142,9 @@ class RpcModel:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (20,):
                 raise FormatError(f"{key}: expected 20 coefficients, got shape {arr.shape}")
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise FormatError(f"{key}_{bad[0] + 1}: coefficient must be finite, got {arr[bad[0]]}")
             object.__setattr__(self, name, arr)
         if self.line_den[0] != 1.0:
             raise FormatError("LINE_DEN_COEFF_1: leading denominator coefficient must be 1")
@@ -159,9 +163,9 @@ def parse_rpc(text: str) -> RpcModel:
 
     Values may carry a trailing unit token (``pixels``, ``degrees``,
     ``meters``), which is ignored. Unknown keys are tolerated. Missing keys,
-    non-numeric values, non-finite normalizers, non-positive scales, and
-    denominators whose first coefficient differs from 1 all raise FormatError
-    naming the key.
+    non-numeric values, non-finite normalizers or coefficients, non-positive
+    scales, and denominators whose first coefficient differs from 1 all raise
+    FormatError naming the key.
     """
     kv = kvio.read_kv(text)
     fields: dict[str, object] = {}
@@ -233,9 +237,12 @@ def project_forward(model: RpcModel, lat, lon, alt):
     fit carries no accuracy guarantee out there. A denominator magnitude under
     1e-10 raises DegenerateError.
     """
-    p, l, h = np.broadcast_arrays(*model.normalize_ground(lat, lon, alt))
+    p, l, h = model.normalize_ground(lat, lon, alt)
+    # The bound of the inputs, not of their broadcast: a lattice given as
+    # three axes is checked per axis value.
     bound = max(np.max(np.abs(a), initial=0.0) for a in (p, l, h))
-    if bound > SOFT_BOUND:
+    p, l, h = np.broadcast_arrays(p, l, h)
+    if bound > SOFT_BOUND and p.size:
         warnings.warn(
             f"normalized coordinates reach {bound:.3g}, beyond the rated "
             f"volume (|coord| <= {SOFT_BOUND}); results are extrapolations",

@@ -208,8 +208,9 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
         projection function on the sample grid.
 
     Raises:
-        DegenerateError: near-constant projection along an axis, or a fitted
-            denominator approaching zero inside the volume.
+        DegenerateError: a non-finite or near-constant projection along an
+            axis, a non-finite fit, or a fitted denominator approaching zero
+            inside the volume.
     """
     lat, lon, alt = volume.sample_grid(FIT_DIMS)
     samp, line = project(lat, lon, alt)
@@ -228,6 +229,8 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
     basis = cubic_basis(p, l, hh)
 
     def solve_axis(target: np.ndarray, label: str):
+        if not np.isfinite(target).all():
+            raise DegenerateError(f"projection is not finite at every fit node along the {label} axis")
         if np.std(target) < 1e-12:
             raise DegenerateError(
                 f"projection is (near-)constant along the {label} axis; "
@@ -235,6 +238,8 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
             )
         a = np.hstack([basis, -target[:, None] * basis[:, 1:]])
         sol, _, _, _ = np.linalg.lstsq(a, target, rcond=None)
+        if not np.isfinite(sol).all():
+            raise DegenerateError(f"rational fit along the {label} axis is not finite")
         num = sol[:20]
         den = np.concatenate([[1.0], sol[20:]])
         den_vals = basis @ den

@@ -505,6 +505,52 @@ def test_error_map_non_finite_camera_is_a_parse_error(tmp_path, scene_dir, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "91", "-inf"])
+@pytest.mark.parametrize("key", ["ANCHOR_LAT", "ANCHOR_LON"])
+def test_error_map_anchor_off_the_globe_is_a_parse_error(tmp_path, scene_dir, capsys, key, value):
+    camera = tmp_path / "camera.txt"
+    value = "181" if (key, value) == ("ANCHOR_LON", "91") else value
+    text = (scene_dir / "camera.txt").read_text()
+    camera.write_text(re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", text))
+    out = tmp_path / "field.asc"
+    rc = main(
+        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--out", str(out), "--camera", str(camera)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {key}:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["LINE_NUM_COEFF_3", "SAMP_DEN_COEFF_2"])
+def test_equate_non_finite_rpc_coefficient_is_a_parse_error(tmp_path, scene_dir, capsys, key):
+    rpc = tmp_path / "rpc.txt"
+    rpc.write_text(re.sub(rf"(?m)^{key}: .*$", f"{key}: nan", (scene_dir / "rpc.txt").read_text()))
+    camera = tmp_path / "cam.txt"
+    rc = main(["equate", str(rpc), "--image-size", "96", "96", "--camera", str(camera)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {key}:")
+    assert err.count("\n") == 1
+    assert not camera.exists()
+
+
+def test_synth_non_finite_fit_is_degenerate(tmp_path, monkeypatch, capsys):
+    # The fitted model's coefficients are checked by fit_rpc, so a failed fit
+    # stays a degenerate fit and is not reported as a parse error.
+    def lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    out = tmp_path / "scene"
+    rc = main(["synth", "--kind", "pinhole", "--seed", "4", "--out-dir", str(out), "--image-size", "32", "32"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate: rational fit along the samp axis is not finite")
+    assert not (out / "rpc.txt").exists()
+
+
 @pytest.mark.parametrize("line", ["cellsize 0", "cellsize nan", "xllcorner inf", "yllcorner -inf"])
 def test_metrics_malformed_grid_header_is_a_parse_error(tmp_path, scene_dir, capsys, line):
     key = line.split()[0]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpinhole.equivalence import (
     PinholeCamera,
     ProjectionMatrix,
     VirtualGrid,
+    _axis_nodes,
     _rq,
     build_virtual_grid,
     decompose_projection,
@@ -14,8 +17,8 @@ from satpinhole.equivalence import (
     solve_projection,
 )
 from satpinhole.errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
-from satpinhole.geodesy import GeoPoint
-from satpinhole.rpc import project_forward
+from satpinhole.geodesy import GeoPoint, geodetic_to_enu
+from satpinhole.rpc import RpcModel, project_forward
 
 
 def test_grid_matches_brute_force_in_image_count(pushbroom_bundle):
@@ -37,6 +40,121 @@ def test_grid_matches_brute_force_in_image_count(pushbroom_bundle):
     assert grid.n_points == count
     assert grid.enu.shape == (count, 3)
     assert grid.pixels.shape == (count, 2)
+
+
+def _reference_grid(model, image_size, dims, stagger, anchor):
+    """build_virtual_grid node by node: meshgrid, project, mask, geodetic_to_enu.
+
+    Returns (lat, lon, alt, enu, pixels), or None where the grid is
+    degenerate (under 6 survivors, under 3 altitude layers, or coplanar by
+    the exact SVD test).
+    """
+    offsets = (model.lat_off, model.lon_off, model.alt_off)
+    scales = (model.lat_scale, model.lon_scale, model.alt_scale)
+    axes = [_axis_nodes(o - s, o + s, n, stagger) for o, s, n in zip(offsets, scales, dims)]
+    lat, lon, alt = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    samp, line = project_forward(model, lat, lon, alt)
+    w, h = image_size
+    keep = (samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h)
+    lat, lon, alt, samp, line = lat[keep], lon[keep], alt[keep], samp[keep], line[keep]
+    if lat.size < 6 or np.unique(alt).size < 3:
+        return None
+    anchor = anchor or GeoPoint(*offsets)
+    enu = np.column_stack(geodetic_to_enu(lat, lon, alt, anchor))
+    sv = np.linalg.svd(enu - enu.mean(axis=0), compute_uv=False)
+    if sv[2] < 1e-9 * sv[0]:
+        return None
+    return lat, lon, alt, enu, np.column_stack([samp, line])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    pushbroom=st.booleans(),
+    dims=st.tuples(st.integers(2, 14), st.integers(2, 14), st.integers(2, 7)),
+    stagger=st.booleans(),
+    crop=st.tuples(st.floats(0.02, 1.0), st.floats(0.02, 1.0)),
+    anchor=st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_grid_is_bitwise_the_per_node_reference(pinhole_bundle, pushbroom_bundle, pushbroom, dims, stagger, crop, anchor):
+    # The lattice path (broadcast axes, survivors by index, ENU from
+    # per-axis terms, the Gram coplanarity test) changes no bit of any node
+    # and no decision. A cropped image size leaves ragged survivor sets.
+    bundle = pushbroom_bundle if pushbroom else pinhole_bundle
+    model = bundle.model
+    w, h = bundle.scene.image_size
+    size = (max(1, int(w * crop[0])), max(1, int(h * crop[1])))
+    if anchor is not None:
+        anchor = GeoPoint(
+            model.lat_off + anchor[0] * model.lat_scale,
+            model.lon_off + anchor[1] * model.lon_scale,
+            model.alt_off + anchor[2] * model.alt_scale,
+        )
+    want = _reference_grid(model, size, dims, stagger, anchor)
+    if want is None:
+        with pytest.raises(DegenerateError):
+            build_virtual_grid(model, size, dims, stagger=stagger, anchor=anchor)
+        return
+    grid = build_virtual_grid(model, size, dims, stagger=stagger, anchor=anchor)
+    for got, ref in zip((grid.lat, grid.lon, grid.alt, grid.enu, grid.pixels), want):
+        assert _same_bits(got, ref)
+
+
+def _flat_model(lat_scale, lon_scale, alt_scale, pixel_scale, pixel_off):
+    """An affine model with no height term: samp = off + scale * Ln, line = off + scale * Pn."""
+    samp_num, line_num, den = np.zeros(20), np.zeros(20), np.zeros(20)
+    samp_num[1] = line_num[2] = den[0] = 1.0
+    return RpcModel(
+        line_off=pixel_off, samp_off=pixel_off,
+        lat_off=30.0, lon_off=50.0, alt_off=100.0,
+        line_scale=pixel_scale, samp_scale=pixel_scale,
+        lat_scale=lat_scale, lon_scale=lon_scale, alt_scale=alt_scale,
+        line_num=line_num, line_den=den, samp_num=samp_num, samp_den=den.copy(),
+    )
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The compute_uv flag of every np.linalg.svd call made during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_single_surviving_column_is_coplanar(svd_calls):
+    # Only the centre node of each ground axis lands in a 1 x 1 image, so the
+    # survivors are one column of 6 altitudes: on a line. The Gram test cannot
+    # settle that, and the exact SVD rejects it.
+    model = _flat_model(0.1, 0.1, 200.0, pixel_scale=10.0, pixel_off=0.5)
+    with pytest.raises(DegenerateError, match="coplanar"):
+        build_virtual_grid(model, (1, 1), dims=(5, 5, 6))
+    assert svd_calls == [False]
+
+
+def test_thin_volume_takes_the_exact_svd(svd_calls):
+    # A 200 m square patch with 0.2 mm of height range: about a millimetre
+    # thick from the Earth's curvature, so sigma3 / sigma1 is near 1e-5. That
+    # is below the Gram cut (1e-4) and above the coplanarity bound (1e-9).
+    model = _flat_model(1e-3, 1e-3, 1e-4, pixel_scale=40.0, pixel_off=50.0)
+    grid = build_virtual_grid(model, (100, 100), dims=(6, 6, 3))
+    assert grid.n_points == 6 * 6 * 3
+    assert svd_calls == [False]
+    sv = np.linalg.svd(grid.enu - grid.enu.mean(axis=0), compute_uv=False)
+    assert 1e-9 < sv[2] / sv[0] < 1e-4
+
+
+def test_well_spread_grid_needs_no_svd(pushbroom_bundle, svd_calls):
+    build_virtual_grid(pushbroom_bundle.model, pushbroom_bundle.scene.image_size)
+    assert svd_calls == []
 
 
 def test_staggered_grid_shares_no_nodes(pushbroom_bundle):
@@ -73,7 +191,7 @@ def test_negated_matrix_gives_identical_camera(pushbroom_bundle):
     grid = build_virtual_grid(model, size)
     pm = solve_projection(grid)
     cam_a = decompose_projection(pm, grid, size)
-    flipped = ProjectionMatrix(p=-pm.p, cond=pm.cond, residual_rms_px=pm.residual_rms_px)
+    flipped = ProjectionMatrix(p=-pm.p, residual_rms_px=pm.residual_rms_px)
     cam_b = decompose_projection(flipped, grid, size)
     np.testing.assert_allclose(cam_a.k, cam_b.k, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cam_a.r, cam_b.r, rtol=1e-12, atol=1e-12)
@@ -87,6 +205,47 @@ def test_projection_matrix_residual_is_small(pinhole_bundle):
     s, ln = pm.project(grid.enu)
     err = np.hypot(s - grid.pixels[:, 0], ln - grid.pixels[:, 1])
     assert np.sqrt(np.mean(err**2)) == pytest.approx(pm.residual_rms_px, rel=1e-9)
+
+
+def _reference_projection(grid):
+    """The normalized DLT with the thin SVD of the whole 2n x 12 system."""
+    pix, enu = grid.pixels, grid.enu
+    pc = pix.mean(axis=0)
+    ps = np.sqrt(2.0) / np.sqrt(np.mean(np.sum((pix - pc) ** 2, axis=1)))
+    xc = enu.mean(axis=0)
+    xs = np.sqrt(3.0) / np.sqrt(np.mean(np.sum((enu - xc) ** 2, axis=1)))
+    t2 = np.array([[ps, 0, -ps * pc[0]], [0, ps, -ps * pc[1]], [0, 0, 1]])
+    t3 = np.eye(4)
+    t3[:3, :3] *= xs
+    t3[:3, 3] = -xs * xc
+    xh = np.column_stack([(enu - xc) * xs, np.ones(len(enu))])
+    un, vn = ((pix - pc) * ps).T
+    a = np.zeros((2 * len(enu), 12))
+    a[0::2, 0:4] = xh
+    a[0::2, 8:12] = -un[:, None] * xh
+    a[1::2, 4:8] = xh
+    a[1::2, 8:12] = -vn[:, None] * xh
+    vt = np.linalg.svd(a, full_matrices=False)[2]
+    p = np.linalg.inv(t2) @ vt[-1].reshape(3, 4) @ t3
+    p = p / np.linalg.norm(p)
+    return p if np.linalg.det(p[:, :3]) > 0 else -p
+
+
+@pytest.mark.parametrize("dims", [(20, 20, 10), (6, 5, 3), (30, 30, 15)])
+def test_projection_agrees_with_thin_svd_reference(pushbroom_bundle, dims):
+    grid = build_virtual_grid(pushbroom_bundle.model, pushbroom_bundle.scene.image_size, dims)
+    pm = solve_projection(grid)
+    np.testing.assert_allclose(pm.p, _reference_projection(grid), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 10, 11, 40])
+def test_projection_agrees_with_thin_svd_reference_on_few_points(n):
+    # Systems under 22 rows are solved from the full matrix, taller ones from
+    # the R factor; both give the reference camera.
+    pm_true, grid = _synthetic_camera_and_grid(tz=500.0, n=n)
+    pm = solve_projection(grid)
+    np.testing.assert_allclose(pm.p, _reference_projection(grid), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pm.p, pm_true.p, rtol=0, atol=1e-9)
 
 
 def test_localize_at_height_inverts_projection(pinhole_bundle):
@@ -129,26 +288,26 @@ def test_collapsed_correspondences_are_ill_conditioned():
         solve_projection(grid)
 
 
-def _synthetic_camera_and_grid(tz: float):
+def _synthetic_camera_and_grid(tz: float, n: int = 40):
     rng = np.random.default_rng(8)
     k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
     r = np.eye(3)
     t = np.array([0.0, 0.0, tz])
-    enu = rng.uniform(-50, 50, (40, 3))
+    enu = rng.uniform(-50, 50, (n, 3))
     cam = enu @ r.T + t
     pix = cam @ k.T
     pixels = np.column_stack([pix[:, 0] / pix[:, 2], pix[:, 1] / pix[:, 2]])
     grid = VirtualGrid(
-        lat=np.zeros(40),
-        lon=np.zeros(40),
-        alt=np.zeros(40),
+        lat=np.zeros(n),
+        lon=np.zeros(n),
+        alt=np.zeros(n),
         enu=enu,
         pixels=pixels,
-        dims=(40, 1, 1),
+        dims=(n, 1, 1),
         anchor=GeoPoint(0.0, 0.0, 0.0),
     )
     p = k @ np.column_stack([r, t])
-    pm = ProjectionMatrix(p=p / np.linalg.norm(p), cond=1.0, residual_rms_px=0.0)
+    pm = ProjectionMatrix(p=p / np.linalg.norm(p), residual_rms_px=0.0)
     return pm, grid
 
 
@@ -179,7 +338,7 @@ def test_mirror_camera_rejected():
         anchor=GeoPoint(0.0, 0.0, 0.0),
     )
     p = k @ np.column_stack([r, t])
-    pm = ProjectionMatrix(p=p / np.linalg.norm(p), cond=1.0, residual_rms_px=0.0)
+    pm = ProjectionMatrix(p=p / np.linalg.norm(p), residual_rms_px=0.0)
     with pytest.raises(DecompositionError, match="mirror"):
         decompose_projection(pm, grid, (640, 480))
 
@@ -242,6 +401,15 @@ def test_camera_values_must_be_finite(pinhole_bundle, key, value):
     lines = format_camera(pinhole_bundle.camera).splitlines()
     lines = [ln.rsplit(" ", 1)[0] + f" {value}" if ln.startswith(f"{key}:") else ln for ln in lines]
     with pytest.raises(FormatError, match=f"^{key}:"):
+        parse_camera("\n".join(lines))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-181"])
+@pytest.mark.parametrize("key", ["ANCHOR_LAT", "ANCHOR_LON"])
+def test_camera_anchor_must_lie_on_the_globe(pinhole_bundle, key, value):
+    lines = format_camera(pinhole_bundle.camera).splitlines()
+    lines = [f"{key}: {value}" if ln.startswith(f"{key}:") else ln for ln in lines]
+    with pytest.raises(FormatError, match=f"^{key}: must lie in"):
         parse_camera("\n".join(lines))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satpinhole import geodesy
 from satpinhole.geodesy import (
     WGS84_A,
     WGS84_B,
@@ -12,6 +13,7 @@ from satpinhole.geodesy import (
     enu_to_geodetic,
     geodetic_to_ecef,
     geodetic_to_enu,
+    lattice_to_enu,
 )
 
 
@@ -81,6 +83,78 @@ def test_round_trip_at_poles():
 def test_earth_center_rejected():
     with pytest.raises(ValueError):
         ecef_to_geodetic(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("xyz", [(4.0e4, 0.0, 0.0), (0.0, 3.0e4, -3.0e4), (1.0, 1.0, 1.0)])
+def test_points_near_earth_center_rejected(xyz):
+    # Within about 53 km of the centre the closed form has no solution (the
+    # region holds the evolute, where a point has several geodetic images).
+    # One such point fails the whole batch.
+    x, y, z = (np.array([v, WGS84_A]) for v in xyz)
+    with pytest.raises(ValueError, match="53 km"):
+        ecef_to_geodetic(x, y, z)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    points=st.lists(
+        st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(-5000.0, 9.0e5)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_ecef_to_geodetic_is_batch_independent(points):
+    # Each point converts to the same bits alone (as scalars or a 1-element
+    # array) as anywhere in a batch.
+    lat, lon, alt = (np.array(c) for c in zip(*points))
+    x, y, z = geodetic_to_ecef(lat, lon, alt)
+    batch = ecef_to_geodetic(x, y, z)
+    for i in range(len(points)):
+        alone = ecef_to_geodetic(float(x[i]), float(y[i]), float(z[i]))
+        sliced = ecef_to_geodetic(x[i : i + 1], y[i : i + 1], z[i : i + 1])
+        for b, a, s in zip(batch, alone, sliced):
+            assert _same_bits(a, b[i])
+            assert _same_bits(s, b[i : i + 1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n_lat=st.integers(1, 12),
+    n_lon=st.integers(1, 12),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    anchor=st.tuples(st.floats(-89.0, 89.0), st.floats(-180.0, 180.0), st.floats(-500.0, 3000.0)),
+)
+def test_lattice_to_enu_is_bitwise_geodetic_to_enu(n_lat, n_lon, n, seed, anchor):
+    rng = np.random.default_rng(seed)
+    lats = np.sort(rng.uniform(-89.0, 89.0, n_lat))
+    lons = np.sort(rng.uniform(-180.0, 180.0, n_lon))
+    i_lat = rng.integers(0, n_lat, n)
+    i_lon = rng.integers(0, n_lon, n)
+    alt = rng.uniform(-500.0, 9000.0, n)
+    anchor = GeoPoint(*anchor)
+    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
+    assert enu.shape == (n, 3)
+    for got, want in zip(enu.T, geodetic_to_enu(lats[i_lat], lons[i_lon], alt, anchor)):
+        assert _same_bits(np.ascontiguousarray(got), want)
+
+
+def test_lattice_to_enu_blocks_change_no_bit():
+    # Two and a half blocks of nodes: the block seams must not show.
+    rng = np.random.default_rng(4)
+    n = 5 * geodesy._LATTICE_BLOCK // 2
+    lats, lons = np.linspace(41.0, 41.3, 17), np.linspace(-3.2, -2.9, 19)
+    i_lat, i_lon = rng.integers(0, 17, n), rng.integers(0, 19, n)
+    alt = rng.uniform(0.0, 2500.0, n)
+    anchor = GeoPoint(41.15, -3.05, 700.0)
+    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
+    want = np.column_stack(geodetic_to_enu(lats[i_lat], lons[i_lon], alt, anchor))
+    assert _same_bits(enu, want)
 
 
 def test_enu_rotation_is_orthonormal():

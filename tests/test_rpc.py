@@ -336,6 +336,17 @@ def test_parse_non_finite_normalizer_names_key(pushbroom_bundle, key, value):
         parse_rpc("\n".join(lines))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["LINE_NUM_COEFF_3", "LINE_DEN_COEFF_20", "SAMP_NUM_COEFF_1", "SAMP_DEN_COEFF_2"])
+def test_parse_non_finite_coefficient_names_key(pushbroom_bundle, key, value):
+    # A non-finite coefficient would only surface later, as NaN pixels and a
+    # degenerate grid.
+    text = format_rpc(pushbroom_bundle.model)
+    lines = [f"{key}: {value}" if ln.startswith(f"{key}:") else ln for ln in text.splitlines()]
+    with pytest.raises(FormatError, match=f"^{key}: coefficient must be finite"):
+        parse_rpc("\n".join(lines))
+
+
 def test_parse_missing_coefficient_names_key(pushbroom_bundle):
     text = format_rpc(pushbroom_bundle.model)
     broken = "\n".join(

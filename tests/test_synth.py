@@ -147,6 +147,36 @@ def test_fit_rejects_interior_denominator_zero():
         fit_rpc(project, v, (256, 256))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_projection(bad):
+    # A projection that is not finite at some fit node would reach lstsq as
+    # NaN and fail there with a LAPACK complaint instead of a category.
+    v = Volume(29.9, 30.1, 39.9, 40.1, 0.0, 100.0)
+
+    def project(lat, lon, alt):
+        samp = 128.0 + 500.0 * (lon - 40.0)
+        return np.where(lat > 30.05, bad, samp), 128.0 + 500.0 * (lat - 30.0)
+
+    with pytest.raises(DegenerateError, match="not finite at every fit node along the samp axis"):
+        fit_rpc(project, v, (256, 256))
+
+
+def test_fit_rejects_non_finite_solution(monkeypatch):
+    # A non-finite fit must end as a degenerate fit, before RpcModel would
+    # reject its coefficients as a parse error.
+    v = Volume(29.9, 30.1, 39.9, 40.1, 0.0, 100.0)
+
+    def project(lat, lon, alt):
+        return 128.0 + 500.0 * (lon - 40.0), 128.0 + 500.0 * (lat - 30.0)
+
+    def lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    with pytest.raises(DegenerateError, match="rational fit along the samp axis is not finite"):
+        fit_rpc(project, v, (256, 256))
+
+
 # ---------------------------------------------------------------------------
 # Scene construction
 
