@@ -43,6 +43,12 @@ from .rpc import load_rpc, save_rpc
 from .synth import fit_scene_rpc, make_pinhole_scene, make_pushbroom_scene, render_image
 from .tiling import crop_raster, crop_rpc, enhance_brightness, format_manifest, plan_tiles
 
+# How far a warp may raise the validation RMSE before refine refuses it. A
+# warp fit to an exact pinhole leaves the error at rounding level, where it
+# moves by about 1e-13 px either way; 1e-9 px is far above that and far
+# below any error a warp is fit to remove.
+_WARP_RMSE_TOLERANCE_PX = 1e-9
+
 # Every entry maps to a stable category word so scripts can branch on stderr
 # without parsing prose. The package classes are disjoint; the two builtin
 # bases come last, because every package class but ConvergenceError is a
@@ -109,6 +115,8 @@ def cmd_refine(args) -> int:
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
     image = None
+    if args.corrected and not args.image:
+        raise ValueError("--corrected requires --image for the input image")
     if args.image:
         if not args.corrected:
             raise ValueError("--image requires --corrected for the output path")
@@ -123,6 +131,11 @@ def cmd_refine(args) -> int:
     camera, before = eq.camera, eq.report
     warp = build_refinement(model, camera, eq.fit_grid, kind=args.kind)
     after = measure_equivalence_error(model, camera, eq.val_grid, warp=warp)
+    if after.rmse > before.rmse + _WARP_RMSE_TOLERANCE_PX:
+        raise DegenerateError(
+            f"the {args.kind} warp raises the validation rmse_px from {fmt(before.rmse)} "
+            f"to {fmt(after.rmse)}; nothing written"
+        )
 
     save_warp(warp, args.warp)
     if args.camera:

@@ -9,7 +9,7 @@ into intrinsics, rotation, and translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,19 +48,6 @@ class VirtualGrid:
     @property
     def n_points(self) -> int:
         return self.lat.shape[0]
-
-
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """A direct-linear-transform solution with its reprojection residual."""
-
-    p: np.ndarray
-    residual_rms_px: float
-
-    def project(self, enu: np.ndarray):
-        """Apply the raw 3x4 matrix to (N, 3) ENU points."""
-        x = np.column_stack([enu, np.ones(len(enu))]) @ self.p.T
-        return x[:, 0] / x[:, 2], x[:, 1] / x[:, 2]
 
 
 @dataclass(frozen=True)
@@ -206,74 +193,81 @@ def _coplanar(points: np.ndarray) -> bool:
     return bool(sv[2] < 1e-9 * sv[0])
 
 
-def solve_projection(grid: VirtualGrid) -> ProjectionMatrix:
-    """Solve for the 3x4 projection matrix by normalized DLT.
-
-    Pixels are shifted to their centroid and scaled to RMS radius sqrt(2);
-    ENU points likewise to RMS radius sqrt(3) (Hartley & Zisserman, ch. 4).
-    The homogeneous system is solved by the SVD of its 12 x 12 R factor, and
-    the conditioning of the solution checked via the ratio of the two
-    smallest singular values.
-    """
-    pix = grid.pixels
-    enu = grid.enu
-    n = grid.n_points
-
-    pc = pix.mean(axis=0)
-    dp = pix - pc
-    pix_rms = np.sqrt(np.mean(np.sum(dp ** 2, axis=1)))
-    xc = enu.mean(axis=0)
-    dx = enu - xc
-    enu_rms = np.sqrt(np.mean(np.sum(dx ** 2, axis=1)))
-    if pix_rms <= 0.0 or enu_rms <= 0.0:
+def _condition(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hartley's similarity T taking (N, d) points to their centroid at RMS
+    radius sqrt(d), and the points it gives."""
+    d = points.shape[1]
+    c = points.mean(axis=0)
+    dp = points - c
+    rms = np.sqrt(np.mean(np.sum(dp ** 2, axis=1)))
+    if rms <= 0.0:
         raise IllConditionedError("correspondences collapse to a single point")
-    ps = np.sqrt(2.0) / pix_rms
-    t2 = np.array([[ps, 0, -ps * pc[0]], [0, ps, -ps * pc[1]], [0, 0, 1]])
+    s = np.sqrt(d) / rms
+    t = np.eye(d + 1)
+    t[:d, :d] *= s
+    t[:d, d] = -s * c
+    return t, dp * s
 
-    xs = np.sqrt(3.0) / enu_rms
-    t3 = np.eye(4)
-    t3[:3, :3] *= xs
-    t3[:3, 3] = -xs * xc
 
-    un = dp[:, 0] * ps
-    vn = dp[:, 1] * ps
-    xh = np.vstack([(dx * xs).T, np.ones(n)])
+def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the 3 x (d + 1) matrix M with dst ~ M [src; 1], for (N, d) *src*
+    and (N, 2) *dst*, by normalized DLT (Hartley & Zisserman, ch. 4).
+
+    Returns M in raw coordinates and the singular values of the conditioned
+    system, largest first, for the caller's own gates.
+
+    Raises:
+        IllConditionedError: if either point set collapses to a single point.
+    """
+    t_src, xn = _condition(src)
+    t_dst, un = _condition(dst)
+    n, k = xn.shape[0], xn.shape[1] + 1
+    cols = 3 * k
+    xh = np.vstack([xn.T, np.ones(n)])
 
     # Row 2i of the system is point i's samp equation, row 2i + 1 its line
-    # equation. It is filled by column, the layout LAPACK works in, so the
-    # factorization below makes no transposing copy.
-    at = np.zeros((12, 2 * n))
-    at[0:4, 0::2] = xh
-    at[8:12, 0::2] = -un * xh
-    at[4:8, 1::2] = xh
-    at[8:12, 1::2] = -vn * xh
+    # equation; zero rows pad it to at least as many rows as unknowns. It is
+    # filled by column, the layout LAPACK works in, so the factorization below
+    # makes no transposing copy.
+    at = np.zeros((cols, max(2 * n, cols)))
+    at[0:k, 0 : 2 * n : 2] = xh
+    at[2 * k :, 0 : 2 * n : 2] = -un[:, 0] * xh
+    at[k : 2 * k, 1 : 2 * n : 2] = xh
+    at[2 * k :, 1 : 2 * n : 2] = -un[:, 1] * xh
     a = at.T
 
     # Only sv and V are needed. LAPACK's gesdd takes them from the SVD of the
-    # 12 x 12 R of a QR factorization once the system has at least 22 rows,
-    # so doing that here gives the same bits without forming U.
-    r = np.linalg.qr(a, mode="r") if len(a) >= 22 else a
+    # square R of a QR factorization once the system has 11/6 as many rows as
+    # columns, so doing that here gives the same bits without forming U.
+    r = np.linalg.qr(a, mode="r") if len(a) >= 11 * cols // 6 else a
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
+    m = np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src
+    return m, sv
+
+
+def solve_projection(grid: VirtualGrid) -> np.ndarray:
+    """Solve for the 3x4 projection matrix by normalized DLT.
+
+    Returns the unit-norm matrix taking homogeneous ENU points to pixels,
+    signed so that its left 3x3 block has a positive determinant.
+
+    Raises:
+        IllConditionedError: if the correspondences collapse to a point,
+            sigma11 < 10 sigma12, or the left 3x3 is singular.
+    """
+    p, sv = _normalized_dlt(grid.enu, grid.pixels)
     # Well-posedness: the nullspace direction must stand clear of the rest.
     if sv[10] < 10.0 * sv[11]:
         raise IllConditionedError(
             f"projection system is rank deficient (sigma11/sigma12 = {sv[10] / max(sv[11], 1e-300):.3g} < 10)"
         )
-    pn = vt[-1].reshape(3, 4)
-    p = np.linalg.inv(t2) @ pn @ t3
-
     p = p / np.linalg.norm(p)
     det = np.linalg.det(p[:, :3])
     if det < 0:
         p = -p
     elif det == 0.0:
         raise IllConditionedError("left 3x3 of the projection matrix is singular")
-
-    pm = ProjectionMatrix(p=p, residual_rms_px=0.0)
-    samp, line = pm.project(enu)
-    du = samp - pix[:, 0]
-    dv = line - pix[:, 1]
-    return replace(pm, residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))))
+    return p
 
 
 def _rq(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,21 +284,25 @@ def _rq(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decompose_projection(
-    pm: ProjectionMatrix,
+    p: np.ndarray,
     grid: VirtualGrid,
     image_size: tuple[int, int],
 ) -> PinholeCamera:
-    """Factor a projection matrix into K (intrinsics), R, and t.
+    """Factor a 3x4 projection matrix into K (intrinsics), R, and t.
 
     RQ factorization of the left 3x3 block, with signs arranged so the focal
     lengths are positive, k[2, 2] == 1, and det(R) == +1. The grid fixes the
-    remaining global sign: points must sit in front of the camera.
+    remaining global sign: points must sit in front of the camera. The
+    camera's ``residual_rms_px`` is the RMS pixel distance between *p*
+    applied to the grid nodes and ``grid.pixels``.
 
     Raises:
         DecompositionError: if cheirality cannot be satisfied or the
             factorization fails to reproduce the matrix.
     """
-    p = pm.p
+    x = np.column_stack([grid.enu, np.ones(grid.n_points)]) @ p.T
+    du = x[:, 0] / x[:, 2] - grid.pixels[:, 0]
+    dv = x[:, 1] / x[:, 2] - grid.pixels[:, 1]
     k, r = _rq(p[:, :3])
     t = np.linalg.solve(k, p[:, 3])
     if np.linalg.det(r) < 0:
@@ -318,7 +316,7 @@ def decompose_projection(
         t=t,
         anchor=grid.anchor,
         image_size=image_size,
-        residual_rms_px=pm.residual_rms_px,
+        residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))),
     )
 
     depths = camera.depths(grid.enu)
@@ -378,11 +376,12 @@ def fit_equivalence(
     half a cell so no node is shared. Both grids are returned for reuse, so a
     refinement warp and its before/after reports need no further grids.
     """
+    # Imported here because error_analysis imports this module at load time.
     from .error_analysis import measure_equivalence_error
 
     fit_grid = build_virtual_grid(model, image_size, dims)
-    pm = solve_projection(fit_grid)
-    camera = decompose_projection(pm, fit_grid, image_size)
+    p = solve_projection(fit_grid)
+    camera = decompose_projection(p, fit_grid, image_size)
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
     report = measure_equivalence_error(model, camera, val_grid)

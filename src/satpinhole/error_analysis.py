@@ -11,16 +11,14 @@ scene depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .equivalence import DEFAULT_GRID_DIMS, PinholeCamera, VirtualGrid, build_virtual_grid, equate
 from .kvio import fmt, get_float, get_ints, read_kv
 from .raster import NODATA, Raster
 from .rpc import RpcModel
-
-if TYPE_CHECKING:
-    from .equivalence import PinholeCamera, VirtualGrid
+from .tiling import crop_rpc
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ def parse_equivalence_report(text: str) -> EquivalenceReport:
 
 def measure_equivalence_error(
     model: RpcModel,
-    camera: "PinholeCamera",
-    grid: "VirtualGrid",
+    camera: PinholeCamera,
+    grid: VirtualGrid,
     warp=None,
 ) -> EquivalenceReport:
     """Compare rational and pinhole projections over a virtual grid.
@@ -116,10 +114,10 @@ def predict_error(x, z_cam, z_mean):
 
 def error_field(
     model: RpcModel,
-    camera: "PinholeCamera",
+    camera: PinholeCamera,
     image_size: tuple[int, int],
     cell_px: float,
-    grid: "VirtualGrid | None" = None,
+    grid: VirtualGrid | None = None,
 ) -> Raster:
     """Rasterize the mean projection discrepancy over the image plane.
 
@@ -142,8 +140,6 @@ def error_field(
     Returns:
         Raster in image coordinates: origin (0, 0), cell_size == cell_px.
     """
-    from .equivalence import build_virtual_grid
-
     if not (np.isfinite(cell_px) and cell_px > 0):
         raise ValueError(f"cell size must be finite and positive, got {cell_px}")
     w, h = image_size
@@ -193,9 +189,6 @@ def size_sweep(
     Returns:
         List of (crop_size, EquivalenceReport), in input order.
     """
-    from .equivalence import DEFAULT_GRID_DIMS, equate
-    from .tiling import crop_rpc
-
     if dims is None:
         dims = DEFAULT_GRID_DIMS
     w, h = image_size

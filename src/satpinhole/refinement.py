@@ -11,17 +11,14 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt
 from .errors import DegenerateError, FormatError
 from .kvio import fmt, get_float, get_floats, read_kv
 from .raster import Raster, _row_blocks, interpolate
-
-if TYPE_CHECKING:
-    from .equivalence import PinholeCamera, VirtualGrid
-    from .rpc import RpcModel
+from .rpc import RpcModel
 
 # Coefficients of the identity quadratic warp: x' = x, y' = y.
 IDENTITY_COEFFS = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -87,11 +84,23 @@ def _compose_affine(m6: np.ndarray, a: float, b: float, c: float, d: float) -> n
     )
 
 
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (N, 2) point array, got shape {arr.shape}")
-    return arr
+def _correspondences(src, dst, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check two (N, 2) point arrays of equal shape, with N >= *minimum*."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    for arr in (src, dst):
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"expected (N, 2) point array, got shape {arr.shape}")
+    if src.shape != dst.shape:
+        raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
+    if src.shape[0] < minimum:
+        raise DegenerateError(f"need at least {minimum} correspondences, got {src.shape[0]}")
+    return src, dst
+
+
+def _fit_rms(warp, src: np.ndarray, dst: np.ndarray) -> float:
+    px, py = warp.apply(src[:, 0], src[:, 1])
+    return float(np.sqrt(np.mean((px - dst[:, 0]) ** 2 + (py - dst[:, 1]) ** 2)))
 
 
 def fit_polynomial(src, dst) -> PolynomialWarp:
@@ -106,13 +115,8 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
         DegenerateError: fewer than 6 points, or source points
             lying on a single conic (rank-deficient design).
     """
-    src = _as_points(src)
-    dst = _as_points(dst)
-    if src.shape != dst.shape:
-        raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
+    src, dst = _correspondences(src, dst, 6)
     n = src.shape[0]
-    if n < 6:
-        raise DegenerateError(f"need at least 6 correspondences, got {n}")
 
     lo = src.min(axis=0)
     hi = src.max(axis=0)
@@ -122,12 +126,11 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     yn = (src[:, 1] - center[1]) / scale[1]
 
     a = np.column_stack([np.ones(n), xn, yn, xn * yn, xn * xn, yn * yn])
-    sv = np.linalg.svd(a, compute_uv=False)
+    coeffs, _, _, sv = np.linalg.lstsq(a, dst, rcond=None)
     if sv[-1] < 1e-10 * sv[0]:
         raise DegenerateError(
             "source points lie on a single conic; quadratic warp is not determined"
         )
-    coeffs, _, _, _ = np.linalg.lstsq(a, dst, rcond=None)
 
     ax, bx = 1.0 / scale[0], -center[0] / scale[0]
     ay, by = 1.0 / scale[1], -center[1] / scale[1]
@@ -135,62 +138,34 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     my = _compose_affine(coeffs[:, 1], ax, bx, ay, by)
 
     trial = PolynomialWarp(m=np.concatenate([mx, my]))
-    px, py = trial.apply(src[:, 0], src[:, 1])
-    rms = float(np.sqrt(np.mean((px - dst[:, 0]) ** 2 + (py - dst[:, 1]) ** 2)))
-    return PolynomialWarp(m=trial.m, fit_rms_px=rms)
+    return PolynomialWarp(m=trial.m, fit_rms_px=_fit_rms(trial, src, dst))
 
 
 def fit_homography(src, dst) -> Homography:
-    """Fit a plane homography by normalized direct linear transform.
+    """Fit a plane homography by the normalized DLT of ``solve_projection``.
 
     Raises:
-        DegenerateError: fewer than 4 points or a collinear
-            source configuration.
+        DegenerateError: fewer than 4 points, a collinear source
+            configuration, or a fit whose h22 vanishes.
+        IllConditionedError: either point set collapses to a single point.
     """
-    src = _as_points(src)
-    dst = _as_points(dst)
-    if src.shape != dst.shape:
-        raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
-    n = src.shape[0]
-    if n < 4:
-        raise DegenerateError(f"need at least 4 correspondences, got {n}")
-
-    def conditioner(pts):
-        c = pts.mean(axis=0)
-        s = np.sqrt(2.0) / max(np.sqrt(np.mean(np.sum((pts - c) ** 2, axis=1))), 1e-12)
-        t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1]])
-        return t, (pts - c) * s
-
-    t1, sn = conditioner(src)
-    t2, dn = conditioner(dst)
-
-    a = np.zeros((max(2 * n, 9), 9))
-    sh = np.column_stack([sn, np.ones(n)])
-    a[0 : 2 * n : 2, 0:3] = sh
-    a[0 : 2 * n : 2, 6:9] = -dn[:, 0][:, None] * sh
-    a[1 : 2 * n : 2, 3:6] = sh
-    a[1 : 2 * n : 2, 6:9] = -dn[:, 1][:, None] * sh
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    src, dst = _correspondences(src, dst, 4)
+    h, sv = _normalized_dlt(src, dst)
     if sv[7] < 1e-8 * sv[0]:
         raise DegenerateError(
             "source points are collinear; homography is not determined"
         )
-    hn = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t2) @ hn @ t1
     if abs(h[2, 2]) < 1e-12 * np.abs(h).max():
         raise DegenerateError("homography is degenerate (h22 vanishes)")
-    h = h / h[2, 2]
 
-    trial = Homography(h=h)
-    px, py = trial.apply(src[:, 0], src[:, 1])
-    rms = float(np.sqrt(np.mean((px - dst[:, 0]) ** 2 + (py - dst[:, 1]) ** 2)))
-    return Homography(h=trial.h, fit_rms_px=rms)
+    trial = Homography(h=h / h[2, 2])
+    return Homography(h=trial.h, fit_rms_px=_fit_rms(trial, src, dst))
 
 
 def build_refinement(
-    model: "RpcModel",
-    camera: "PinholeCamera",
-    grid: "VirtualGrid",
+    model: RpcModel,
+    camera: PinholeCamera,
+    grid: VirtualGrid,
     kind: str = "polynomial",
 ):
     """Fit the warp taking pinhole projections onto rational projections.
@@ -267,14 +242,17 @@ def parse_warp(text: str):
     kv = read_kv(text)
     kind = kv.get("KIND")
     if kind == "polynomial":
-        m = get_floats(kv, "M", 12)
-        rms = get_float(kv, "FIT_RMS_PX")
-        return PolynomialWarp(m=np.array(m), fit_rms_px=rms)
-    if kind == "homography":
-        hv = get_floats(kv, "H", 9)
-        rms = get_float(kv, "FIT_RMS_PX")
-        return Homography(h=np.array(hv).reshape(3, 3), fit_rms_px=rms)
-    raise FormatError(f"unknown warp kind: {kind!r}")
+        key, warp_type, count = "M", PolynomialWarp, 12
+    elif kind == "homography":
+        key, warp_type, count = "H", Homography, 9
+    else:
+        raise FormatError(f"unknown warp kind: {kind!r}")
+    values = np.array(get_floats(kv, key, count))
+    rms = get_float(kv, "FIT_RMS_PX")
+    for name, value in ((key, values), ("FIT_RMS_PX", rms)):
+        if not np.all(np.isfinite(value)):
+            raise FormatError(f"{name}: values must be finite, got {kv[name]!r}")
+    return warp_type(values, fit_rms_px=rms)
 
 
 def load_warp(path):

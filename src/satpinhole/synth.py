@@ -446,7 +446,11 @@ def make_pinhole_scene(
 
     offset = rng.uniform(-0.18, 0.18, 2) * sensor_height
     center = np.array([offset[0], offset[1], sensor_height])
-    z = -center / np.linalg.norm(center)
+    with np.errstate(over="ignore"):
+        distance = np.linalg.norm(center)
+    if not np.isfinite(distance):
+        raise ValueError(f"sensor height {sensor_height:g} m puts the camera out of floating-point range")
+    z = -center / distance
     up = np.array([0.0, 1.0, 0.0])
     x = np.cross(z, up)
     x = x / np.linalg.norm(x)

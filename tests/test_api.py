@@ -1,7 +1,14 @@
-"""The package exports exactly the names its ``__init__`` imports."""
+"""The package exports exactly the names its ``__init__`` imports, and each
+of its modules imports on its own."""
 
 import ast
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import satpinhole
 
@@ -20,3 +27,15 @@ def test_all_matches_imported_names():
         if not (alias.asname or alias.name).startswith("_")
     }
     assert set(exported) == imported
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(satpinhole.__path__)))
+def test_module_imports_in_a_fresh_interpreter(module):
+    # Modules import each other at load time; a cycle among those imports
+    # fails here, whichever module a caller loads first.
+    env = dict(os.environ, PYTHONPATH=str(Path(satpinhole.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import satpinhole.{module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

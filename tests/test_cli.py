@@ -134,6 +134,8 @@ def test_synth_pushbroom_camera_file(tmp_path):
         ("pinhole", ["--extent-deg", "inf"]),
         ("pushbroom", ["--extent-deg", "200"]),
         ("pushbroom", ["--extent-deg", "1e300"]),
+        ("pinhole", ["--sensor-height", "1e200"]),
+        ("pinhole", ["--sensor-height", "1e300"]),
     ],
 )
 def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
@@ -264,6 +266,61 @@ def test_refine_image_without_corrected(tmp_path, scene_dir, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: invalid:")
+
+
+def test_refine_corrected_without_image(tmp_path, scene_dir, capsys):
+    warp, corrected = tmp_path / "warp.txt", tmp_path / "corrected.asc"
+    rc = main(
+        [
+            "refine",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--warp", str(warp),
+            "--corrected", str(corrected),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid:")
+    assert not warp.exists() and not corrected.exists()
+
+
+@pytest.fixture(scope="module")
+def small_tiles(tmp_path_factory):
+    """64 px tiles of a 512 px pushbroom scene. Each keeps only a few dozen
+    fit nodes, in two or three ground columns, where a quadratic warp
+    extrapolates far from the model."""
+    out = tmp_path_factory.mktemp("small_tiles")
+    assert main(
+        ["synth", "--kind", "pushbroom", "--seed", "21", "--out-dir", str(out / "scene"),
+         "--image-size", "512", "512", "--extent-deg", "0.16", "--relief", "60"]
+    ) == 0
+    assert main(
+        ["partition", str(out / "scene" / "image.asc"), str(out / "scene" / "rpc.txt"),
+         "--out-dir", str(out / "tiles"), "--tile-size", "64", "--overlap", "0"]
+    ) == 0
+    return out / "tiles"
+
+
+@pytest.mark.parametrize("tile", ["000", "010", "020"])
+def test_refine_refuses_a_warp_that_raises_the_error(tmp_path, small_tiles, capsys, tile):
+    outputs = [tmp_path / name for name in ("warp.txt", "cam.txt", "before.txt", "after.txt")]
+    rc = main(
+        [
+            "refine",
+            str(small_tiles / f"tile_{tile}.rpc"),
+            "--image-size", "64", "64",
+            "--warp", str(outputs[0]),
+            "--camera", str(outputs[1]),
+            "--report-before", str(outputs[2]),
+            "--report-after", str(outputs[3]),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate:") and len(err.splitlines()) == 1, err
+    before, after = (float(v) for v in re.search(r"from (\S+) to (\S+);", err).groups())
+    assert after > 10 * before
+    assert not any(path.exists() for path in outputs)
 
 
 def test_refine_rejects_image_of_another_size(tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from satpinhole.equivalence import (
     PinholeCamera,
-    ProjectionMatrix,
     VirtualGrid,
     _axis_nodes,
     _rq,
@@ -189,22 +188,23 @@ def test_negated_matrix_gives_identical_camera(pushbroom_bundle):
     model = pushbroom_bundle.model
     size = pushbroom_bundle.scene.image_size
     grid = build_virtual_grid(model, size)
-    pm = solve_projection(grid)
-    cam_a = decompose_projection(pm, grid, size)
-    flipped = ProjectionMatrix(p=-pm.p, residual_rms_px=pm.residual_rms_px)
-    cam_b = decompose_projection(flipped, grid, size)
+    p = solve_projection(grid)
+    cam_a = decompose_projection(p, grid, size)
+    cam_b = decompose_projection(-p, grid, size)
     np.testing.assert_allclose(cam_a.k, cam_b.k, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cam_a.r, cam_b.r, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(cam_a.t, cam_b.t, rtol=1e-12, atol=1e-12)
 
 
 def test_projection_matrix_residual_is_small(pinhole_bundle):
-    grid = build_virtual_grid(pinhole_bundle.model, pinhole_bundle.scene.image_size)
-    pm = solve_projection(grid)
-    assert pm.residual_rms_px < 1e-6
-    s, ln = pm.project(grid.enu)
-    err = np.hypot(s - grid.pixels[:, 0], ln - grid.pixels[:, 1])
-    assert np.sqrt(np.mean(err**2)) == pytest.approx(pm.residual_rms_px, rel=1e-9)
+    size = pinhole_bundle.scene.image_size
+    grid = build_virtual_grid(pinhole_bundle.model, size)
+    p = solve_projection(grid)
+    cam = decompose_projection(p, grid, size)
+    assert cam.residual_rms_px < 1e-6
+    x = np.column_stack([grid.enu, np.ones(grid.n_points)]) @ p.T
+    err = np.hypot(x[:, 0] / x[:, 2] - grid.pixels[:, 0], x[:, 1] / x[:, 2] - grid.pixels[:, 1])
+    assert np.sqrt(np.mean(err**2)) == pytest.approx(cam.residual_rms_px, rel=1e-9)
 
 
 def _reference_projection(grid):
@@ -234,18 +234,18 @@ def _reference_projection(grid):
 @pytest.mark.parametrize("dims", [(20, 20, 10), (6, 5, 3), (30, 30, 15)])
 def test_projection_agrees_with_thin_svd_reference(pushbroom_bundle, dims):
     grid = build_virtual_grid(pushbroom_bundle.model, pushbroom_bundle.scene.image_size, dims)
-    pm = solve_projection(grid)
-    np.testing.assert_allclose(pm.p, _reference_projection(grid), rtol=0, atol=1e-12)
+    p = solve_projection(grid)
+    np.testing.assert_allclose(p, _reference_projection(grid), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [6, 10, 11, 40])
 def test_projection_agrees_with_thin_svd_reference_on_few_points(n):
     # Systems under 22 rows are solved from the full matrix, taller ones from
     # the R factor; both give the reference camera.
-    pm_true, grid = _synthetic_camera_and_grid(tz=500.0, n=n)
-    pm = solve_projection(grid)
-    np.testing.assert_allclose(pm.p, _reference_projection(grid), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pm.p, pm_true.p, rtol=0, atol=1e-9)
+    p_true, grid = _synthetic_camera_and_grid(tz=500.0, n=n)
+    p = solve_projection(grid)
+    np.testing.assert_allclose(p, _reference_projection(grid), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p, p_true, rtol=0, atol=1e-9)
 
 
 def test_localize_at_height_inverts_projection(pinhole_bundle):
@@ -307,15 +307,14 @@ def _synthetic_camera_and_grid(tz: float, n: int = 40):
         anchor=GeoPoint(0.0, 0.0, 0.0),
     )
     p = k @ np.column_stack([r, t])
-    pm = ProjectionMatrix(p=p / np.linalg.norm(p), residual_rms_px=0.0)
-    return pm, grid
+    return p / np.linalg.norm(p), grid
 
 
 def test_points_straddling_the_camera_plane_rejected():
     # Depth tz +- 50: some grid points land behind the camera.
-    pm, grid = _synthetic_camera_and_grid(tz=10.0)
+    p, grid = _synthetic_camera_and_grid(tz=10.0)
     with pytest.raises(DecompositionError, match="behind"):
-        decompose_projection(pm, grid, (640, 480))
+        decompose_projection(p, grid, (640, 480))
 
 
 def test_mirror_camera_rejected():
@@ -338,9 +337,8 @@ def test_mirror_camera_rejected():
         anchor=GeoPoint(0.0, 0.0, 0.0),
     )
     p = k @ np.column_stack([r, t])
-    pm = ProjectionMatrix(p=p / np.linalg.norm(p), residual_rms_px=0.0)
     with pytest.raises(DecompositionError, match="mirror"):
-        decompose_projection(pm, grid, (640, 480))
+        decompose_projection(p / np.linalg.norm(p), grid, (640, 480))
 
 
 def test_rq_factors_random_matrices():
@@ -357,8 +355,8 @@ def test_rq_factors_random_matrices():
 
 
 def test_decompose_recovers_synthetic_camera():
-    pm, grid = _synthetic_camera_and_grid(tz=500.0)
-    cam = decompose_projection(pm, grid, (640, 480))
+    p, grid = _synthetic_camera_and_grid(tz=500.0)
+    cam = decompose_projection(p, grid, (640, 480))
     np.testing.assert_allclose(cam.k, [[900, 0, 320], [0, 880, 240], [0, 0, 1]], atol=1e-9)
     np.testing.assert_allclose(cam.r, np.eye(3), atol=1e-9)
     np.testing.assert_allclose(cam.t, [0, 0, 500], atol=1e-9)

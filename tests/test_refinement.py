@@ -168,6 +168,42 @@ def test_fit_homography_collinear():
         fit_homography(src, src)
 
 
+def _reference_homography(src, dst):
+    """The normalized DLT with the row-major system and its full thin SVD."""
+
+    def conditioner(pts):
+        c = pts.mean(axis=0)
+        s = np.sqrt(2.0) / np.sqrt(np.mean(np.sum((pts - c) ** 2, axis=1)))
+        t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1]])
+        return t, (pts - c) * s
+
+    n = len(src)
+    t1, sn = conditioner(src)
+    t2, dn = conditioner(dst)
+    a = np.zeros((max(2 * n, 9), 9))
+    sh = np.column_stack([sn, np.ones(n)])
+    a[0 : 2 * n : 2, 0:3] = sh
+    a[0 : 2 * n : 2, 6:9] = -dn[:, 0][:, None] * sh
+    a[1 : 2 * n : 2, 3:6] = sh
+    a[1 : 2 * n : 2, 6:9] = -dn[:, 1][:, None] * sh
+    vt = np.linalg.svd(a, full_matrices=False)[2]
+    h = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
+    return h / h[2, 2]
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 30])
+def test_fit_homography_agrees_with_full_svd_reference(n):
+    # Systems under 16 rows are solved from the full matrix, taller ones from
+    # the R factor; both give the reference homography.
+    truth = np.array([[1.02, 0.03, -5.0], [-0.01, 0.98, 7.0], [1e-5, -2e-5, 1.0]])
+    rng = np.random.default_rng(n)
+    src = _scatter(rng, n, 0.0, 500.0)
+    hom = np.column_stack([src, np.ones(n)]) @ truth.T
+    dst = hom[:, :2] / hom[:, 2:3] + rng.normal(0.0, 0.5, (n, 2))
+    warp = fit_homography(src, dst)
+    np.testing.assert_allclose(warp.h, _reference_homography(src, dst), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Refinement on a rational model
 
@@ -352,6 +388,21 @@ def test_parse_warp_missing_field():
     text = "KIND: homography\nH: 1 0 0 0 1 0 0 0 1\n"
     with pytest.raises(FormatError, match="FIT_RMS_PX"):
         parse_warp(text)
+
+
+@pytest.mark.parametrize(
+    "kind, key, text",
+    [
+        ("polynomial", "M", "M: nan 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: 0\n"),
+        ("polynomial", "FIT_RMS_PX", "M: 0 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: inf\n"),
+        ("homography", "H", "H: 1 0 0 0 1 0 0 -inf 1\nFIT_RMS_PX: 0\n"),
+        ("homography", "FIT_RMS_PX", "H: 1 0 0 0 1 0 0 0 1\nFIT_RMS_PX: nan\n"),
+    ],
+    ids=["poly-M-nan", "poly-rms-inf", "homography-H-inf", "homography-rms-nan"],
+)
+def test_parse_warp_non_finite_value_names_key(kind, key, text):
+    with pytest.raises(FormatError, match=f"^{key}: values must be finite"):
+        parse_warp(f"KIND: {kind}\n" + text)
 
 
 def test_parse_warp_malformed_line():
