@@ -27,14 +27,7 @@ from .error_analysis import (
     measure_equivalence_error,
     write_field_preview,
 )
-from .errors import (
-    ConvergenceError,
-    DecompositionError,
-    DegenerateError,
-    FormatError,
-    IllConditionedError,
-    LatticeError,
-)
+from .errors import DegenerateError
 from .fusion import FusionConfig, dsm_metrics, format_metrics_report, fuse_views
 from .kvio import fmt
 from .raster import load_ascii_grid, save_ascii_grid
@@ -49,26 +42,16 @@ from .tiling import crop_raster, crop_rpc, enhance_brightness, format_manifest, 
 # below any error a warp is fit to remove.
 _WARP_RMSE_TOLERANCE_PX = 1e-9
 
-# Every entry maps to a stable category word so scripts can branch on stderr
-# without parsing prose. The package classes are disjoint; the two builtin
-# bases come last, because every package class but ConvergenceError is a
-# ValueError.
-_ERROR_CATEGORIES = (
-    (FormatError, "parse"),
-    (DegenerateError, "degenerate"),
-    (ConvergenceError, "convergence"),
-    (IllConditionedError, "ill-conditioned"),
-    (DecompositionError, "decomposition"),
-    (LatticeError, "lattice"),
-    (OSError, "io"),
-    (ValueError, "invalid"),
-)
-
-
 def _category_for(exc: Exception) -> str | None:
-    for klass, category in _ERROR_CATEGORIES:
-        if isinstance(exc, klass):
-            return category
+    """The stable word that names *exc*'s category on stderr, so scripts can
+    branch on it without parsing prose; None for a bug."""
+    category = getattr(type(exc), "category", None)
+    if category is not None:
+        return category
+    if isinstance(exc, OSError):
+        return "io"
+    if isinstance(exc, ValueError):
+        return "invalid"
     return None
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LatticeError
 from .kvio import fmt
-from .raster import Raster, _row_blocks
+from .raster import Raster, _row_blocks, valid_cells
 
 MAD_CONSISTENCY = 1.4826  # scales MAD to a Gaussian sigma estimate
 
@@ -183,7 +183,7 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
                 if lo < hi:
                     part = r.values[lo - row : hi - row]
                     stack[i, lo - rows.start : hi - rows.start, col : col + r.ncols] = np.where(
-                        part != r.nodata, part.astype(np.float64), np.nan
+                        valid_cells(part, r.nodata), part.astype(np.float64), np.nan
                     )
             med = _median_views(stack)
             dev = np.abs(stack - med)

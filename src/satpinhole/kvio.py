@@ -18,7 +18,7 @@ def read_kv(text: str) -> dict[str, str]:
     """Parse ``KEY: value`` lines into an ordered dict of raw value strings.
 
     Blank lines and lines starting with ``#`` are skipped. A non-blank line
-    without a colon raises FormatError.
+    without a colon, or a key that appears twice, raises FormatError.
     """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -28,19 +28,16 @@ def read_kv(text: str) -> dict[str, str]:
         if ":" not in line:
             raise FormatError(f"line {lineno}: expected 'KEY: value', got {line!r}")
         key, _, value = line.partition(":")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise FormatError(f"line {lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 def get_float(kv: dict[str, str], key: str) -> float:
-    """Fetch a required numeric value, tolerating a trailing unit token."""
-    if key not in kv:
-        raise FormatError(f"missing required key: {key}")
-    token = kv[key].split()[0] if kv[key].split() else ""
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"{key}: non-numeric value {kv[key]!r}") from None
+    """Fetch a required value that is exactly one float."""
+    return get_floats(kv, key, 1)[0]
 
 
 def get_floats(kv: dict[str, str], key: str, count: int) -> list[float]:

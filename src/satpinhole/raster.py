@@ -37,6 +37,11 @@ _BLOCK_CELLS = 1 << 14
 _WRITE_CELLS = 1 << 11
 
 
+def valid_cells(values: np.ndarray, nodata: float) -> np.ndarray:
+    """The package's one test of a valid cell: finite and not *nodata*."""
+    return np.isfinite(values) & (values != nodata)
+
+
 @dataclass
 class Raster:
     """A rectangular grid of values with a nodata sentinel.
@@ -70,7 +75,7 @@ class Raster:
         return self.values.shape[1]
 
     def valid_mask(self) -> np.ndarray:
-        return self.values != self.nodata
+        return valid_cells(self.values, self.nodata)
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.valid_mask()]
@@ -381,9 +386,9 @@ def interpolate(raster: Raster, fx, fy, clamp: bool = True):
 
     Index (0, 0) is the center of the top-left cell. With clamp=True indices
     outside the grid are clamped to the border cells; otherwise indices more
-    than half a cell outside return the nodata sentinel. A neighbor that is
-    nodata, NaN or infinite yields nodata if its weight is nonzero and is
-    ignored otherwise.
+    than half a cell outside return the nodata sentinel. A neighbor that fails
+    :func:`valid_cells` (written out here, as its finite mask is reused) yields
+    nodata if its weight is nonzero and is ignored otherwise.
     """
     inside = (fx >= -0.5) & (fx <= raster.ncols - 0.5) & (fy >= -0.5) & (fy <= raster.nrows - 0.5)
     cx = np.clip(fx, 0.0, raster.ncols - 1.0)

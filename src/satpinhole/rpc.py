@@ -161,15 +161,18 @@ class RpcModel:
 def parse_rpc(text: str) -> RpcModel:
     """Parse an RPC sidecar document.
 
-    Values may carry a trailing unit token (``pixels``, ``degrees``,
-    ``meters``), which is ignored. Unknown keys are tolerated. Missing keys,
-    non-numeric values, non-finite normalizers or coefficients, non-positive
-    scales, and denominators whose first coefficient differs from 1 all raise
-    FormatError naming the key.
+    A normalizer may carry its own unit word, as ``format_rpc`` writes it;
+    unknown keys are tolerated. Missing or repeated keys, non-numeric values,
+    any other extra token, non-finite normalizers or coefficients,
+    non-positive scales, and denominators whose first coefficient differs
+    from 1 all raise FormatError naming the key.
     """
     kv = kvio.read_kv(text)
     fields: dict[str, object] = {}
-    for name, key, _ in _NORMALIZER_FIELDS:
+    for name, key, unit in _NORMALIZER_FIELDS:
+        tokens = kv.get(key, "").split()
+        if tokens[1:] == [unit]:
+            kv[key] = tokens[0]
         fields[name] = kvio.get_float(kv, key)
     for name, prefix in _COEFF_FIELDS:
         fields[name] = np.array(

@@ -68,8 +68,8 @@ def plan_tiles(image_size: tuple[int, int], tile_size: int, overlap: int) -> Til
         raise ValueError(f"overlap must satisfy 0 <= overlap < tile_size, got {overlap}")
     tw = min(tile_size, w)
     th = min(tile_size, h)
-    cols = _axis_starts(w, tw, min(overlap, tw - 1) if tw > 1 else 0)
-    rows = _axis_starts(h, th, min(overlap, th - 1) if th > 1 else 0)
+    cols = _axis_starts(w, tw, overlap)
+    rows = _axis_starts(h, th, overlap)
     tiles = tuple(Tile(c, r, tw, th) for r in rows for c in cols)
     return TilePlan(tiles=tiles, tile_size=(tw, th), overlap=overlap, parent_size=(w, h))
 
@@ -158,6 +158,8 @@ def parse_manifest(text: str):
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 5 and parts[0] == "parent":
+                if parts[3] != "overlap":
+                    raise FormatError(f"line {lineno}: expected 'overlap', got {parts[3]!r}")
                 try:
                     parent = (int(parts[1]), int(parts[2]))
                     overlap = int(parts[4])
@@ -173,6 +175,11 @@ def parse_manifest(text: str):
             raise FormatError(f"line {lineno}: non-integer geometry field") from None
         if idx != len(tiles):
             raise FormatError(f"line {lineno}: tile index {idx} out of order")
+        if col < 0 or row < 0 or width < 1 or height < 1:
+            raise FormatError(
+                f"line {lineno}: a tile needs col, row >= 0 and width, height >= 1, "
+                f"got {col} {row} {width} {height}"
+            )
         tiles.append(Tile(col, row, width, height))
         image_paths.append(parts[5])
         rpc_paths.append(parts[6])

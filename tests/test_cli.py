@@ -481,6 +481,30 @@ def test_partition_enhance_flag(tmp_path, scene_dir, capsys):
     assert (tile.values[~valid] == tile.nodata).all()
 
 
+def test_partition_enhance_keeps_a_nan_cell_to_itself(tmp_path, scene_dir, capsys):
+    # The stretch takes its percentiles from valid cells only, so one NaN
+    # cell stays NaN and leaves every other cell stretched.
+    original = load_ascii_grid(scene_dir / "image.asc")
+    valid = original.valid_mask()
+    values = np.where(valid, original.values * 0.3, original.values)
+    cells = np.argwhere(valid)
+    row, col = cells[len(cells) // 2]
+    values[row, col] = np.nan
+    dark_path = tmp_path / "dark.asc"
+    save_ascii_grid(original.like(values), dark_path)
+
+    out_dir = tmp_path / "tiles"
+    argv = ["partition", str(dark_path), str(scene_dir / "rpc.txt"), "--out-dir", str(out_dir)]
+    assert main(argv + ["--tile-size", "96", "--overlap", "0", "--enhance"]) == 0
+    tile = load_ascii_grid(out_dir / "tile_000.asc")
+    assert np.argwhere(np.isnan(tile.values)).tolist() == [[row, col]]
+    stretched = tile.valid_mask()
+    assert stretched.sum() == valid.sum() - 1
+    assert tile.values[stretched].min() == 0.0
+    assert tile.values[stretched].max() == pytest.approx(255.0)
+    assert (tile.values[~valid] == tile.nodata).all()
+
+
 # ---------------------------------------------------------------------------
 # error-map, fuse, metrics
 

@@ -3,6 +3,7 @@ and text parsers that fail only with FormatError."""
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satpinhole
-from satpinhole.cli import _ERROR_CATEGORIES, _category_for
+from satpinhole.cli import _category_for
 from satpinhole.equivalence import PinholeCamera, format_camera, parse_camera
 from satpinhole.error_analysis import (
     EquivalenceReport,
@@ -33,6 +34,7 @@ from satpinhole.rpc import RpcModel, format_rpc, parse_rpc
 from satpinhole.tiling import format_manifest, parse_manifest, plan_tiles
 
 PACKAGE = Path(satpinhole.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CATEGORIES = {
     FormatError: "parse",
@@ -98,8 +100,16 @@ def test_category_for(exc, category):
     assert _category_for(exc) == category
 
 
-def test_error_table_has_one_entry_per_category():
-    assert [klass for klass, _ in _ERROR_CATEGORIES] == [*CATEGORIES, OSError, ValueError]
+def test_each_class_carries_its_category_word():
+    assert {klass: klass.category for klass in CATEGORIES} == CATEGORIES
+
+
+def test_readme_error_table_lists_every_category():
+    section = README.read_text().split("**Errors.**", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {klass.strip(" `"): word.strip(" `") for word, klass in rows}
+    expected = {klass.__name__: klass.category for klass in CATEGORIES}
+    assert table == {**expected, "OSError": "io", "ValueError": "invalid"}
 
 
 def _documents():
@@ -159,3 +169,26 @@ def test_damaged_documents_parse_or_raise_format_error(data, case):
         parse("".join(lines))
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("extra", ["junk", "60"])
+@pytest.mark.parametrize(
+    "key", ["ANCHOR_ALT", "RESIDUAL_RMS_PX", "FIT_RMS_PX", "RMSE_PX", "MAX_ERROR_PX"]
+)
+def test_one_number_with_an_extra_token_names_key(key, extra):
+    # A camera, warp or report value is one number; a second token is damage.
+    pattern = re.compile(rf"^{key}: .*$", re.M)
+    cases = [(text, parse) for text, parse in DOCUMENTS if pattern.search(text)]
+    assert cases
+    for text, parse in cases:
+        with pytest.raises(FormatError, match=f"^{key}:"):
+            parse(pattern.sub(lambda m: f"{m.group(0)} {extra}", text))
+
+
+@pytest.mark.parametrize("key", ["LINE_NUM_COEFF_5", "K", "M", "H", "N_POINTS"])
+def test_repeated_key_is_a_parse_error(key):
+    # Neither the first nor the last copy of a key may win silently.
+    pattern = re.compile(rf"^{key}: .*\n", re.M)
+    ((text, parse),) = [(text, parse) for text, parse in DOCUMENTS if pattern.search(text)]
+    with pytest.raises(FormatError, match=f"repeated key '{key}'"):
+        parse(text + pattern.search(text).group(0))

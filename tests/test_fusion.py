@@ -69,6 +69,14 @@ def test_mosaic_skips_nodata_contributions():
     np.testing.assert_array_equal(out.values, [[2.0, 8.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mosaic_skips_non_finite_contributions(bad):
+    a = _raster([[1.0, 2.0]], origin=(0.0, 0.0))
+    b = _raster([[bad, 4.0]], origin=(1.0, 0.0))
+    out = mosaic_tiles([a, b])
+    np.testing.assert_array_equal(out.values, [[1.0, 2.0, 4.0]])
+
+
 def test_mosaic_rejects_cell_size_mismatch():
     a = _raster([[1.0]], cell=1.0)
     b = _raster([[1.0]], cell=2.0)
@@ -153,6 +161,14 @@ def test_fuse_mean_of_inliers():
     config = FusionConfig(aggregator="mean", min_neighbors=1)
     out = fuse_views(views, config)
     assert out.values[0, 0] == pytest.approx(m, abs=1e-12)
+
+
+@pytest.mark.parametrize("aggregator", ["median", "mean"])
+def test_fuse_reads_infinities_as_nodata(aggregator):
+    config = FusionConfig(min_neighbors=1, aggregator=aggregator)
+    infinite = fuse_views(_stack_views([[np.inf], [-np.inf], [3.0]]), config)
+    missing = fuse_views(_stack_views([[np.nan], [np.nan], [3.0]]), config)
+    assert infinite.values[0, 0] == missing.values[0, 0] == 3.0
 
 
 def test_fuse_threshold_is_inclusive():

@@ -26,9 +26,17 @@ def test_read_kv_requires_colon():
         read_kv("A 1\n")
 
 
-def test_get_float_tolerates_units():
-    kv = read_kv("LINE_OFF: +512.5 pixels\n")
+def test_read_kv_rejects_a_repeated_key():
+    with pytest.raises(FormatError, match=r"line 3: repeated key 'K'"):
+        read_kv("K: 1\nA: 2\nK: 3\n")
+
+
+def test_get_float_reads_exactly_one_number():
+    kv = read_kv("LINE_OFF: +512.5\nUNIT: 512.5 pixels\nEMPTY:\n")
     assert get_float(kv, "LINE_OFF") == 512.5
+    for key in ("UNIT", "EMPTY"):
+        with pytest.raises(FormatError, match=key):
+            get_float(kv, key)
 
 
 def test_get_float_missing_key():

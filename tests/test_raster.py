@@ -29,6 +29,12 @@ def _demo():
     return Raster(values=values, cell_size=10.0, origin=(100.0, 200.0))
 
 
+def test_valid_mask_is_finite_and_not_nodata():
+    r = Raster(values=np.array([[1.0, np.nan, np.inf], [-np.inf, -9999.0, 0.0]]))
+    np.testing.assert_array_equal(r.valid_mask(), [[True, False, False], [False, False, True]])
+    np.testing.assert_array_equal(r.valid_values(), [1.0, 0.0])
+
+
 def test_round_trip_is_byte_identical():
     rng = np.random.default_rng(2)
     values = rng.normal(size=(7, 5))

@@ -364,6 +364,36 @@ def test_parse_non_numeric_names_key(pushbroom_bundle):
         parse_rpc(text)
 
 
+def test_parse_normalizers_without_unit_words(pushbroom_bundle):
+    text = format_rpc(pushbroom_bundle.model)
+    bare = text
+    for _, _, unit in rpc._NORMALIZER_FIELDS:
+        bare = bare.replace(f" {unit}\n", "\n")
+    assert bare != text
+    assert format_rpc(parse_rpc(bare)) == text
+
+
+@pytest.mark.parametrize("tail", ["{other}", "{unit} junk", "{unit} 7", "7"])
+@pytest.mark.parametrize("key, unit", [(key, unit) for _, key, unit in rpc._NORMALIZER_FIELDS])
+def test_parse_normalizer_with_a_foreign_token_names_key(pushbroom_bundle, key, unit, tail):
+    # Only a normalizer's own unit word may follow its value.
+    tail = tail.format(unit=unit, other="meters" if unit != "meters" else "pixels")
+    text = format_rpc(pushbroom_bundle.model)
+    lines = [
+        " ".join(ln.split()[:2] + [tail]) if ln.startswith(f"{key}:") else ln
+        for ln in text.splitlines()
+    ]
+    with pytest.raises(FormatError, match=f"^{key}:"):
+        parse_rpc("\n".join(lines))
+
+
+def test_parse_coefficient_with_an_extra_token_names_key(pushbroom_bundle):
+    text = format_rpc(pushbroom_bundle.model)
+    lines = [ln + " pixels" if ln.startswith("LINE_NUM_COEFF_2:") else ln for ln in text.splitlines()]
+    with pytest.raises(FormatError, match="^LINE_NUM_COEFF_2:"):
+        parse_rpc("\n".join(lines))
+
+
 def test_parse_line_without_colon():
     with pytest.raises(FormatError):
         parse_rpc("LINE_OFF 5\n")

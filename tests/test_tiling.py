@@ -224,6 +224,21 @@ def test_parse_manifest_non_integer_parent():
         parse_manifest(text)
 
 
+def test_parse_manifest_parent_line_needs_the_overlap_word():
+    text = "# parent 64 64 bogus 9\n0 0 0 64 64 a.asc a.rpc\n"
+    with pytest.raises(FormatError, match="line 1: expected 'overlap', got 'bogus'"):
+        parse_manifest(text)
+
+
+@pytest.mark.parametrize(
+    "geometry", ["-5 -3 0 -2", "-1 0 64 64", "0 -1 64 64", "0 0 0 64", "0 0 64 0", "0 0 64 -2"]
+)
+def test_parse_manifest_rejects_impossible_tiles(geometry):
+    text = f"# parent 64 64 overlap 0\n0 {geometry} a.asc a.rpc\n"
+    with pytest.raises(FormatError, match="line 2: a tile needs"):
+        parse_manifest(text)
+
+
 def test_parse_manifest_out_of_order_index():
     text = "0 0 0 512 512 a.asc a.rpc\n2 512 0 512 512 b.asc b.rpc\n"
     with pytest.raises(FormatError, match="out of order"):
