@@ -22,10 +22,11 @@ from .kvio import fmt
 # input's sentinel.
 NODATA = -9999.0
 
-# Characters of grid body handed to numpy's parser at a time: small enough
-# that the text in flight stays well under the grid's own bytes, large enough
-# that the per-call cost vanishes.
-_BLOCK = 1 << 14
+# Characters of grid body read at a time. A block pays the two dozen array
+# calls of ``_fixed_values`` once (about 1700 cells of writer output at
+# 32 KiB), and its text and temporaries, about 13 bytes a character, are all
+# the reader holds beyond the grid.
+_BLOCK = 1 << 15
 
 # Cells per row block of the full-frame kernels (``synth.render_image``,
 # ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
@@ -269,8 +270,68 @@ def format_ascii_grid(raster: Raster) -> str:
     return b"".join(_ascii_grid_chunks(raster)).decode("ascii")
 
 
+# The bytes of a fixed-notation block: digits, points, minus signs and the
+# whitespace the reader cuts blocks at, all of which sorts below the rest.
+_FIXED_BYTES = b"0123456789.- \t\n\r"
+
+
+def _fixed_values(text: str):
+    """The numbers of *text*, each correctly rounded, when every token is
+    fixed notation, -?digits[.digits] with at least one digit; else None.
+
+    A token is read as the integer D of its digits and the count m of its
+    fraction digits. With q = fl(D / 10**m), the residual R = D - q * 10**m
+    is formed exactly: q * 10**m as a two-product, fl(D) minus its high part
+    by Sterbenz's lemma, then the integer D - fl(D). The value D / 10**m is
+    q + R / 10**m, and fl(q + c) for c = fl(R / 10**m) is its correct
+    rounding when nudging c by 2**-40 of itself, far more than its error,
+    either way rounds the sum the same. A token of 19 or more significant
+    digits or 22 or more fraction digits, or an exact tie between two
+    doubles, also gives None.
+    """
+    raw = b" " + text.encode("ascii", "replace") + b" "
+    if raw.translate(None, _FIXED_BYTES):
+        return None
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    space = byte <= ord(" ")
+    # Token k is the bytes start[k] + 1 to end[k].
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    start, end = edges[::2], edges[1::2]
+    neg = byte[start + 1] == ord("-")
+    point = np.flatnonzero(byte == ord("."))
+    owner = np.searchsorted(end, point)
+    points = np.bincount(owner, minlength=start.size)
+    if not (
+        np.count_nonzero(neg) == np.count_nonzero(byte == ord("-"))
+        and points.max() <= 1
+        and (end - start - neg - points).min() >= 1
+    ):
+        return None
+    # The fraction digits of a token are the bytes after its point.
+    m = np.zeros(start.size, dtype=np.intp)
+    m[owner] = end[owner] - point
+    # A token too long for int64 reads as 2**63 - 1, so one bound covers it.
+    d = np.fromstring(raw.translate(None, b".-"), dtype=np.int64, sep=" ")
+    if m.max() >= _POW10.size or d.max() >= 10**18:
+        return None
+    scale = _POW10.take(m)
+    fd = d.astype(np.float64)
+    q = fd / scale
+    high, low = _exact_product(q, m)
+    c = ((fd - high) - low + (d - fd.astype(np.int64))) / scale
+    value = q + c * (1 - 2**-40)
+    if not np.array_equal(value, q + c * (1 + 2**-40)):
+        return None
+    # The two sums agree, so each is fl(q + c).
+    return np.negative(value, out=value, where=neg)
+
+
 def _parse_values(text: str) -> np.ndarray:
-    """The whitespace-separated numbers of *text*, through numpy's C parser."""
+    """The whitespace-separated numbers of *text*: ``_fixed_values`` when it
+    can read them, else numpy's C parser."""
+    values = _fixed_values(text)
+    if values is not None:
+        return values
     try:
         # loadtxt reads one row per item, so the line breaks become spaces and
         # the whole block is a single row.
@@ -297,8 +358,11 @@ def _read_ascii_grid(fh, size: int) -> Raster:
         parts = line.split()
         if len(parts) != 2 or parts[0].lower() not in expected:
             break
+        key = parts[0].lower()
+        if key in header:
+            raise FormatError(f"line {len(header) + 1}: repeated key {parts[0]!r}")
         try:
-            header[parts[0].lower()] = float(parts[1])
+            header[key] = float(parts[1])
         except ValueError:
             bad = line.rstrip("\n")
             raise FormatError(f"bad header value in line {bad!r}") from None

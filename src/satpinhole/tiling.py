@@ -144,12 +144,37 @@ def format_manifest(plan: TilePlan, image_paths, rpc_paths) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_parent(parts: list[str], lineno: int) -> tuple[tuple[int, int], int]:
+    """The parent size and overlap of a "# parent W H overlap N" line, split
+    into words after the "#"."""
+    if len(parts) != 5:
+        raise FormatError(f"line {lineno}: expected 'parent W H overlap N', got {' '.join(parts)!r}")
+    if parts[3] != "overlap":
+        raise FormatError(f"line {lineno}: expected 'overlap', got {parts[3]!r}")
+    try:
+        width, height, overlap = int(parts[1]), int(parts[2]), int(parts[4])
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer parent field") from None
+    if width < 1 or height < 1 or overlap < 0:
+        raise FormatError(
+            f"line {lineno}: a parent needs width, height >= 1 and overlap >= 0, "
+            f"got {width} {height} {overlap}"
+        )
+    return (width, height), overlap
+
+
 def parse_manifest(text: str):
-    """Parse manifest text into (TilePlan, image_paths, rpc_paths)."""
+    """Parse manifest text into (TilePlan, image_paths, rpc_paths).
+
+    Every tile must have the first tile's size and, when the manifest has a
+    parent line, lie inside the parent.
+    """
     tiles: list[Tile] = []
+    tile_lines: list[int] = []
     image_paths: list[str] = []
     rpc_paths: list[str] = []
     parent = (0, 0)
+    parent_line = 0
     overlap = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -157,14 +182,11 @@ def parse_manifest(text: str):
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 5 and parts[0] == "parent":
-                if parts[3] != "overlap":
-                    raise FormatError(f"line {lineno}: expected 'overlap', got {parts[3]!r}")
-                try:
-                    parent = (int(parts[1]), int(parts[2]))
-                    overlap = int(parts[4])
-                except ValueError:
-                    raise FormatError(f"line {lineno}: non-integer parent field") from None
+            if parts[:1] == ["parent"]:
+                if parent_line:
+                    raise FormatError(f"line {lineno}: repeated parent line (first on line {parent_line})")
+                parent, overlap = _parse_parent(parts, lineno)
+                parent_line = lineno
             continue
         parts = line.split()
         if len(parts) != 7:
@@ -181,10 +203,22 @@ def parse_manifest(text: str):
                 f"got {col} {row} {width} {height}"
             )
         tiles.append(Tile(col, row, width, height))
+        tile_lines.append(lineno)
         image_paths.append(parts[5])
         rpc_paths.append(parts[6])
     if not tiles:
         raise FormatError("manifest contains no tiles")
     size = (tiles[0].width, tiles[0].height)
+    for tile, lineno in zip(tiles, tile_lines):
+        if (tile.width, tile.height) != size:
+            raise FormatError(
+                f"line {lineno}: tile size {tile.width} {tile.height} differs from "
+                f"the first tile's {size[0]} {size[1]}"
+            )
+        if parent_line and (tile.col + tile.width > parent[0] or tile.row + tile.height > parent[1]):
+            raise FormatError(
+                f"line {lineno}: tile {tile.col} {tile.row} {tile.width} {tile.height} "
+                f"reaches past the parent of {parent[0]} {parent[1]}"
+            )
     plan = TilePlan(tiles=tuple(tiles), tile_size=size, overlap=overlap, parent_size=parent)
     return plan, image_paths, rpc_paths

@@ -254,6 +254,114 @@ def test_load_streams_blocks(tmp_path):
     np.testing.assert_array_equal(_bits(again.values), _bits(r.values))
 
 
+def _one_row(tokens):
+    """A one-row grid text holding *tokens* as its cells."""
+    return (
+        f"ncols {len(tokens)}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        "NODATA_value -9999\n" + " ".join(tokens) + "\n"
+    )
+
+
+def _loads_as_float(tokens):
+    values = parse_ascii_grid(_one_row(tokens)).values[0]
+    np.testing.assert_array_equal(_bits(values), _bits([float(t) for t in tokens]))
+
+
+def _fixed_token(digits, point, negate):
+    if point is not None:
+        point %= len(digits) + 1
+        digits = digits[:point] + "." + digits[point:]
+    return "-" + digits if negate else digits
+
+
+# Fixed-notation tokens, -?digits[.digits]: 1 to 18 digits, the point
+# anywhere (or nowhere) and either sign.
+_FIXED_TOKENS = st.builds(
+    _fixed_token,
+    st.text("0123456789", min_size=1, max_size=18),
+    st.one_of(st.none(), st.integers(0, 18)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_FIXED_TOKENS, min_size=1, max_size=12))
+def test_reader_reads_fixed_notation_exactly(tokens):
+    _loads_as_float(tokens)
+
+
+# Tokens the fast path must leave to numpy's parser. Exact ties between two
+# doubles, with and without fraction digits; 19 or more significant digits
+# (20 or more overflow int64); 22 or more fraction digits; and syntax the
+# writer never prints.
+_OTHER_TOKENS = [
+    "9007199254740993",
+    "9007199254740995",
+    "18014398509481986",
+    "-9007199254740993.0",
+    "4503599627370496.5",
+    "2251799813685248.25",
+    "-2251799813685248.75",
+    "1234567890123456789",
+    "99999999999999999999",
+    "-0.1000000000000000000001",
+    "1" * 30,
+    "0." + "0" * 21 + "1",
+    "-1." + "5" * 22,
+    "+1",
+    "1e5",
+    "-2.5E-3",
+    "nan",
+    "inf",
+    "-inf",
+]
+
+
+@pytest.mark.parametrize("token", _OTHER_TOKENS)
+def test_reader_reads_other_tokens_as_float_does(token):
+    # Alone, and in one block with fixed-notation tokens.
+    _loads_as_float([token])
+    _loads_as_float(["0.5", token, "-12"])
+
+
+@pytest.mark.parametrize("token", ["1.2.3", "1-2", "--1", "-", ".", "-."])
+def test_reader_rejects_malformed_fixed_notation(token):
+    with pytest.raises(FormatError, match="non-numeric cell value"):
+        parse_ascii_grid(_one_row(["1.5", token, "2"]))
+
+
+def test_writer_output_stays_on_the_fast_path(tmp_path, monkeypatch):
+    # Every cell the writer prints in fixed notation, |x| in [1e-4, 1e17),
+    # must load without numpy's parser.
+    rng = np.random.default_rng(14)
+    values = 10.0 ** rng.uniform(-4.0, 17.0, size=(64, 64)) * rng.choice([-1.0, 1.0], size=(64, 64))
+    values.ravel()[:6] = [1e-4, math.nextafter(1e17, 0.0), -0.0, 0.0, -9999.0, 0.1]
+    path = tmp_path / "grid.asc"
+    save_ascii_grid(Raster(values=values), path)
+    assert "e" not in path.read_text(encoding="utf-8").split("\n", 6)[6]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block of writer output left the fast path")
+
+    monkeypatch.setattr(raster_module.np, "loadtxt", refuse)
+    np.testing.assert_array_equal(_bits(load_ascii_grid(path).values), _bits(values))
+
+
+@pytest.mark.parametrize(
+    "header, line, key",
+    [
+        ("ncols 2\nncols 3\nnrows 1\n", 2, "ncols"),
+        ("ncols 3\nnrows 1\nncols 2\n", 3, "ncols"),
+        ("ncols 3\nnrows 1\nNROWS 1\n", 3, "NROWS"),
+    ],
+    ids=["first_line_twice", "after_another_key", "other_case"],
+)
+def test_reader_rejects_a_repeated_header_key(header, line, key):
+    text = header + "xllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
+    with pytest.raises(FormatError, match=f"line {line}: repeated key '{key}'"):
+        parse_ascii_grid(text)
+
+
 def _traced_peak(fn, *args):
     """Run fn(*args) under tracemalloc; return its result and memory peak."""
     tracemalloc.start()

@@ -256,3 +256,41 @@ def test_parse_manifest_ignores_blank_lines():
     padded = "\n" + text.replace("\n", "\n\n")
     plan2, _, _ = parse_manifest(padded)
     assert plan2.tiles == plan.tiles
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# parent 64 64 overlap\n0 0 0 64 64 a.asc a.rpc\n", "line 1: expected 'parent W H overlap N'"),
+        ("# parent -64 0 overlap -3\n0 0 0 64 64 a.asc a.rpc\n", "line 1: a parent needs"),
+        ("# parent 64 64 overlap -1\n0 0 0 64 64 a.asc a.rpc\n", "line 1: a parent needs"),
+        (
+            "# parent 64 64 overlap 0\n# parent 64 64 overlap 0\n0 0 0 64 64 a.asc a.rpc\n",
+            "line 2: repeated parent line",
+        ),
+    ],
+    ids=["short", "negative", "negative_overlap", "repeated"],
+)
+def test_parse_manifest_rejects_a_bad_parent_line(text, match):
+    with pytest.raises(FormatError, match=match):
+        parse_manifest(text)
+
+
+def test_parse_manifest_needs_tiles_of_one_size():
+    text = "0 0 0 64 64 a.asc a.rpc\n1 0 0 32 32 b.asc b.rpc\n"
+    with pytest.raises(FormatError, match="line 2: tile size 32 32 differs"):
+        parse_manifest(text)
+
+
+@pytest.mark.parametrize("tile", ["100 100 64 64", "8 0 64 64", "0 0 64 65"])
+def test_parse_manifest_needs_tiles_inside_the_parent(tile):
+    text = f"# index col row width height image rpc\n# parent 64 64 overlap 0\n0 {tile} a.asc a.rpc\n"
+    with pytest.raises(FormatError, match="line 3: tile .* reaches past the parent"):
+        parse_manifest(text)
+
+
+def test_parse_manifest_keeps_an_overlap_wider_than_the_tile():
+    # plan_tiles clamps the tile to the image but keeps the requested overlap.
+    plan = plan_tiles((40, 40), 64, 50)
+    assert (plan.tile_size, plan.overlap) == ((40, 40), 50)
+    assert parse_manifest(format_manifest(plan, ["a.asc"], ["a.rpc"]))[0] == plan
