@@ -50,7 +50,7 @@ def _category_for(exc: Exception) -> str | None:
         return category
     if isinstance(exc, OSError):
         return "io"
-    if isinstance(exc, ValueError):
+    if isinstance(exc, (ValueError, MemoryError)):
         return "invalid"
     return None
 

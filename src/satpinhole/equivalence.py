@@ -30,24 +30,18 @@ class VirtualGrid:
     """Ground/image correspondences sampled from a rational model.
 
     Attributes:
-        lat, lon, alt: surviving grid coordinates, shape (N,).
-        enu: the same points in the anchor's east-north-up frame, (N, 3).
+        enu: surviving grid points in the anchor's east-north-up frame, (N, 3).
         pixels: rational-model projections as (samp, line), (N, 2).
-        dims: requested (n_lat, n_lon, n_alt) node counts.
         anchor: geodetic origin of the ENU frame.
     """
 
-    lat: np.ndarray
-    lon: np.ndarray
-    alt: np.ndarray
     enu: np.ndarray
     pixels: np.ndarray
-    dims: tuple[int, int, int]
     anchor: GeoPoint
 
     @property
     def n_points(self) -> int:
-        return self.lat.shape[0]
+        return self.pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,20 +150,10 @@ def build_virtual_grid(
         raise DegenerateError(f"only {layers} altitude layers survive; need >= 3")
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
-    lat, lon, alt = lats[i_lat], lons[i_lon], alts[i_alt]
-    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
+    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alts[i_alt], anchor)
     if _coplanar(enu):
         raise DegenerateError("surviving grid points are coplanar")
-
-    return VirtualGrid(
-        lat=lat,
-        lon=lon,
-        alt=alt,
-        enu=enu,
-        pixels=pixels,
-        dims=(n_lat, n_lon, n_alt),
-        anchor=anchor,
-    )
+    return VirtualGrid(enu=enu, pixels=pixels, anchor=anchor)
 
 
 def _coplanar(points: np.ndarray) -> bool:
@@ -236,11 +220,9 @@ def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     at[2 * k :, 1 : 2 * n : 2] = -un[:, 1] * xh
     a = at.T
 
-    # Only sv and V are needed. LAPACK's gesdd takes them from the SVD of the
-    # square R of a QR factorization once the system has 11/6 as many rows as
-    # columns, so doing that here gives the same bits without forming U.
-    r = np.linalg.qr(a, mode="r") if len(a) >= 11 * cols // 6 else a
-    _, sv, vt = np.linalg.svd(r, full_matrices=False)
+    # Only sv and V are needed, and the square R of a QR factorization has
+    # the same ones, so U is never formed.
+    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
     m = np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src
     return m, sv
 

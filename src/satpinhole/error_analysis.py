@@ -158,10 +158,9 @@ def error_field(
     nrows = int(np.ceil(h / cell_px))
     col = np.clip((samp / cell_px).astype(np.intp), 0, ncols - 1)
     row = np.clip((line / cell_px).astype(np.intp), 0, nrows - 1)
-    total = np.zeros((nrows, ncols))
-    count = np.zeros((nrows, ncols))
-    np.add.at(total, (row, col), err)
-    np.add.at(count, (row, col), 1.0)
+    cells = row * ncols + col
+    total = np.bincount(cells, weights=err, minlength=nrows * ncols).reshape(nrows, ncols)
+    count = np.bincount(cells, minlength=nrows * ncols).reshape(nrows, ncols)
     with np.errstate(invalid="ignore"):
         values = np.where(count > 0, total / np.maximum(count, 1.0), NODATA)
     return Raster(values=values, cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)
@@ -171,7 +170,7 @@ def size_sweep(
     model: RpcModel,
     image_size: tuple[int, int],
     crop_sizes,
-    dims: tuple[int, int, int] | None = None,
+    dims: tuple[int, int, int] = DEFAULT_GRID_DIMS,
 ):
     """Re-estimate the pinhole camera over centered crops of shrinking size.
 
@@ -189,8 +188,6 @@ def size_sweep(
     Returns:
         List of (crop_size, EquivalenceReport), in input order.
     """
-    if dims is None:
-        dims = DEFAULT_GRID_DIMS
     w, h = image_size
     results = []
     for size in crop_sizes:

@@ -1,4 +1,4 @@
-"""Multi-view DSM fusion with outlier rejection, mosaicking, and accuracy metrics.
+"""Multi-view DSM fusion with outlier rejection and accuracy metrics.
 
 Per-cell fusion collects each view's height sample, rejects values far from
 the cell median on a median-absolute-deviation criterion, and aggregates the
@@ -90,30 +90,6 @@ def _overlay(rasters):
             )
         offsets.append((row, col))
     return (x0, y0), nrows, ncols, offsets
-
-
-def mosaic_tiles(tiles) -> Raster:
-    """Merge lattice-aligned rasters, averaging where they overlap.
-
-    The output spans the union of the inputs; cells covered by no valid input
-    are nodata. Inputs must agree in cell size and sit on a common lattice
-    (origins within 1e-6 cell of integer offsets).
-    """
-    tiles = list(tiles)
-    if not tiles:
-        raise ValueError("need at least one raster to mosaic")
-    origin, nrows, ncols, offsets = _overlay(tiles)
-    cell = tiles[0].cell_size
-    nodata = tiles[0].nodata
-    total = np.zeros((nrows, ncols))
-    count = np.zeros((nrows, ncols))
-    for r, (row, col) in zip(tiles, offsets):
-        valid = r.valid_mask()
-        sl = (slice(row, row + r.nrows), slice(col, col + r.ncols))
-        total[sl] += np.where(valid, r.values, 0.0)
-        count[sl] += valid
-    values = np.where(count > 0, total / np.maximum(count, 1.0), nodata)
-    return Raster(values=values, cell_size=cell, origin=origin, nodata=nodata)
 
 
 def _median_views(stack: np.ndarray) -> np.ndarray:

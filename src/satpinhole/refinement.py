@@ -235,9 +235,8 @@ def format_warp(warp) -> str:
 def parse_warp(text: str):
     """Parse warp text written by format_warp.
 
-    Polynomial warps written by earlier versions also carry the fitting
-    normalization (``NORM_*`` keys); the coefficients are in raw pixels, so
-    those lines are ignored.
+    Keys other than ``KIND``, the coefficients and ``FIT_RMS_PX`` are
+    ignored.
     """
     kv = read_kv(text)
     kind = kv.get("KIND")

@@ -544,6 +544,30 @@ def test_error_map_rejects_infinite_cell(tmp_path, scene_dir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        # 10^6 nodes per axis need 6.9 EiB per projected array.
+        ("equate", ["--camera", "{out}", "--grid", "1000000", "1000000", "1000000"]),
+        # 1e-7 px cells over a 96 px frame need 6.4 EiB per error grid.
+        ("error-map", ["--out", "{out}", "--camera", "{camera}", "--cell", "0.0000001"]),
+    ],
+)
+def test_input_too_big_for_memory_is_invalid(tmp_path, scene_dir, capsys, command, flags):
+    # Both sizes lie above any address space and below numpy's 2**63-byte
+    # limit, so the allocation fails at once, without touching memory.
+    out = tmp_path / "out.txt"
+    paths = {"out": str(out), "camera": str(scene_dir / "camera.txt")}
+    rc = main(
+        [command, str(scene_dir / "rpc.txt"), "--image-size", "96", "96"]
+        + [flag.format(**paths) for flag in flags]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_error_map_malformed_camera_size_is_a_parse_error(tmp_path, scene_dir, capsys):
     camera = tmp_path / "camera.txt"
     text = (scene_dir / "camera.txt").read_text()

@@ -44,9 +44,8 @@ def test_grid_matches_brute_force_in_image_count(pushbroom_bundle):
 def _reference_grid(model, image_size, dims, stagger, anchor):
     """build_virtual_grid node by node: meshgrid, project, mask, geodetic_to_enu.
 
-    Returns (lat, lon, alt, enu, pixels), or None where the grid is
-    degenerate (under 6 survivors, under 3 altitude layers, or coplanar by
-    the exact SVD test).
+    Returns (enu, pixels), or None where the grid is degenerate (under 6
+    survivors, under 3 altitude layers, or coplanar by the exact SVD test).
     """
     offsets = (model.lat_off, model.lon_off, model.alt_off)
     scales = (model.lat_scale, model.lon_scale, model.alt_scale)
@@ -63,7 +62,7 @@ def _reference_grid(model, image_size, dims, stagger, anchor):
     sv = np.linalg.svd(enu - enu.mean(axis=0), compute_uv=False)
     if sv[2] < 1e-9 * sv[0]:
         return None
-    return lat, lon, alt, enu, np.column_stack([samp, line])
+    return enu, np.column_stack([samp, line])
 
 
 def _same_bits(a, b):
@@ -98,7 +97,7 @@ def test_grid_is_bitwise_the_per_node_reference(pinhole_bundle, pushbroom_bundle
             build_virtual_grid(model, size, dims, stagger=stagger, anchor=anchor)
         return
     grid = build_virtual_grid(model, size, dims, stagger=stagger, anchor=anchor)
-    for got, ref in zip((grid.lat, grid.lon, grid.alt, grid.enu, grid.pixels), want):
+    for got, ref in zip((grid.enu, grid.pixels), want):
         assert _same_bits(got, ref)
 
 
@@ -161,8 +160,8 @@ def test_staggered_grid_shares_no_nodes(pushbroom_bundle):
     size = pushbroom_bundle.scene.image_size
     fit = build_virtual_grid(model, size, dims=(10, 10, 5))
     val = build_virtual_grid(model, size, dims=(20, 20, 10), stagger=True)
-    fit_nodes = {(la, lo, al) for la, lo, al in zip(fit.lat, fit.lon, fit.alt)}
-    val_nodes = {(la, lo, al) for la, lo, al in zip(val.lat, val.lon, val.alt)}
+    fit_nodes = {tuple(row) for row in fit.enu}
+    val_nodes = {tuple(row) for row in val.enu}
     assert not (fit_nodes & val_nodes)
 
 
@@ -240,8 +239,8 @@ def test_projection_agrees_with_thin_svd_reference(pushbroom_bundle, dims):
 
 @pytest.mark.parametrize("n", [6, 10, 11, 40])
 def test_projection_agrees_with_thin_svd_reference_on_few_points(n):
-    # Systems under 22 rows are solved from the full matrix, taller ones from
-    # the R factor; both give the reference camera.
+    # Systems of 12 to 80 rows, all solved from the R factor, give the
+    # reference camera.
     p_true, grid = _synthetic_camera_and_grid(tz=500.0, n=n)
     p = solve_projection(grid)
     np.testing.assert_allclose(p, _reference_projection(grid), rtol=0, atol=1e-12)
@@ -276,12 +275,8 @@ def test_collapsed_correspondences_are_ill_conditioned():
     anchor = GeoPoint(0.0, 0.0, 0.0)
     point = np.tile(np.array([[1.0, 2.0, 3.0]]), (20, 1))
     grid = VirtualGrid(
-        lat=np.zeros(20),
-        lon=np.zeros(20),
-        alt=np.zeros(20),
         enu=point,
         pixels=np.tile(np.array([[5.0, 6.0]]), (20, 1)),
-        dims=(20, 1, 1),
         anchor=anchor,
     )
     with pytest.raises(IllConditionedError):
@@ -297,15 +292,7 @@ def _synthetic_camera_and_grid(tz: float, n: int = 40):
     cam = enu @ r.T + t
     pix = cam @ k.T
     pixels = np.column_stack([pix[:, 0] / pix[:, 2], pix[:, 1] / pix[:, 2]])
-    grid = VirtualGrid(
-        lat=np.zeros(n),
-        lon=np.zeros(n),
-        alt=np.zeros(n),
-        enu=enu,
-        pixels=pixels,
-        dims=(n, 1, 1),
-        anchor=GeoPoint(0.0, 0.0, 0.0),
-    )
+    grid = VirtualGrid(enu=enu, pixels=pixels, anchor=GeoPoint(0.0, 0.0, 0.0))
     p = k @ np.column_stack([r, t])
     return p / np.linalg.norm(p), grid
 
@@ -327,15 +314,7 @@ def test_mirror_camera_rejected():
     cam = enu @ r.T + t
     pix = cam @ k.T
     pixels = np.column_stack([pix[:, 0] / pix[:, 2], pix[:, 1] / pix[:, 2]])
-    grid = VirtualGrid(
-        lat=np.zeros(40),
-        lon=np.zeros(40),
-        alt=np.zeros(40),
-        enu=enu,
-        pixels=pixels,
-        dims=(40, 1, 1),
-        anchor=GeoPoint(0.0, 0.0, 0.0),
-    )
+    grid = VirtualGrid(enu=enu, pixels=pixels, anchor=GeoPoint(0.0, 0.0, 0.0))
     p = k @ np.column_stack([r, t])
     with pytest.raises(DecompositionError, match="mirror"):
         decompose_projection(p / np.linalg.norm(p), grid, (640, 480))

@@ -13,7 +13,6 @@ from satpinhole.error_analysis import (
     write_field_preview,
 )
 from satpinhole.errors import FormatError
-from satpinhole.rpc import project_forward
 
 
 def test_report_hand_values():
@@ -103,7 +102,7 @@ def test_error_field_binning_matches_brute_force(pushbroom_bundle):
     cell = 128.0
     field = error_field(model, camera, size, cell, grid=grid)
 
-    samp, line = project_forward(model, grid.lat, grid.lon, grid.alt)
+    samp, line = grid.pixels.T
     psamp, pline = camera.project(grid.enu)
     err = np.hypot(samp - psamp, line - pline)
     ncols = int(np.ceil(size[0] / cell))

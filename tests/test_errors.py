@@ -94,6 +94,7 @@ def test_exception_classes_live_in_errors_module():
         (RuntimeError("bug"), None),
         (OverflowError("bug"), None),
         (KeyError("bug"), None),
+        (MemoryError("Unable to allocate 6.94 EiB"), "invalid"),
     ],
 )
 def test_category_for(exc, category):
@@ -109,7 +110,7 @@ def test_readme_error_table_lists_every_category():
     rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
     table = {klass.strip(" `"): word.strip(" `") for word, klass in rows}
     expected = {klass.__name__: klass.category for klass in CATEGORIES}
-    assert table == {**expected, "OSError": "io", "ValueError": "invalid"}
+    assert table == {**expected, "OSError": "io", "ValueError": "invalid", "MemoryError": "invalid"}
 
 
 def _documents():

@@ -1,4 +1,4 @@
-"""Tests for DSM mosaicking, robust fusion, and accuracy metrics."""
+"""Tests for robust DSM fusion and accuracy metrics."""
 
 import warnings
 
@@ -18,7 +18,6 @@ from satpinhole.fusion import (
     _median_views,
     _neighbor_counts,
     fuse_views,
-    mosaic_tiles,
 )
 from satpinhole.raster import Raster
 
@@ -28,72 +27,21 @@ def _raster(values, origin=(0.0, 0.0), cell=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Mosaicking
-
-
-def test_mosaic_single_raster_identity():
-    r = _raster([[1.0, 2.0], [3.0, 4.0]])
-    out = mosaic_tiles([r])
-    np.testing.assert_array_equal(out.values, r.values)
-    assert out.origin == r.origin
-    assert out.cell_size == r.cell_size
-
-
-def test_mosaic_averages_overlap():
-    left = _raster([[1.0, 4.0]], origin=(0.0, 0.0))
-    right = _raster([[2.0, 6.0]], origin=(1.0, 0.0))
-    out = mosaic_tiles([left, right])
-    np.testing.assert_array_equal(out.values, [[1.0, 3.0, 6.0]])
-    assert out.origin == (0.0, 0.0)
-
-
-def test_mosaic_fills_gaps_with_nodata():
-    a = _raster([[1.0]], origin=(0.0, 0.0))
-    b = _raster([[5.0]], origin=(3.0, 0.0))
-    out = mosaic_tiles([a, b])
-    np.testing.assert_array_equal(out.values, [[1.0, out.nodata, out.nodata, 5.0]])
-
-
-def test_mosaic_vertical_stacking_row_order():
-    upper = _raster([[7.0]], origin=(0.0, 1.0))
-    lower = _raster([[2.0]], origin=(0.0, 0.0))
-    out = mosaic_tiles([upper, lower])
-    # Row 0 is the top of the map, which is the higher origin-y raster.
-    np.testing.assert_array_equal(out.values, [[7.0], [2.0]])
-
-
-def test_mosaic_skips_nodata_contributions():
-    a = _raster([[1.0, -9999.0]], origin=(0.0, 0.0))
-    b = _raster([[3.0, 8.0]], origin=(0.0, 0.0))
-    out = mosaic_tiles([a, b])
-    np.testing.assert_array_equal(out.values, [[2.0, 8.0]])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_mosaic_skips_non_finite_contributions(bad):
-    a = _raster([[1.0, 2.0]], origin=(0.0, 0.0))
-    b = _raster([[bad, 4.0]], origin=(1.0, 0.0))
-    out = mosaic_tiles([a, b])
-    np.testing.assert_array_equal(out.values, [[1.0, 2.0, 4.0]])
+# Lattice checks
 
 
 def test_mosaic_rejects_cell_size_mismatch():
     a = _raster([[1.0]], cell=1.0)
     b = _raster([[1.0]], cell=2.0)
     with pytest.raises(LatticeError, match="cell sizes differ"):
-        mosaic_tiles([a, b])
+        fuse_views([a, b])
 
 
 def test_mosaic_rejects_off_lattice_origin():
     a = _raster([[1.0]], origin=(0.0, 0.0))
     b = _raster([[1.0]], origin=(0.5, 0.0))
     with pytest.raises(LatticeError, match="off-lattice"):
-        mosaic_tiles([a, b])
-
-
-def test_mosaic_requires_input():
-    with pytest.raises(ValueError, match="at least one"):
-        mosaic_tiles([])
+        fuse_views([a, b])
 
 
 # ---------------------------------------------------------------------------
