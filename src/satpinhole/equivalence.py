@@ -193,15 +193,16 @@ def _condition(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, dp * s
 
 
-def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Fit the 3 x (d + 1) matrix M with dst ~ M [src; 1], for (N, d) *src*
     and (N, 2) *dst*, by normalized DLT (Hartley & Zisserman, ch. 4).
 
-    Returns M in raw coordinates and the singular values of the conditioned
-    system, largest first, for the caller's own gates.
+    Returns M in raw coordinates. Critical points (collinear, coplanar) leave
+    sigma[-2] of the conditioned system near 1e-17 sigma1, cameras above 1e-4.
 
     Raises:
-        IllConditionedError: if either point set collapses to a single point.
+        IllConditionedError: if either point set collapses to a single point,
+            or sigma[-2] < 1e-8 sigma1 (about sqrt(eps)): M is not unique.
     """
     t_src, xn = _condition(src)
     t_dst, un = _condition(dst)
@@ -223,8 +224,11 @@ def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     # Only sv and V are needed, and the square R of a QR factorization has
     # the same ones, so U is never formed.
     _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
-    m = np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src
-    return m, sv
+    if sv[-2] < 1e-8 * sv[0]:
+        raise IllConditionedError(
+            f"correspondences do not determine a unique solution (sigma[-2]/sigma1 = {sv[-2] / sv[0]:.3g} < 1e-8)"
+        )
+    return np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src
 
 
 def solve_projection(grid: VirtualGrid) -> np.ndarray:
@@ -234,15 +238,10 @@ def solve_projection(grid: VirtualGrid) -> np.ndarray:
     signed so that its left 3x3 block has a positive determinant.
 
     Raises:
-        IllConditionedError: if the correspondences collapse to a point,
-            sigma11 < 10 sigma12, or the left 3x3 is singular.
+        IllConditionedError: if the correspondences collapse to a point or
+            do not determine the matrix, or the left 3x3 is singular.
     """
-    p, sv = _normalized_dlt(grid.enu, grid.pixels)
-    # Well-posedness: the nullspace direction must stand clear of the rest.
-    if sv[10] < 10.0 * sv[11]:
-        raise IllConditionedError(
-            f"projection system is rank deficient (sigma11/sigma12 = {sv[10] / max(sv[11], 1e-300):.3g} < 10)"
-        )
+    p = _normalized_dlt(grid.enu, grid.pixels)
     p = p / np.linalg.norm(p)
     det = np.linalg.det(p[:, :3])
     if det < 0:

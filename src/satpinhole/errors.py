@@ -22,7 +22,7 @@ class DegenerateError(ValueError):
 
 
 class IllConditionedError(ValueError):
-    """The projection system does not pin down a unique solution."""
+    """The DLT system of a camera or homography has no unique solution."""
     category = "ill-conditioned"
 
 

@@ -111,16 +111,22 @@ def _median_views(stack: np.ndarray) -> np.ndarray:
 def _neighbor_counts(valid: np.ndarray, radius_cells: float) -> np.ndarray:
     """Valid cells within *radius_cells* of each cell (itself included).
 
-    Cells beyond the grid count as invalid.
+    Cells beyond the grid count as invalid, so offsets stop at its far side.
+    Row dy of the disk, |dx| <= w, is the difference of two int32 running
+    sums along the padded rows; no count exceeds the grid's size.
     """
-    reach = int(np.floor(radius_cells))
-    padded = np.pad(valid, reach)
+    w = int(np.floor(radius_cells))
     nrows, ncols = valid.shape
-    counts = np.zeros(valid.shape, dtype=np.intp)
-    for dy in range(-reach, reach + 1):
-        for dx in range(-reach, reach + 1):
-            if dy * dy + dx * dx <= radius_cells * radius_cells:
-                counts += padded[reach + dy : reach + dy + nrows, reach + dx : reach + dx + ncols]
+    ry, rx = (min(w, max(n - 1, 0)) for n in valid.shape)
+    sums = np.pad(valid, ((ry, ry), (rx + 1, rx))).cumsum(axis=1, dtype=np.int32)
+    counts = np.zeros(valid.shape, dtype=np.int32)
+    for dy in range(ry + 1):
+        while dy * dy + w * w > radius_cells * radius_cells:
+            w -= 1
+        x = min(w, rx)
+        for r in {ry - dy, ry + dy}:
+            counts += sums[r : r + nrows, rx + x + 1 : rx + x + 1 + ncols]
+            counts -= sums[r : r + nrows, rx - x : rx - x + ncols]
     return counts
 
 

@@ -145,16 +145,12 @@ def fit_homography(src, dst) -> Homography:
     """Fit a plane homography by the normalized DLT of ``solve_projection``.
 
     Raises:
-        DegenerateError: fewer than 4 points, a collinear source
-            configuration, or a fit whose h22 vanishes.
-        IllConditionedError: either point set collapses to a single point.
+        DegenerateError: fewer than 4 points, or a fit whose h22 vanishes.
+        IllConditionedError: the points collapse or do not determine the
+            homography (collinear or other critical points).
     """
     src, dst = _correspondences(src, dst, 4)
-    h, sv = _normalized_dlt(src, dst)
-    if sv[7] < 1e-8 * sv[0]:
-        raise DegenerateError(
-            "source points are collinear; homography is not determined"
-        )
+    h = _normalized_dlt(src, dst)
     if abs(h[2, 2]) < 1e-12 * np.abs(h).max():
         raise DegenerateError("homography is degenerate (h22 vanishes)")
 

@@ -160,21 +160,19 @@ def make_terrain(seed: int, size: int, relief: float) -> Raster:
         bl = g[step::step, :-1:step]
         br = g[step::step, step::step]
         g[half::step, half::step] = (tl + tr + bl + br) / 4.0 + rng.normal(0.0, amp, tl.shape)
-        # Square: edge midpoints average whichever of their four diamond
-        # neighbors fall inside the lattice.
-        for r0, c0 in ((0, half), (half, 0)):
-            rows = np.arange(r0, side, step)
-            cols = np.arange(c0, side, step)
-            rr, cc = np.meshgrid(rows, cols, indexing="ij")
-            total = np.zeros(rr.shape)
-            cnt = np.zeros(rr.shape)
-            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
-                r2 = rr + dr
-                c2 = cc + dc
-                ok = (r2 >= 0) & (r2 < side) & (c2 >= 0) & (c2 < side)
-                total[ok] += g[r2[ok], c2[ok]]
-                cnt[ok] += 1
-            g[rr, cc] = total / cnt + rng.normal(0.0, amp, rr.shape)
+        # Square: edge midpoints average their in-lattice diamond neighbors,
+        # corners and centers only, read from one NaN-bordered level copy.
+        level = np.pad(g[::half, ::half], 1, constant_values=np.nan)
+        for r0, c0 in ((0, 1), (1, 0)):
+            mid = g[r0 * half :: step, c0 * half :: step]
+            total = np.zeros(mid.shape)
+            cnt = np.zeros(mid.shape)
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                v = level[1 + r0 + dr :: 2, 1 + c0 + dc :: 2][: mid.shape[0], : mid.shape[1]]
+                ok = ~np.isnan(v)
+                np.add(total, v, out=total, where=ok)
+                cnt += ok
+            mid[...] = total / cnt + rng.normal(0.0, amp, mid.shape)
         step = half
         amp *= ROUGHNESS
 

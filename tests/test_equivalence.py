@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from satpinhole.equivalence import (
 from satpinhole.errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from satpinhole.geodesy import GeoPoint, geodetic_to_enu
 from satpinhole.rpc import RpcModel, project_forward
+from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
 
 
 def test_grid_matches_brute_force_in_image_count(pushbroom_bundle):
@@ -281,6 +284,71 @@ def test_collapsed_correspondences_are_ill_conditioned():
     )
     with pytest.raises(IllConditionedError):
         solve_projection(grid)
+
+
+def _pinhole_grid(enu):
+    """*enu* with its exact pixels under a fixed camera 500 m from the origin."""
+    k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
+    pix = (enu + [0.0, 0.0, 500.0]) @ k.T
+    return VirtualGrid(enu=enu, pixels=pix[:, :2] / pix[:, 2:], anchor=GeoPoint(0.0, 0.0, 0.0))
+
+
+def test_points_on_a_line_plus_one_off_it_are_ill_conditioned():
+    s = np.linspace(-1.0, 1.0, 40)[:, None]
+    enu = np.vstack([s * [30.0, 20.0, 10.0], [[5.0, -40.0, 12.0]]])
+    with pytest.raises(IllConditionedError, match="unique"):
+        solve_projection(_pinhole_grid(enu))
+
+
+def test_coplanar_points_are_ill_conditioned():
+    # A hand-built grid skips build_virtual_grid's own coplanarity check.
+    xy = np.random.default_rng(5).uniform(-50.0, 50.0, (60, 2))
+    enu = np.column_stack([xy, 0.3 * xy[:, 0] - 0.2 * xy[:, 1] + 7.0])
+    with pytest.raises(IllConditionedError, match="unique"):
+        solve_projection(_pinhole_grid(enu))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_acceptance_family_cameras_fit(seed):
+    # sigma11/sigma12 runs from 6 to 21 on these seeds. It measures how far
+    # the model is from a pinhole, not whether the camera is determined.
+    scene = make_pushbroom_scene(seed, (512, 512), relief=60, extent_deg=0.16)
+    model, _ = fit_scene_rpc(scene)
+    _, report = equate(model, scene.image_size)
+    assert report.rmse < 0.5
+
+
+@pytest.fixture(scope="module")
+def acceptance_scene_256():
+    scene = make_pushbroom_scene(21, (256, 256), relief=60, extent_deg=0.16)
+    return fit_scene_rpc(scene)[0], scene.image_size
+
+
+# The model is re-centred; its scales stay those of a 0.16 degree scene. Near
+# the pole the best-fit camera turns into a mirror image, then has grid
+# nodes behind it, and equate names that. Any warning fails the test.
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("lat_off", 60.0, None),
+        ("lat_off", 84.0, None),
+        ("lat_off", 89.0, None),
+        ("lat_off", 89.9, DecompositionError),
+        ("lat_off", 89.99, DecompositionError),
+        ("lon_off", 179.999, None),
+        ("lon_off", -179.999, None),
+    ],
+)
+def test_equate_at_high_latitude_and_the_antimeridian(acceptance_scene_256, field, value, error):
+    model, size = acceptance_scene_256
+    model = dataclasses.replace(model, **{field: value})
+    if error is not None:
+        with pytest.raises(error):
+            equate(model, size)
+        return
+    camera, report = equate(model, size)
+    assert np.isfinite([report.rmse, report.max_error, camera.residual_rms_px]).all()
+    assert report.rmse < 5.0
 
 
 def _synthetic_camera_and_grid(tz: float, n: int = 40):

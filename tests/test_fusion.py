@@ -94,6 +94,29 @@ def test_neighbor_counts_match_brute_force(radius_cells):
     np.testing.assert_array_equal(_neighbor_counts(valid, radius_cells), expected)
 
 
+def _reference_neighbor_counts(valid, radius_cells):
+    """One shifted whole-frame add per cell of the disk."""
+    reach = int(np.floor(radius_cells))
+    padded = np.pad(valid, reach)
+    nrows, ncols = valid.shape
+    counts = np.zeros(valid.shape, dtype=np.intp)
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            if dy * dy + dx * dx <= radius_cells * radius_cells:
+                counts += padded[reach + dy : reach + dy + nrows, reach + dx : reach + dx + ncols]
+    return counts
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 50), (50, 1), (37, 29)])
+@pytest.mark.parametrize("radius_cells", [0.5, 1.0, 1.5, 3.0, 5.0, 7.3, 48.0])
+def test_neighbor_counts_match_the_shifted_adds(shape, radius_cells):
+    # 5 puts the (3, 4) and (4, 3) cells on the disk's edge.
+    valid = np.random.default_rng(11).random(shape) < 0.6
+    np.testing.assert_array_equal(
+        _neighbor_counts(valid, radius_cells), _reference_neighbor_counts(valid, radius_cells)
+    )
+
+
 def test_fuse_rejects_gross_outlier():
     views = _stack_views([[9.0], [10.0], [11.0], [10.0], [50.0]])
     config = FusionConfig(min_neighbors=1)

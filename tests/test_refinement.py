@@ -5,7 +5,7 @@ import pytest
 
 from satpinhole.equivalence import build_virtual_grid
 from satpinhole.error_analysis import measure_equivalence_error
-from satpinhole.errors import DegenerateError, FormatError
+from satpinhole.errors import DegenerateError, FormatError, IllConditionedError
 from satpinhole.kvio import fmt
 from satpinhole.raster import Raster
 from satpinhole.refinement import (
@@ -164,7 +164,7 @@ def test_fit_homography_too_few_points():
 def test_fit_homography_collinear():
     x = np.linspace(0.0, 50.0, 10)
     src = np.column_stack([x, 2 * x + 1])
-    with pytest.raises(DegenerateError, match="collinear"):
+    with pytest.raises(IllConditionedError, match="unique"):
         fit_homography(src, src)
 
 

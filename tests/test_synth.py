@@ -10,6 +10,7 @@ from satpinhole.geodesy import GeoPoint, geodetic_to_enu
 from satpinhole.raster import Raster
 from satpinhole.rpc import project_forward
 from satpinhole.synth import (
+    ROUGHNESS,
     PushbroomCamera,
     SyntheticScene,
     Volume,
@@ -50,6 +51,53 @@ def test_terrain_arbitrary_size_crops():
 def test_terrain_zero_relief_is_flat():
     t = make_terrain(7, 33, 0.0)
     assert (t.values == 0.0).all()
+
+
+def _reference_terrain(seed, size, relief):
+    """make_terrain with the square step by index meshgrids and masks."""
+    n = 1
+    while n + 1 < size:
+        n *= 2
+    side = n + 1
+    rng = np.random.default_rng(seed)
+    g = np.zeros((side, side))
+    g[0, 0], g[0, -1], g[-1, 0], g[-1, -1] = rng.normal(0.0, 1.0, 4)
+    step = n
+    amp = 1.0
+    while step > 1:
+        half = step // 2
+        tl = g[:-1:step, :-1:step]
+        tr = g[:-1:step, step::step]
+        bl = g[step::step, :-1:step]
+        br = g[step::step, step::step]
+        g[half::step, half::step] = (tl + tr + bl + br) / 4.0 + rng.normal(0.0, amp, tl.shape)
+        for r0, c0 in ((0, half), (half, 0)):
+            rows = np.arange(r0, side, step)
+            cols = np.arange(c0, side, step)
+            rr, cc = np.meshgrid(rows, cols, indexing="ij")
+            total = np.zeros(rr.shape)
+            cnt = np.zeros(rr.shape)
+            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
+                r2 = rr + dr
+                c2 = cc + dc
+                ok = (r2 >= 0) & (r2 < side) & (c2 >= 0) & (c2 < side)
+                total[ok] += g[r2[ok], c2[ok]]
+                cnt[ok] += 1
+            g[rr, cc] = total / cnt + rng.normal(0.0, amp, rr.shape)
+        step = half
+        amp *= ROUGHNESS
+    sub = g[:size, :size]
+    lo, hi = sub.min(), sub.max()
+    return (sub - lo) / (hi - lo) * relief if hi > lo else np.zeros_like(sub)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 17, 100, 129, 512])
+def test_terrain_is_bitwise_the_meshgrid_reference(size):
+    for seed in range(6):
+        got = make_terrain(seed, size, 80.0).values
+        expected = _reference_terrain(seed, size, 80.0)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_terrain_validation():
