@@ -123,20 +123,27 @@ def build_virtual_grid(
     per axis value and in blocks. Survivors come in C order of (lat, lon,
     alt) index.
 
+    The grid only samples. Whether the survivors determine a camera is the
+    DLT's question: :func:`solve_projection` refuses coplanar and collinear
+    ones. A single altitude layer is refused here: the Earth's curvature
+    bends it just off a plane, so the DLT would fit it, and badly.
+
     Raises:
-        DegenerateError: if any dim < 2, fewer than 6 points survive,
-            fewer than 3 distinct altitude layers survive, or the surviving
-            points are numerically coplanar.
+        ValueError: if the image width or height is not positive.
+        DegenerateError: if any dim < 2, fewer than 6 points survive, or
+            they all lie in one altitude layer.
     """
     n_lat, n_lon, n_alt = (int(d) for d in dims)
     if min(n_lat, n_lon, n_alt) < 2:
         raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
+    w, h = image_size
+    if not (w > 0 and h > 0):
+        raise ValueError(f"image size must be positive, got {w} x {h}")
     lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
     lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
     alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
 
     samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
-    w, h = image_size
     keep = (samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h)
     pixels = np.column_stack([samp[keep], line[keep]])
     i_lat, i_lon, i_alt = np.nonzero(keep)
@@ -146,35 +153,12 @@ def build_virtual_grid(
     size = pixels.shape[0]
     if size < 6:
         raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
-    if layers < 3:
-        raise DegenerateError(f"only {layers} altitude layers survive; need >= 3")
+    if layers < 2:
+        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
     enu = lattice_to_enu(lats, lons, i_lat, i_lon, alts[i_alt], anchor)
-    if _coplanar(enu):
-        raise DegenerateError("surviving grid points are coplanar")
     return VirtualGrid(enu=enu, pixels=pixels, anchor=anchor)
-
-
-def _coplanar(points: np.ndarray) -> bool:
-    """Whether (N, 3) points are coplanar: sigma3 < 1e-9 sigma1 of the centred set.
-
-    The eigenvalues of the centred 3x3 Gram matrix are the squared singular
-    values, off by at most about N eps lambda1 in rounding. So a ratio
-    lambda3 / lambda1 above 1e-8 (sigma3 / sigma1 above 1e-4) settles the
-    question for any grid of fewer than 10^7 points; every other set goes to
-    the exact SVD.
-    """
-    centred = np.empty((3, len(points)))
-    for j in range(3):
-        np.subtract(points[:, j], points[:, j].mean(), out=centred[j])
-    gram = centred @ centred.T
-    if np.isfinite(gram).all():
-        lam = np.linalg.eigvalsh(gram)
-        if lam[0] > 1e-8 * lam[2]:
-            return False
-    sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
-    return bool(sv[2] < 1e-9 * sv[0])
 
 
 def _condition(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -85,12 +85,14 @@ def _compose_affine(m6: np.ndarray, a: float, b: float, c: float, d: float) -> n
 
 
 def _correspondences(src, dst, minimum: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check two (N, 2) point arrays of equal shape, with N >= *minimum*."""
+    """Check two finite (N, 2) point arrays of equal shape, with N >= *minimum*."""
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
-    for arr in (src, dst):
+    for name, arr in (("src", src), ("dst", dst)):
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"expected (N, 2) point array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} points must be finite")
     if src.shape != dst.shape:
         raise ValueError(f"source/destination shapes differ: {src.shape} vs {dst.shape}")
     if src.shape[0] < minimum:
@@ -112,6 +114,7 @@ def fit_polynomial(src, dst) -> PolynomialWarp:
     state.
 
     Raises:
+        ValueError: point arrays not finite, (N, 2) and of one shape.
         DegenerateError: fewer than 6 points, or source points
             lying on a single conic (rank-deficient design).
     """
@@ -145,6 +148,7 @@ def fit_homography(src, dst) -> Homography:
     """Fit a plane homography by the normalized DLT of ``solve_projection``.
 
     Raises:
+        ValueError: point arrays not finite, (N, 2) and of one shape.
         DegenerateError: fewer than 4 points, or a fit whose h22 vanishes.
         IllConditionedError: the points collapse or do not determine the
             homography (collinear or other critical points).

@@ -276,7 +276,7 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
         (lat, lon) in degrees with the broadcast input shape.
 
     Raises:
-        ValueError: altitude outside the rated volume.
+        ValueError: a non-finite input, or altitude outside the rated volume.
         ConvergenceError: iteration stalled; the message carries the worst
             remaining residual in pixels.
     """
@@ -286,6 +286,9 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
     samp, line, alt = np.broadcast_arrays(samp, line, alt)
     shape = samp.shape
 
+    for name, arr in (("samp", samp), ("line", line), ("alt", alt)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     h = (alt.ravel() - model.alt_off) / model.alt_scale
     if np.any(np.abs(h) > SOFT_BOUND):
         raise ValueError(

@@ -94,6 +94,32 @@ def test_degenerate_grid_reports_category(tmp_path, scene_dir, capsys):
     assert capsys.readouterr().err.startswith("error: degenerate:")
 
 
+@pytest.mark.parametrize("size", [("0", "0"), ("-5", "96")], ids=["0x0", "-5x96"])
+@pytest.mark.parametrize(
+    "command, out_flag", [("equate", "--camera"), ("refine", "--warp"), ("error-map", "--out")]
+)
+def test_non_positive_image_size_is_invalid(tmp_path, scene_dir, capsys, command, out_flag, size):
+    rc = main(
+        [command, str(scene_dir / "rpc.txt"), "--image-size", *size, out_flag, str(tmp_path / "out.txt")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid: image size must be positive")
+
+
+def test_equate_fits_on_two_altitude_layers(tmp_path, scene_dir):
+    rc = main(
+        [
+            "equate",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--camera", str(tmp_path / "cam.txt"),
+            "--grid", "20", "20", "2",
+        ]
+    )
+    assert rc == 0
+    assert load_camera(tmp_path / "cam.txt").residual_rms_px < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # synth and inspect
 

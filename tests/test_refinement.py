@@ -119,6 +119,17 @@ def test_fit_polynomial_shape_mismatch():
         fit_polynomial(np.zeros((8, 3)), np.zeros((8, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("fit", [fit_polynomial, fit_homography], ids=["polynomial", "homography"])
+def test_fits_reject_non_finite_points(fit, side, value):
+    rng = np.random.default_rng(2)
+    pts = {"src": _scatter(rng, 12), "dst": _scatter(rng, 12)}
+    pts[side][3, 1] = value
+    with pytest.raises(ValueError, match=f"{side} points must be finite"):
+        fit(pts["src"], pts["dst"])
+
+
 # ---------------------------------------------------------------------------
 # Homography fitting
 

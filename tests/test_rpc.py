@@ -447,3 +447,15 @@ def test_inverse_rejects_out_of_volume_altitude(pushbroom_bundle):
     bad_alt = model.alt_off + 2.0 * model.alt_scale
     with pytest.raises(ValueError, match="altitude"):
         project_inverse(model, 512.0, 512.0, bad_alt)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["samp", "line", "alt"])
+def test_inverse_rejects_non_finite_input(pushbroom_bundle, name, value):
+    # One bad entry among finite ones: no point may come back as converged
+    # at the starting guess, and no numpy warning may be raised.
+    model = pushbroom_bundle.model
+    args = {"samp": [512.0, 600.0], "line": [512.0, 400.0], "alt": [model.alt_off] * 2}
+    args[name][1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        project_inverse(model, **args)
