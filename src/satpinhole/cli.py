@@ -20,13 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .equivalence import DEFAULT_GRID_DIMS, equate, fit_equivalence, load_camera, save_camera
-from .error_analysis import (
-    error_field,
+from .equivalence import (
+    DEFAULT_GRID_DIMS,
+    equate,
+    fit_equivalence,
     format_equivalence_report,
+    load_camera,
     measure_equivalence_error,
-    write_field_preview,
+    save_camera,
 )
+from .error_analysis import error_field, write_field_preview
 from .errors import DegenerateError
 from .fusion import FusionConfig, dsm_metrics, format_metrics_report, fuse_views
 from .kvio import fmt

@@ -4,23 +4,21 @@ The approach samples a virtual 3D grid across the model's rated volume,
 projects it through the rational model, keeps the points landing inside the
 image, and solves for a 3x4 projection matrix by direct linear transform over
 (ENU ground, pixel) correspondences. RQ factorization then splits the matrix
-into intrinsics, rotation, and translation.
+into intrinsics, rotation, and translation. The fitted camera is scored on a
+held-out grid: the report gives the per-axis and combined RMSE and the largest
+Euclidean pixel distance between the rational and pinhole projections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, lattice_to_enu
-from .kvio import fmt, get_float, get_floats, get_ints, read_kv
+from .kvio import fmt, get_float, get_floats, get_ints, read_kv, require_finite
 from .rpc import RpcModel, project_forward
-
-if TYPE_CHECKING:
-    from .error_analysis import EquivalenceReport
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
 
@@ -311,6 +309,86 @@ def decompose_projection(
 
 
 @dataclass(frozen=True)
+class EquivalenceReport:
+    """Summary of pinhole-vs-rational projection residuals.
+
+    The combined rmse satisfies rmse**2 == samp_rmse**2 + line_rmse**2, and
+    max_error is the largest per-point Euclidean pixel distance.
+    """
+
+    samp_rmse: float
+    line_rmse: float
+    rmse: float
+    max_error: float
+    n_points: int
+
+    @classmethod
+    def from_residuals(cls, dsamp: np.ndarray, dline: np.ndarray) -> "EquivalenceReport":
+        dsamp = np.asarray(dsamp, dtype=np.float64).ravel()
+        dline = np.asarray(dline, dtype=np.float64).ravel()
+        if dsamp.size == 0:
+            raise ValueError("cannot summarize an empty residual set")
+        samp_rmse = float(np.sqrt(np.mean(dsamp**2)))
+        line_rmse = float(np.sqrt(np.mean(dline**2)))
+        return cls(
+            samp_rmse=samp_rmse,
+            line_rmse=line_rmse,
+            rmse=float(np.hypot(samp_rmse, line_rmse)),
+            max_error=float(np.max(np.hypot(dsamp, dline))),
+            n_points=int(dsamp.size),
+        )
+
+
+def format_equivalence_report(report: EquivalenceReport) -> str:
+    lines = [
+        f"SAMP_RMSE_PX: {fmt(report.samp_rmse)}",
+        f"LINE_RMSE_PX: {fmt(report.line_rmse)}",
+        f"RMSE_PX: {fmt(report.rmse)}",
+        f"MAX_ERROR_PX: {fmt(report.max_error)}",
+        f"N_POINTS: {report.n_points}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_equivalence_report(text: str) -> EquivalenceReport:
+    """Parse report text written by format_equivalence_report.
+
+    The four pixel distances must be finite and non-negative.
+    """
+    kv = read_kv(text)
+    keys = ("SAMP_RMSE_PX", "LINE_RMSE_PX", "RMSE_PX", "MAX_ERROR_PX")
+    values = {key: get_float(kv, key) for key in keys}
+    n_points = get_ints(kv, "N_POINTS", 1)[0]
+    require_finite(kv, values)
+    for key, value in values.items():
+        if value < 0:
+            raise FormatError(f"{key}: must be non-negative, got {kv[key]!r}")
+    return EquivalenceReport(*values.values(), n_points=n_points)
+
+
+def measure_equivalence_error(
+    model: RpcModel,
+    camera: PinholeCamera,
+    grid: VirtualGrid,
+    warp=None,
+) -> EquivalenceReport:
+    """Compare rational and pinhole projections over a virtual grid.
+
+    The rational projections come from ``grid.pixels``, which must be
+    *model*'s projections of the grid nodes, as
+    :func:`~satpinhole.equivalence.build_virtual_grid` makes them; *model* is
+    the model *grid* was sampled from. When *warp* is given (any object with
+    an ``apply(x, y)`` method), the pinhole projections are pushed through it
+    before differencing, so the result measures the post-refinement residual.
+    """
+    samp, line = grid.pixels.T
+    psamp, pline = camera.project(grid.enu)
+    if warp is not None:
+        psamp, pline = warp.apply(psamp, pline)
+    return EquivalenceReport.from_residuals(samp - psamp, line - pline)
+
+
+@dataclass(frozen=True)
 class Equivalence:
     """An equivalent pinhole camera with the grids it was fit and scored on.
 
@@ -341,9 +419,6 @@ def fit_equivalence(
     half a cell so no node is shared. Both grids are returned for reuse, so a
     refinement warp and its before/after reports need no further grids.
     """
-    # Imported here because error_analysis imports this module at load time.
-    from .error_analysis import measure_equivalence_error
-
     fit_grid = build_virtual_grid(model, image_size, dims)
     p = solve_projection(fit_grid)
     camera = decompose_projection(p, fit_grid, image_size)
@@ -396,9 +471,7 @@ def parse_camera(text: str) -> PinholeCamera:
     for key, value, bound in (("ANCHOR_LAT", lat, 90.0), ("ANCHOR_LON", lon, 180.0)):
         if not -bound <= value <= bound:
             raise FormatError(f"{key}: must lie in [-{bound:g}, {bound:g}], got {kv[key]!r}")
-    for key, value in (("ANCHOR_ALT", alt), ("K", k), ("R", r), ("T", t), ("RESIDUAL_RMS_PX", rms)):
-        if not np.all(np.isfinite(value)):
-            raise FormatError(f"{key}: values must be finite, got {kv[key]!r}")
+    require_finite(kv, {"ANCHOR_ALT": alt, "K": k, "R": r, "T": t, "RESIDUAL_RMS_PX": rms})
     return PinholeCamera(
         k=k, r=r, t=t, anchor=GeoPoint(lat, lon, alt),
         image_size=tuple(size),

@@ -1,99 +1,30 @@
-"""Quantify and predict the pixel error of a pinhole stand-in for an RPC.
+"""Study the pixel error of a pinhole stand-in for an RPC.
 
 The error of interest is the Euclidean pixel distance between a ground
-point's rational-model projection and its pinhole projection. Reports
-aggregate it as per-axis RMSE plus the combined value; the spatial structure
-over the image is exported as a raster of per-cell means; a closed-form
-first-order predictor relates the error to depth variation about the mean
-scene depth.
+point's rational-model projection and its pinhole projection; its summary
+report lives with the fit, in :mod:`satpinhole.equivalence`. Here its spatial
+structure over the image is exported as a raster of per-cell means, a size
+sweep refits the camera over shrinking crops, and a closed-form first-order
+predictor relates the error to depth variation about the mean scene depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .equivalence import DEFAULT_GRID_DIMS, PinholeCamera, VirtualGrid, build_virtual_grid, equate
-from .kvio import fmt, get_float, get_ints, read_kv
+# measure_equivalence_error lives with the fit in equivalence; the name is
+# bound here too for the bench, which imports and traces it from this module.
+from .equivalence import (
+    DEFAULT_GRID_DIMS,
+    PinholeCamera,
+    VirtualGrid,
+    build_virtual_grid,
+    equate,
+    measure_equivalence_error,
+)
 from .raster import NODATA, Raster
 from .rpc import RpcModel
 from .tiling import crop_rpc
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Summary of pinhole-vs-rational projection residuals.
-
-    The combined rmse satisfies rmse**2 == samp_rmse**2 + line_rmse**2, and
-    max_error is the largest per-point Euclidean pixel distance.
-    """
-
-    samp_rmse: float
-    line_rmse: float
-    rmse: float
-    max_error: float
-    n_points: int
-
-    @classmethod
-    def from_residuals(cls, dsamp: np.ndarray, dline: np.ndarray) -> "EquivalenceReport":
-        dsamp = np.asarray(dsamp, dtype=np.float64).ravel()
-        dline = np.asarray(dline, dtype=np.float64).ravel()
-        if dsamp.size == 0:
-            raise ValueError("cannot summarize an empty residual set")
-        samp_rmse = float(np.sqrt(np.mean(dsamp**2)))
-        line_rmse = float(np.sqrt(np.mean(dline**2)))
-        return cls(
-            samp_rmse=samp_rmse,
-            line_rmse=line_rmse,
-            rmse=float(np.hypot(samp_rmse, line_rmse)),
-            max_error=float(np.max(np.hypot(dsamp, dline))),
-            n_points=int(dsamp.size),
-        )
-
-
-def format_equivalence_report(report: EquivalenceReport) -> str:
-    lines = [
-        f"SAMP_RMSE_PX: {fmt(report.samp_rmse)}",
-        f"LINE_RMSE_PX: {fmt(report.line_rmse)}",
-        f"RMSE_PX: {fmt(report.rmse)}",
-        f"MAX_ERROR_PX: {fmt(report.max_error)}",
-        f"N_POINTS: {report.n_points}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_equivalence_report(text: str) -> EquivalenceReport:
-    kv = read_kv(text)
-    return EquivalenceReport(
-        samp_rmse=get_float(kv, "SAMP_RMSE_PX"),
-        line_rmse=get_float(kv, "LINE_RMSE_PX"),
-        rmse=get_float(kv, "RMSE_PX"),
-        max_error=get_float(kv, "MAX_ERROR_PX"),
-        n_points=get_ints(kv, "N_POINTS", 1)[0],
-    )
-
-
-def measure_equivalence_error(
-    model: RpcModel,
-    camera: PinholeCamera,
-    grid: VirtualGrid,
-    warp=None,
-) -> EquivalenceReport:
-    """Compare rational and pinhole projections over a virtual grid.
-
-    The rational projections come from ``grid.pixels``, which must be
-    *model*'s projections of the grid nodes, as
-    :func:`~satpinhole.equivalence.build_virtual_grid` makes them; *model* is
-    the model *grid* was sampled from. When *warp* is given (any object with
-    an ``apply(x, y)`` method), the pinhole projections are pushed through it
-    before differencing, so the result measures the post-refinement residual.
-    """
-    samp, line = grid.pixels.T
-    psamp, pline = camera.project(grid.enu)
-    if warp is not None:
-        psamp, pline = warp.apply(psamp, pline)
-    return EquivalenceReport.from_residuals(samp - psamp, line - pline)
 
 
 def predict_error(x, z_cam, z_mean):
@@ -161,8 +92,7 @@ def error_field(
     cells = row * ncols + col
     total = np.bincount(cells, weights=err, minlength=nrows * ncols).reshape(nrows, ncols)
     count = np.bincount(cells, minlength=nrows * ncols).reshape(nrows, ncols)
-    with np.errstate(invalid="ignore"):
-        values = np.where(count > 0, total / np.maximum(count, 1.0), NODATA)
+    values = np.where(count > 0, total / np.maximum(count, 1.0), NODATA)
     return Raster(values=values, cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)
 
 

@@ -17,7 +17,7 @@ class FormatError(ValueError):
 
 class DegenerateError(ValueError):
     """The data do not pin down a fit: too few or degenerate points, or a
-    rational denominator near zero."""
+    rational denominator that falls to zero or below."""
     category = "degenerate"
 
 

@@ -6,6 +6,8 @@ parsed and written again, is byte-identical.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import FormatError
 
 
@@ -51,6 +53,17 @@ def get_floats(kv: dict[str, str], key: str, count: int) -> list[float]:
         return [float(t) for t in tokens]
     except ValueError:
         raise FormatError(f"{key}: non-numeric value {kv[key]!r}") from None
+
+
+def require_finite(kv: dict[str, str], values: dict[str, object]) -> None:
+    """Raise FormatError for the first key whose parsed value is not all finite.
+
+    *values* maps keys of *kv* to the numbers or arrays parsed from them; the
+    message quotes the raw text of the offending key.
+    """
+    for key, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise FormatError(f"{key}: values must be finite, got {kv[key]!r}")
 
 
 def get_ints(kv: dict[str, str], key: str, count: int) -> list[int]:

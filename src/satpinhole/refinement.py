@@ -16,7 +16,7 @@ import numpy as np
 
 from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt
 from .errors import DegenerateError, FormatError
-from .kvio import fmt, get_float, get_floats, read_kv
+from .kvio import fmt, get_float, get_floats, read_kv, require_finite
 from .raster import Raster, _row_blocks, interpolate
 from .rpc import RpcModel
 
@@ -248,9 +248,7 @@ def parse_warp(text: str):
         raise FormatError(f"unknown warp kind: {kind!r}")
     values = np.array(get_floats(kv, key, count))
     rms = get_float(kv, "FIT_RMS_PX")
-    for name, value in ((key, values), ("FIT_RMS_PX", rms)):
-        if not np.all(np.isfinite(value)):
-            raise FormatError(f"{name}: values must be finite, got {kv[name]!r}")
+    require_finite(kv, {key: values, "FIT_RMS_PX": rms})
     return warp_type(values, fit_rms_px=rms)
 
 

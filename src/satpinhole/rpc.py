@@ -206,8 +206,10 @@ def save_rpc(model: RpcModel, path) -> None:
 def _ratios(model: RpcModel, p, l, h, check: bool):
     """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
 
-    With *check*, a denominator magnitude under 1e-10 at any point raises
-    DegenerateError.
+    With *check*, a denominator under 1e-10 at any point raises
+    DegenerateError. The denominators' constant terms are 1, so a value
+    below the floor means the denominator vanishes between that point and
+    the volume centre: the model has a pole inside the evaluated region.
     """
     coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
     n = p.size
@@ -216,9 +218,10 @@ def _ratios(model: RpcModel, p, l, h, check: bool):
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         vals = coef @ _monomials(p[lo:hi], l[lo:hi], h[lo:hi], basis[:, : hi - lo])
-        if check and np.any(np.abs(vals[1::2]) < DENOMINATOR_FLOOR):
+        if check and np.any(vals[1::2] < DENOMINATOR_FLOOR):
             raise DegenerateError(
-                f"rational denominator magnitude below {DENOMINATOR_FLOOR:g}"
+                f"rational denominator below {DENOMINATOR_FLOOR:g}; it must stay "
+                "positive, as at the volume centre"
             )
         np.divide(vals[0], vals[1], out=samp[lo:hi])
         np.divide(vals[2], vals[3], out=line[lo:hi])
@@ -237,8 +240,10 @@ def project_forward(model: RpcModel, lat, lon, alt):
 
     Points whose normalized coordinates fall outside [-1.5, 1.5] on any axis
     still evaluate, but an ExtrapolationWarning is issued because the rational
-    fit carries no accuracy guarantee out there. A denominator magnitude under
-    1e-10 raises DegenerateError.
+    fit carries no accuracy guarantee out there. A denominator under 1e-10
+    at any point raises DegenerateError: denominators are 1 at the volume
+    centre and must stay positive, since a sign change means a pole between
+    that point and the centre.
     """
     p, l, h = model.normalize_ground(lat, lon, alt)
     # The bound of the inputs, not of their broadcast: a lattice given as

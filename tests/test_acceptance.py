@@ -21,11 +21,11 @@ from satpinhole.equivalence import (
     equate,
     fit_equivalence,
     format_camera,
+    measure_equivalence_error,
     parse_camera,
 )
 from satpinhole.error_analysis import (
     error_field,
-    measure_equivalence_error,
     predict_error,
     size_sweep,
 )

@@ -1,11 +1,12 @@
-"""The package exports exactly the names its ``__init__`` imports, and each
-of its modules imports on its own."""
+"""The package exports exactly the names its ``__init__`` imports, each of
+its modules imports on its own, and its modules import each other one way."""
 
 import ast
 import os
 import pkgutil
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,42 @@ def test_module_imports_in_a_fresh_interpreter(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _package_imports(tree) -> set[str]:
+    """Package modules that a module's AST imports, wherever the statement sits:
+    at the top, inside a function or under ``if TYPE_CHECKING``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "from .x import y" and "from satpinhole.x import y" name module
+            # x; "from . import x" and "from satpinhole import x" name x.
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "satpinhole":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("satpinhole.")
+            )
+    return found
+
+
+def test_module_imports_form_no_cycle():
+    # A cycle hidden from load time (a call-time import, or one under
+    # TYPE_CHECKING) still ties two modules together; the graph must be a DAG.
+    package = Path(satpinhole.__file__).parent
+    graph = {
+        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {stem for deps in graph.values() for stem in deps} <= set(graph)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        pytest.fail("import cycle: " + " -> ".join(err.args[1]))

@@ -15,10 +15,9 @@ import pytest
 import satpinhole
 from satpinhole import cli, equivalence
 from satpinhole.cli import build_parser, main
-from satpinhole.equivalence import load_camera
-from satpinhole.error_analysis import parse_equivalence_report
+from satpinhole.equivalence import load_camera, parse_equivalence_report
 from satpinhole.raster import load_ascii_grid, save_ascii_grid
-from satpinhole.rpc import load_rpc, project_forward
+from satpinhole.rpc import format_rpc, load_rpc, project_forward
 from satpinhole.tiling import parse_manifest
 
 
@@ -663,6 +662,24 @@ def test_equate_non_finite_rpc_coefficient_is_a_parse_error(tmp_path, scene_dir,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: parse: {key}:")
+    assert err.count("\n") == 1
+    assert not camera.exists()
+
+
+def test_equate_model_with_a_pole_in_its_volume_is_degenerate(tmp_path, capsys):
+    # The 512x512 seed-21 acceptance model with a denominator coefficient
+    # large enough to cross zero inside the rated volume. Past the pole the
+    # denominator is negative but not small; the fit must stop there, not
+    # run on to a camera with grid points behind it.
+    scene = satpinhole.make_pushbroom_scene(21, (512, 512), relief=60, extent_deg=0.16)
+    model, _ = satpinhole.fit_scene_rpc(scene)
+    rpc = tmp_path / "rpc.txt"
+    rpc.write_text(re.sub(r"(?m)^SAMP_DEN_COEFF_3: .*$", "SAMP_DEN_COEFF_3: -2", format_rpc(model)))
+    camera = tmp_path / "cam.txt"
+    rc = main(["equate", str(rpc), "--image-size", "512", "512", "--camera", str(camera)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate: rational denominator below 1e-10; it must stay positive")
     assert err.count("\n") == 1
     assert not camera.exists()
 

@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from satpinhole.equivalence import build_virtual_grid
-from satpinhole.error_analysis import (
+from satpinhole.equivalence import (
     EquivalenceReport,
-    error_field,
+    build_virtual_grid,
     format_equivalence_report,
     measure_equivalence_error,
     parse_equivalence_report,
+)
+from satpinhole.error_analysis import (
+    error_field,
     predict_error,
     size_sweep,
     write_field_preview,
@@ -34,6 +38,22 @@ def test_report_round_trip():
     back = parse_equivalence_report(text)
     assert format_equivalence_report(back) == text
     assert back.n_points == 3
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("SAMP_RMSE_PX", "nan", "values must be finite"),
+        ("RMSE_PX", "inf", "values must be finite"),
+        ("LINE_RMSE_PX", "-inf", "values must be finite"),
+        ("MAX_ERROR_PX", "-1", "must be non-negative"),
+    ],
+)
+def test_report_distances_must_be_finite_and_non_negative(key, value, message):
+    rep = EquivalenceReport.from_residuals(np.array([0.25, -1.5]), np.array([0.1, 0.6]))
+    text = re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", format_equivalence_report(rep))
+    with pytest.raises(FormatError, match=f"^{key}: {message}, got '{value}'$"):
+        parse_equivalence_report(text)
 
 
 @pytest.mark.parametrize("line", ["N_POINTS: inf", "N_POINTS: 2.5", "N_POINTS: 0", ""])

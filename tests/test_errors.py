@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import satpinhole
 from satpinhole.cli import _category_for
-from satpinhole.equivalence import PinholeCamera, format_camera, parse_camera
-from satpinhole.error_analysis import (
+from satpinhole.equivalence import (
     EquivalenceReport,
+    PinholeCamera,
+    format_camera,
     format_equivalence_report,
+    parse_camera,
     parse_equivalence_report,
 )
 from satpinhole.errors import (

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from satpinhole.equivalence import build_virtual_grid
-from satpinhole.error_analysis import measure_equivalence_error
+from satpinhole.equivalence import build_virtual_grid, measure_equivalence_error
 from satpinhole.errors import DegenerateError, FormatError, IllConditionedError
 from satpinhole.kvio import fmt
 from satpinhole.raster import Raster

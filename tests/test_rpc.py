@@ -190,6 +190,19 @@ def test_singular_denominator_in_last_block_raises(axis):
         project_forward(model, lat, lon, alt)
 
 
+@pytest.mark.parametrize("axis", ["samp", "line"])
+def test_denominator_past_its_pole_raises(axis):
+    # Denominator 1 + 2 alt is 1 at the volume centre and vanishes at
+    # alt = -0.5. At alt = -0.75 it is -0.5, far from zero in magnitude, but
+    # the pole lies between that point and the centre.
+    rng = np.random.default_rng(9)
+    model = _unit_model(rng, **{f"{axis}_den": _coeffs(i0=1.0, i3=2.0)})
+    lat, lon = rng.uniform(-1, 1, (2, 3))
+    project_forward(model, lat, lon, np.array([0.0, -0.25, -0.45]))
+    with pytest.raises(DegenerateError, match="must stay positive"):
+        project_forward(model, lat, lon, np.array([0.0, -0.25, -0.75]))
+
+
 def test_nan_input_stays_at_its_index():
     rng = np.random.default_rng(21)
     model = _unit_model(rng)
