@@ -45,6 +45,12 @@ from .tiling import crop_raster, crop_rpc, enhance_brightness, format_manifest, 
 # below any error a warp is fit to remove.
 _WARP_RMSE_TOLERANCE_PX = 1e-9
 
+
+def _write_text(path, text: str) -> None:
+    """Write a text output as the save functions do: UTF-8, LF line ends."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def _category_for(exc: Exception) -> str | None:
     """The stable word that names *exc*'s category on stderr, so scripts can
     branch on it without parsing prose; None for a bug."""
@@ -89,7 +95,7 @@ def cmd_equate(args) -> int:
     camera, report = equate(model, tuple(args.image_size), dims=tuple(args.grid))
     save_camera(camera, args.camera)
     if args.report:
-        Path(args.report).write_text(format_equivalence_report(report))
+        _write_text(args.report, format_equivalence_report(report))
     print(
         f"equivalent camera: rmse_px={fmt(report.rmse)} "
         f"max_px={fmt(report.max_error)} points={report.n_points}"
@@ -127,9 +133,9 @@ def cmd_refine(args) -> int:
     if args.camera:
         save_camera(camera, args.camera)
     if args.report_before:
-        Path(args.report_before).write_text(format_equivalence_report(before))
+        _write_text(args.report_before, format_equivalence_report(before))
     if args.report_after:
-        Path(args.report_after).write_text(format_equivalence_report(after))
+        _write_text(args.report_after, format_equivalence_report(after))
     if image is not None:
         save_ascii_grid(resample(image, warp), args.corrected)
     print(f"refined ({args.kind}): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
@@ -152,7 +158,7 @@ def cmd_partition(args) -> int:
         save_ascii_grid(sub, out_dir / image_name)
         save_rpc(crop_rpc(model, (tile.col, tile.row)), out_dir / rpc_name)
 
-    (out_dir / "tiles.txt").write_text(format_manifest(plan, image_names, rpc_names))
+    _write_text(out_dir / "tiles.txt", format_manifest(plan, image_names, rpc_names))
     print(f"wrote {len(plan.tiles)} tiles and tiles.txt to {out_dir}")
     return 0
 
@@ -162,6 +168,12 @@ def cmd_error_map(args) -> int:
     image_size = tuple(args.image_size)
     if args.camera:
         camera = load_camera(args.camera)
+        if camera.image_size != image_size:
+            raise ValueError(
+                f"--camera is for {camera.image_size[0]} x {camera.image_size[1]} pixels "
+                f"but --image-size is {image_size[0]} x {image_size[1]}; the error map "
+                "is rated in the camera's pixels"
+            )
     else:
         camera, _ = equate(model, image_size, dims=tuple(args.grid))
     field = error_field(model, camera, image_size, args.cell)
@@ -198,7 +210,7 @@ def cmd_metrics(args) -> int:
     result = dsm_metrics(estimate, truth, thresholds=tuple(args.thresholds))
     text = format_metrics_report(result)
     if args.report:
-        Path(args.report).write_text(text)
+        _write_text(args.report, text)
     print(text, end="")
     return 0
 
@@ -231,7 +243,7 @@ def cmd_synth(args) -> int:
         lines = ["KIND: pushbroom"]
         for key, vec in (("A", cam.a), ("B", cam.b), ("C", cam.c)):
             lines.append(f"{key}: " + " ".join(fmt(v) for v in vec))
-        (out_dir / "camera.txt").write_text("\n".join(lines) + "\n")
+        _write_text(out_dir / "camera.txt", "\n".join(lines) + "\n")
     print(f"synthetic {args.kind} scene (seed {args.seed}): rpc_fit_rms_px={fmt(fit_rms)}")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, lattice_to_enu
-from .kvio import fmt, get_float, get_floats, get_ints, read_kv, require_finite
+from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
 from .rpc import RpcModel, project_forward
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
@@ -357,13 +357,8 @@ def parse_equivalence_report(text: str) -> EquivalenceReport:
     """
     kv = read_kv(text)
     keys = ("SAMP_RMSE_PX", "LINE_RMSE_PX", "RMSE_PX", "MAX_ERROR_PX")
-    values = {key: get_float(kv, key) for key in keys}
-    n_points = get_ints(kv, "N_POINTS", 1)[0]
-    require_finite(kv, values)
-    for key, value in values.items():
-        if value < 0:
-            raise FormatError(f"{key}: must be non-negative, got {kv[key]!r}")
-    return EquivalenceReport(*values.values(), n_points=n_points)
+    values = [get_distance(kv, key) for key in keys]
+    return EquivalenceReport(*values, n_points=get_ints(kv, "N_POINTS", 1)[0])
 
 
 def measure_equivalence_error(
@@ -460,18 +455,32 @@ def format_camera(cam: PinholeCamera) -> str:
 
 
 def parse_camera(text: str) -> PinholeCamera:
-    """Parse key-value camera text written by format_camera."""
+    """Parse key-value camera text written by format_camera.
+
+    K and R must meet :class:`PinholeCamera`'s invariants: K upper triangular
+    with a positive diagonal and K[2][2] == 1, R a rotation (max |R^T R - I|
+    at most 1e-9 and det R > 0).
+    """
     kv = read_kv(text)
     size = get_ints(kv, "IMAGE_SIZE", 2)
     lat, lon, alt = (get_float(kv, key) for key in ("ANCHOR_LAT", "ANCHOR_LON", "ANCHOR_ALT"))
     k = np.array(get_floats(kv, "K", 9)).reshape(3, 3)
     r = np.array(get_floats(kv, "R", 9)).reshape(3, 3)
     t = np.array(get_floats(kv, "T", 3))
-    rms = get_float(kv, "RESIDUAL_RMS_PX")
+    rms = get_distance(kv, "RESIDUAL_RMS_PX")
     for key, value, bound in (("ANCHOR_LAT", lat, 90.0), ("ANCHOR_LON", lon, 180.0)):
         if not -bound <= value <= bound:
             raise FormatError(f"{key}: must lie in [-{bound:g}, {bound:g}], got {kv[key]!r}")
-    require_finite(kv, {"ANCHOR_ALT": alt, "K": k, "R": r, "T": t, "RESIDUAL_RMS_PX": rms})
+    require_finite(kv, {"ANCHOR_ALT": alt, "K": k, "R": r, "T": t})
+    if np.any(np.tril(k, -1)) or not (np.all(np.diag(k) > 0) and k[2, 2] == 1):
+        raise FormatError(
+            "K: must be upper triangular with a positive diagonal and "
+            f"K[2][2] == 1, got {kv['K']!r}"
+        )
+    if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or not np.linalg.det(r) > 0:
+        raise FormatError(
+            f"R: must be a rotation (max |R^T R - I| <= 1e-9, det > 0), got {kv['R']!r}"
+        )
     return PinholeCamera(
         k=k, r=r, t=t, anchor=GeoPoint(lat, lon, alt),
         image_size=tuple(size),

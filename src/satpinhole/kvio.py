@@ -66,6 +66,15 @@ def require_finite(kv: dict[str, str], values: dict[str, object]) -> None:
             raise FormatError(f"{key}: values must be finite, got {kv[key]!r}")
 
 
+def get_distance(kv: dict[str, str], key: str) -> float:
+    """Fetch a required pixel distance: one finite, non-negative float."""
+    value = get_float(kv, key)
+    require_finite(kv, {key: value})
+    if value < 0:
+        raise FormatError(f"{key}: must be non-negative, got {kv[key]!r}")
+    return value
+
+
 def get_ints(kv: dict[str, str], key: str, count: int) -> list[int]:
     """Fetch a required list of exactly *count* positive integers."""
     values = get_floats(kv, key, count)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt
 from .errors import DegenerateError, FormatError
-from .kvio import fmt, get_float, get_floats, read_kv, require_finite
+from .kvio import fmt, get_distance, get_floats, read_kv, require_finite
 from .raster import Raster, _row_blocks, interpolate
 from .rpc import RpcModel
 
@@ -247,8 +247,8 @@ def parse_warp(text: str):
     else:
         raise FormatError(f"unknown warp kind: {kind!r}")
     values = np.array(get_floats(kv, key, count))
-    rms = get_float(kv, "FIT_RMS_PX")
-    require_finite(kv, {key: values, "FIT_RMS_PX": rms})
+    require_finite(kv, {key: values})
+    rms = get_distance(kv, "FIT_RMS_PX")
     return warp_type(values, fit_rms_px=rms)
 
 

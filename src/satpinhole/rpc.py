@@ -307,24 +307,23 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
     l = np.zeros_like(u)
 
     def residual(pp, ll):
+        """Normalized misfit (samp, line) at (pp, ll) and its size in pixels."""
         with np.errstate(divide="ignore", invalid="ignore"):
             fs, fl = _ratios(model, pp, ll, h, check=False)
-        return fs - u, fl - v
+        fs, fl = fs - u, fl - v
+        return fs, fl, np.hypot(fs * model.samp_scale, fl * model.line_scale)
 
     eps = 1e-6
-    tol_s = tol_px / model.samp_scale
-    tol_l = tol_px / model.line_scale
-    fs, fl = residual(p, l)
+    fs, fl, err = residual(p, l)
     for _ in range(max_iter):
-        err = np.hypot(fs * model.samp_scale, fl * model.line_scale)
         active = err > tol_px
         if not np.any(active):
             break
         # Central-difference Jacobian of (samp_n, line_n) wrt (p, l).
-        fs_pp, fl_pp = residual(p + eps, l)
-        fs_pm, fl_pm = residual(p - eps, l)
-        fs_lp, fl_lp = residual(p, l + eps)
-        fs_lm, fl_lm = residual(p, l - eps)
+        fs_pp, fl_pp, _ = residual(p + eps, l)
+        fs_pm, fl_pm, _ = residual(p - eps, l)
+        fs_lp, fl_lp, _ = residual(p, l + eps)
+        fs_lm, fl_lm, _ = residual(p, l - eps)
         j11 = (fs_pp - fs_pm) / (2 * eps)
         j12 = (fs_lp - fs_lm) / (2 * eps)
         j21 = (fl_pp - fl_pm) / (2 * eps)
@@ -336,25 +335,21 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
         dp = np.where(np.isfinite(dp), dp, 0.0)
         dl = np.where(np.isfinite(dl), dl, 0.0)
 
-        # Damped update: halve the step until the scaled residual decreases.
+        # Damped update: halve the step, down to 1/256, until the misfit
+        # decreases; the last trial evaluated is the accepted one everywhere.
         step = np.where(active, 1.0, 0.0)
-        best = np.hypot(fs / tol_s, fl / tol_l)
-        for _ in range(8):
-            ts, tl_ = residual(p + step * dp, l + step * dl)
-            trial = np.hypot(ts / tol_s, tl_ / tol_l)
-            worse = active & ~(trial < best)
+        while True:
+            p_try, l_try = p + step * dp, l + step * dl
+            trial = residual(p_try, l_try)
+            worse = active & (step > 2.0**-8) & ~(trial[2] < err)
             if not np.any(worse):
                 break
             step = np.where(worse, step * 0.5, step)
-        p = p + step * dp
-        l = l + step * dl
-        fs, fl = residual(p, l)
-    else:
-        err = np.hypot(fs * model.samp_scale, fl * model.line_scale)
-        if np.any(err > tol_px):
-            raise ConvergenceError(
-                f"inverse projection stalled; worst residual {np.max(err):.3g} px"
-            )
+        p, l, (fs, fl, err) = p_try, l_try, trial
+    if np.any(err > tol_px):
+        raise ConvergenceError(
+            f"inverse projection stalled; worst residual {np.max(err):.3g} px"
+        )
 
     lat = p * model.lat_scale + model.lat_off
     lon = l * model.lon_scale + model.lon_off

@@ -1,5 +1,6 @@
 """The package exports exactly the names its ``__init__`` imports, each of
-its modules imports on its own, and its modules import each other one way."""
+its modules imports on its own, its modules import each other one way, and
+every text file it opens names its encoding."""
 
 import ast
 import os
@@ -79,3 +80,38 @@ def test_module_imports_form_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as err:
         pytest.fail("import cycle: " + " -> ".join(err.args[1]))
+
+
+def _text_io_calls(tree):
+    """(names an encoding, source) of each text-mode ``open``, ``read_text``
+    and ``write_text`` call in a module's AST."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode_args = node.args[1:2]  # open(file, mode, ...)
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            mode_args = node.args[:1]  # Path.open(mode, ...)
+        elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            mode_args = []
+        else:
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        mode = mode_args[0] if mode_args else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and "b" in mode.value:
+            continue
+        yield "encoding" in keywords, ast.unparse(node)
+
+
+def test_text_io_names_its_encoding():
+    # Without an encoding, Python takes the locale's; the package's text
+    # files are UTF-8 wherever they are written or read.
+    package = Path(satpinhole.__file__).parent
+    calls = [
+        (path.name, named, source)
+        for path in sorted(package.glob("*.py"))
+        for named, source in _text_io_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert calls
+    assert [(name, source) for name, named, source in calls if not named] == []

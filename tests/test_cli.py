@@ -635,6 +635,49 @@ def test_error_map_non_finite_camera_is_a_parse_error(tmp_path, scene_dir, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("K", "0 0 0 0 0 0 0 0 0"), ("R", "1 0 0 0 1 0 0 0 -1")])
+def test_error_map_camera_that_is_not_a_camera_is_a_parse_error(tmp_path, scene_dir, capsys, key, value):
+    # A zero K divided by zero into a grid of nan cells, and a reflected R
+    # gave a 60 px map; both exited 0.
+    camera = tmp_path / "camera.txt"
+    text = (scene_dir / "camera.txt").read_text()
+    camera.write_text(re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", text))
+    out = tmp_path / "field.asc"
+    rc = main(
+        [
+            "error-map",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "96", "96",
+            "--out", str(out),
+            "--camera", str(camera),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {key}: must be")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_error_map_camera_of_another_image_size_is_invalid(tmp_path, scene_dir, capsys):
+    out = tmp_path / "field.asc"
+    rc = main(
+        [
+            "error-map",
+            str(scene_dir / "rpc.txt"),
+            "--image-size", "64", "48",
+            "--out", str(out),
+            "--camera", str(scene_dir / "camera.txt"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: --camera is for 96 x 96 pixels")
+    assert "--image-size is 64 x 48" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "91", "-inf"])
 @pytest.mark.parametrize("key", ["ANCHOR_LAT", "ANCHOR_LON"])
 def test_error_map_anchor_off_the_globe_is_a_parse_error(tmp_path, scene_dir, capsys, key, value):

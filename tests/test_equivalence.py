@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +450,34 @@ def test_camera_values_must_be_finite(pinhole_bundle, key, value):
     lines = [ln.rsplit(" ", 1)[0] + f" {value}" if ln.startswith(f"{key}:") else ln for ln in lines]
     with pytest.raises(FormatError, match=f"^{key}:"):
         parse_camera("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("K", "0 0 0 0 0 0 0 0 0"),
+        ("K", "1000 0 48 1e-300 1000 48 0 0 1"),
+        ("K", "1000 0 48 0 -1000 48 0 0 1"),
+        ("K", "1000 0 48 0 1000 48 0 0 2"),
+        ("R", "1 0 0 0 1 0 0 0 -1"),
+        ("R", "0 1 0 1 0 0 0 0 1"),
+        ("R", "1 0 0 0 1 0 0 0 1.00000001"),
+        ("R", "0 0 0 0 0 0 0 0 0"),
+    ],
+)
+def test_camera_k_and_r_must_be_intrinsics_and_a_rotation(pinhole_bundle, key, value):
+    lines = format_camera(pinhole_bundle.camera).splitlines()
+    lines = [f"{key}: {value}" if ln.startswith(f"{key}:") else ln for ln in lines]
+    with pytest.raises(FormatError, match=f"^{key}: must be .*, got '{re.escape(value)}'$"):
+        parse_camera("\n".join(lines))
+
+
+def test_camera_rotation_tolerance_admits_rounding(pinhole_bundle):
+    # |R^T R - I| of the cameras the package fits is at rounding level
+    # (under 1e-15); the 1e-9 bound only refuses what is not a rotation.
+    text = format_camera(pinhole_bundle.camera)
+    text = re.sub(r"(?m)^R: .*$", "R: 1 0 0 0 1 0 0 0 1.0000000001", text)
+    assert parse_camera(text).r[2, 2] == 1.0000000001
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-181"])

@@ -188,6 +188,25 @@ def test_one_number_with_an_extra_token_names_key(key, extra):
             parse(pattern.sub(lambda m: f"{m.group(0)} {extra}", text))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("-1", "must be non-negative"), ("-inf", "values must be finite"), ("nan", "values must be finite")],
+)
+@pytest.mark.parametrize(
+    "key",
+    ["RESIDUAL_RMS_PX", "FIT_RMS_PX", "SAMP_RMSE_PX", "LINE_RMSE_PX", "RMSE_PX", "MAX_ERROR_PX"],
+)
+def test_pixel_distances_must_be_finite_and_non_negative(key, value, message):
+    # Every RMS or maximum pixel distance of a camera, warp or report is one
+    # rule, with one message naming the key and quoting its text.
+    pattern = re.compile(rf"^{key}: .*$", re.M)
+    cases = [(text, parse) for text, parse in DOCUMENTS if pattern.search(text)]
+    assert cases
+    for text, parse in cases:
+        with pytest.raises(FormatError, match=re.escape(f"{key}: {message}, got '{value}'") + "$"):
+            parse(pattern.sub(f"{key}: {value}", text))
+
+
 @pytest.mark.parametrize("key", ["LINE_NUM_COEFF_5", "K", "M", "H", "N_POINTS"])
 def test_repeated_key_is_a_parse_error(key):
     # Neither the first nor the last copy of a key may win silently.

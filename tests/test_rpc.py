@@ -14,6 +14,7 @@ from satpinhole.rpc import (
     project_forward,
     project_inverse,
 )
+from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
 
 
 def eval_cubic(c: np.ndarray, lat, lon, alt):
@@ -453,6 +454,63 @@ def test_inverse_iteration_cap_raises(pushbroom_bundle):
     model = pushbroom_bundle.model
     with pytest.raises(ConvergenceError, match="px"):
         project_inverse(model, 0.0, 0.0, 0.0, max_iter=1, tol_px=1e-12)
+
+
+def _overshoot_model() -> RpcModel:
+    """Normalized samp = p + 2 p^3 and line = l, both denominators 1.
+
+    Newton's first step from the volume centre solves the linear part alone
+    and lands far past a target at |p| near 1, so the step must be halved.
+    """
+    coeffs = {name: np.zeros(20) for name in ("line_num", "line_den", "samp_num", "samp_den")}
+    coeffs["line_den"][0] = coeffs["samp_den"][0] = 1.0
+    coeffs["samp_num"][2], coeffs["samp_num"][15] = 1.0, 2.0  # P and P3
+    coeffs["line_num"][1] = 1.0  # L
+    return RpcModel(
+        line_off=0.0, samp_off=0.0, lat_off=0.0, lon_off=0.0, alt_off=0.0,
+        line_scale=1000.0, samp_scale=1000.0, lat_scale=0.1, lon_scale=0.1, alt_scale=1.0,
+        **coeffs,
+    )
+
+
+def _count_ratios(monkeypatch) -> list[int]:
+    """Count the model evaluations that project_inverse makes."""
+    calls = [0]
+    ratios = rpc._ratios
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return ratios(*args, **kwargs)
+
+    monkeypatch.setattr(rpc, "_ratios", counting)
+    return calls
+
+
+def test_inverse_halves_an_overshooting_step(monkeypatch):
+    model = _overshoot_model()
+    p, l = np.array([0.9, -0.5, 0.0]), np.array([0.0, 0.3, 0.0])
+    calls = _count_ratios(monkeypatch)
+    lat, lon = project_inverse(model, (p + 2 * p**3) * 1000.0, l * 1000.0, 0.0)
+    assert np.max(np.abs(lat - 0.1 * p)) <= 1e-12
+    assert np.max(np.abs(lon - 0.1 * l)) <= 1e-12
+    # Six Newton iterations, one of them halved: the start, then four
+    # Jacobian evaluations and the trials (the last one accepted) each.
+    assert calls[0] == 32
+
+
+def test_inverse_evaluates_the_model_once_per_trial(monkeypatch):
+    model, _ = fit_scene_rpc(make_pushbroom_scene(1, (2048, 2048)))
+    g = np.random.default_rng(5).uniform(-1.0, 1.0, (10_000, 3))
+    lat = model.lat_off + g[:, 0] * model.lat_scale
+    lon = model.lon_off + g[:, 1] * model.lon_scale
+    alt = model.alt_off + g[:, 2] * model.alt_scale
+    samp, line = project_forward(model, lat, lon, alt)
+    calls = _count_ratios(monkeypatch)
+    lat2, lon2 = project_inverse(model, samp, line, alt)
+    # Three iterations, none halved: 1 + 3 * (4 + 1) evaluations.
+    assert calls[0] == 16
+    assert np.max(np.abs(lat2 - lat)) < 1e-10
+    assert np.max(np.abs(lon2 - lon)) < 1e-10
 
 
 def test_inverse_rejects_out_of_volume_altitude(pushbroom_bundle):
