@@ -121,11 +121,11 @@ def cmd_refine(args) -> int:
             )
     eq = fit_equivalence(model, image_size, dims=tuple(args.grid))
     camera, before = eq.camera, eq.report
-    warp = build_refinement(model, camera, eq.fit_grid, kind=args.kind)
+    warp = build_refinement(model, camera, eq.fit_grid)
     after = measure_equivalence_error(model, camera, eq.val_grid, warp=warp)
     if after.rmse > before.rmse + _WARP_RMSE_TOLERANCE_PX:
         raise DegenerateError(
-            f"the {args.kind} warp raises the validation rmse_px from {fmt(before.rmse)} "
+            f"the polynomial warp raises the validation rmse_px from {fmt(before.rmse)} "
             f"to {fmt(after.rmse)}; nothing written"
         )
 
@@ -138,7 +138,7 @@ def cmd_refine(args) -> int:
         _write_text(args.report_after, format_equivalence_report(after))
     if image is not None:
         save_ascii_grid(resample(image, warp), args.corrected)
-    print(f"refined ({args.kind}): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
+    print(f"refined (polynomial): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
     return 0
 
 
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", nargs=2, type=int, metavar=("W", "H"), required=True)
     p.add_argument("--warp", required=True, help="output warp file")
     p.add_argument("--camera", help="also write the equivalent camera here")
-    p.add_argument("--kind", choices=("polynomial", "homography"), default="polynomial")
     p.add_argument("--image", help="input image grid to correct")
     p.add_argument("--corrected", help="output path for the corrected image")
     p.add_argument("--report-before", help="equivalence report before correction")

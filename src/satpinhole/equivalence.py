@@ -263,27 +263,11 @@ def decompose_projection(
         DecompositionError: if cheirality cannot be satisfied or the
             factorization fails to reproduce the matrix.
     """
+    # A node's depth has the sign of det(p[:, :3]) * w, for (u w, v w, w) the
+    # node through p (Hartley & Zisserman, 6.2.3). So cheirality is read from
+    # w, before the residual divides by it.
     x = np.column_stack([grid.enu, np.ones(grid.n_points)]) @ p.T
-    du = x[:, 0] / x[:, 2] - grid.pixels[:, 0]
-    dv = x[:, 1] / x[:, 2] - grid.pixels[:, 1]
-    k, r = _rq(p[:, :3])
-    t = np.linalg.solve(k, p[:, 3])
-    if np.linalg.det(r) < 0:
-        r = -r
-        t = -t
-    scale = k[2, 2]
-    k = k / scale
-    camera = PinholeCamera(
-        k=k,
-        r=r,
-        t=t,
-        anchor=grid.anchor,
-        image_size=image_size,
-        residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))),
-    )
-
-    depths = camera.depths(grid.enu)
-    behind = depths <= 0
+    behind = np.sign(np.linalg.det(p[:, :3])) * x[:, 2] <= 0
     if behind.all():
         raise DecompositionError(
             "cheirality unsatisfiable: the best-fit camera is a mirror image "
@@ -291,10 +275,16 @@ def decompose_projection(
         )
     if behind.any():
         raise DecompositionError(
-            f"cheirality unsatisfiable: {int(behind.sum())} of {len(depths)} "
+            f"cheirality unsatisfiable: {int(behind.sum())} of {len(behind)} "
             "grid points fall behind the camera"
         )
 
+    k, r = _rq(p[:, :3])
+    t = np.linalg.solve(k, p[:, 3])
+    if np.linalg.det(r) < 0:
+        r = -r
+        t = -t
+    k = k / k[2, 2]
     rebuilt = k @ np.column_stack([r, t])
     rebuilt = rebuilt / np.linalg.norm(rebuilt)
     reference = p / np.linalg.norm(p)
@@ -305,7 +295,17 @@ def decompose_projection(
         raise DecompositionError(
             f"factorization does not reproduce the projection matrix (max dev {mismatch:.3g})"
         )
-    return camera
+
+    du = x[:, 0] / x[:, 2] - grid.pixels[:, 0]
+    dv = x[:, 1] / x[:, 2] - grid.pixels[:, 1]
+    return PinholeCamera(
+        k=k,
+        r=r,
+        t=t,
+        anchor=grid.anchor,
+        image_size=image_size,
+        residual_rms_px=float(np.sqrt(np.mean(du * du + dv * dv))),
+    )
 
 
 @dataclass(frozen=True)

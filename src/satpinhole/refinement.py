@@ -3,9 +3,12 @@
 A warp maps corrected-image coordinates to original-image coordinates. It is
 fit on (pinhole projection, rational projection) correspondence pairs, so
 resampling the original image through it yields an image consistent with the
-pinhole camera. Two families are supported: a 12-coefficient bivariate
-quadratic (two independent 6-term polynomials) and a plane homography
-baseline.
+pinhole camera. The warp is a 12-coefficient bivariate quadratic (two
+independent 6-term polynomials), and warp files hold only that family.
+
+The plane homography is kept as a library comparator, not as a warp to use:
+applied after a 3x4 camera it gives another 3x4 camera, which the DLT has
+already fitted over, so it cannot shrink the residual.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ def build_refinement(
         model: the rational polynomial model *grid* was sampled from.
         camera: equivalent pinhole camera.
         grid: correspondence grid (typically the fit grid from equate).
-        kind: "polynomial" or "homography".
+        kind: "polynomial", or "homography" for the comparator, which
+            :func:`format_warp` does not write.
 
     Returns:
         PolynomialWarp or Homography with fit_rms_px filled in.
@@ -213,43 +217,30 @@ def resample(image: Raster, warp) -> Raster:
     return image.like(out)
 
 
-def format_warp(warp) -> str:
-    """Serialize a warp (either family) to key-value text."""
-    if isinstance(warp, PolynomialWarp):
-        lines = [
-            "KIND: polynomial",
-            "M: " + " ".join(fmt(v) for v in warp.m),
-            f"FIT_RMS_PX: {fmt(warp.fit_rms_px)}",
-        ]
-    elif isinstance(warp, Homography):
-        lines = [
-            "KIND: homography",
-            "H: " + " ".join(fmt(v) for v in warp.h.ravel()),
-            f"FIT_RMS_PX: {fmt(warp.fit_rms_px)}",
-        ]
-    else:
+def format_warp(warp: PolynomialWarp) -> str:
+    """Serialize a polynomial warp to key-value text."""
+    if not isinstance(warp, PolynomialWarp):
         raise TypeError(f"cannot serialize warp of type {type(warp).__name__}")
+    lines = [
+        "KIND: polynomial",
+        "M: " + " ".join(fmt(v) for v in warp.m),
+        f"FIT_RMS_PX: {fmt(warp.fit_rms_px)}",
+    ]
     return "\n".join(lines) + "\n"
 
 
-def parse_warp(text: str):
+def parse_warp(text: str) -> PolynomialWarp:
     """Parse warp text written by format_warp.
 
-    Keys other than ``KIND``, the coefficients and ``FIT_RMS_PX`` are
-    ignored.
+    Keys other than ``KIND``, ``M`` and ``FIT_RMS_PX`` are ignored.
     """
     kv = read_kv(text)
     kind = kv.get("KIND")
-    if kind == "polynomial":
-        key, warp_type, count = "M", PolynomialWarp, 12
-    elif kind == "homography":
-        key, warp_type, count = "H", Homography, 9
-    else:
+    if kind != "polynomial":
         raise FormatError(f"unknown warp kind: {kind!r}")
-    values = np.array(get_floats(kv, key, count))
-    require_finite(kv, {key: values})
-    rms = get_distance(kv, "FIT_RMS_PX")
-    return warp_type(values, fit_rms_px=rms)
+    m = np.array(get_floats(kv, "M", 12))
+    require_finite(kv, {"M": m})
+    return PolynomialWarp(m, fit_rms_px=get_distance(kv, "FIT_RMS_PX"))
 
 
 def load_warp(path):

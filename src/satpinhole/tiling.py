@@ -127,7 +127,8 @@ def format_manifest(plan: TilePlan, image_paths, rpc_paths) -> str:
     """Serialize a tile layout and its per-tile file paths.
 
     One line per tile: index, column, row, width, height, image path, RPC
-    sidecar path. Paths must not contain whitespace.
+    sidecar path. Paths must be non-empty and free of whitespace, the
+    characters ``parse_manifest`` splits lines and fields on.
     """
     if len(image_paths) != len(plan.tiles) or len(rpc_paths) != len(plan.tiles):
         raise ValueError("path list lengths must match the tile count")
@@ -138,8 +139,9 @@ def format_manifest(plan: TilePlan, image_paths, rpc_paths) -> str:
     for i, (tile, img, rpc) in enumerate(zip(plan.tiles, image_paths, rpc_paths)):
         img = str(img)
         rpc = str(rpc)
-        if " " in img or " " in rpc:
-            raise ValueError(f"manifest paths must not contain spaces: {img!r}, {rpc!r}")
+        for path in (img, rpc):
+            if not path or any(c.isspace() for c in path):
+                raise ValueError(f"manifest paths must be non-empty without whitespace, got {path!r}")
         lines.append(f"{i} {tile.col} {tile.row} {tile.width} {tile.height} {img} {rpc}")
     return "\n".join(lines) + "\n"
 

@@ -265,18 +265,24 @@ def test_refine_writes_all_outputs(tmp_path, scene_dir, capsys):
 
 
 def test_refine_homography_kind(tmp_path, scene_dir, capsys):
-    rc = main(
-        [
-            "refine",
-            str(scene_dir / "rpc.txt"),
-            "--image-size", "96", "96",
-            "--warp", str(tmp_path / "warp.txt"),
-            "--kind", "homography",
-        ]
-    )
-    assert rc == 0
-    assert "refined (homography)" in capsys.readouterr().out
-    assert (tmp_path / "warp.txt").read_text().startswith("KIND: homography")
+    # refine fits the polynomial warp only: the option that chose a
+    # homography is gone, so argparse refuses it before anything is written.
+    with pytest.raises(SystemExit):
+        main(["refine", "--help"])
+    assert "--kind" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "refine",
+                str(scene_dir / "rpc.txt"),
+                "--image-size", "96", "96",
+                "--warp", str(tmp_path / "warp.txt"),
+                "--kind", "homography",
+            ]
+        )
+    assert info.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_refine_image_without_corrected(tmp_path, scene_dir, capsys):

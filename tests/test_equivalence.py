@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpinhole.equivalence import (
@@ -14,6 +14,7 @@ from satpinhole.equivalence import (
     build_virtual_grid,
     decompose_projection,
     equate,
+    fit_equivalence,
     format_camera,
     parse_camera,
     solve_projection,
@@ -354,6 +355,41 @@ def test_equate_at_high_latitude_and_the_antimeridian(acceptance_scene_256, fiel
     assert report.rmse < 5.0
 
 
+def _log_factor():
+    return st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+# The model's ground scales shrink by up to 1e-9, down to volumes under a
+# millimetre across, on images of 1 to 256 px, so only a few nodes may
+# survive. Each case fits or is refused by name; any warning fails it. The
+# first example left a fit-grid node with w = 0 in P X where it was found,
+# which the camera's residual divided by before cheirality was checked.
+@settings(deadline=None, max_examples=200)
+@example(factors=(0.00054032515237268, 2.6796645215094675e-07, 2.337554332979039e-09), edge=20, dims=(2, 2, 6))
+@example(factors=(5.40325154e-04, 2.67966451e-07, 2.33755434e-09), edge=20, dims=(2, 2, 6))
+@given(
+    factors=st.tuples(_log_factor(), _log_factor(), _log_factor()),
+    edge=st.integers(1, 256),
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+)
+def test_thin_volumes_and_sparse_grids_fit_or_are_refused(acceptance_scene_256, factors, edge, dims):
+    model, _ = acceptance_scene_256
+    model = dataclasses.replace(
+        model,
+        lat_scale=model.lat_scale * factors[0],
+        lon_scale=model.lon_scale * factors[1],
+        alt_scale=model.alt_scale * factors[2],
+    )
+    try:
+        eq = fit_equivalence(model, (edge, edge), dims)
+    except (DegenerateError, IllConditionedError, DecompositionError):
+        return
+    report = eq.report
+    assert np.isfinite(
+        [report.samp_rmse, report.line_rmse, report.rmse, report.max_error, eq.camera.residual_rms_px]
+    ).all()
+
+
 def _synthetic_camera_and_grid(tz: float, n: int = 40):
     rng = np.random.default_rng(8)
     k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
@@ -372,6 +408,22 @@ def test_points_straddling_the_camera_plane_rejected():
     # Depth tz +- 50: some grid points land behind the camera.
     p, grid = _synthetic_camera_and_grid(tz=10.0)
     with pytest.raises(DecompositionError, match="behind"):
+        decompose_projection(p, grid, (640, 480))
+
+
+def test_node_on_the_principal_plane_refused_before_the_residual():
+    # The last node is on the camera's principal plane: w = 0 in P X, exactly.
+    # Cheirality refuses it before the residual divides by w (a RuntimeWarning,
+    # so an error in this suite).
+    k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
+    p = k @ np.column_stack([np.eye(3), [0.0, 0.0, 500.0]])
+    enu = np.vstack([np.random.default_rng(8).uniform(-50, 50, (40, 3)), [10.0, 0.0, -500.0]])
+    pix = np.column_stack([enu, np.ones(41)]) @ p.T
+    pixels = np.zeros((41, 2))
+    pixels[:40] = pix[:40, :2] / pix[:40, 2:]
+    assert pix[40, 2] == 0.0
+    grid = VirtualGrid(enu=enu, pixels=pixels, anchor=GeoPoint(0.0, 0.0, 0.0))
+    with pytest.raises(DecompositionError, match="1 of 41 grid points fall behind"):
         decompose_projection(p, grid, (640, 480))
 
 

@@ -31,7 +31,7 @@ from satpinhole.errors import (
 )
 from satpinhole.geodesy import GeoPoint
 from satpinhole.raster import Raster, format_ascii_grid, parse_ascii_grid
-from satpinhole.refinement import IDENTITY_COEFFS, Homography, PolynomialWarp, format_warp, parse_warp
+from satpinhole.refinement import IDENTITY_COEFFS, PolynomialWarp, format_warp, parse_warp
 from satpinhole.rpc import RpcModel, format_rpc, parse_rpc
 from satpinhole.tiling import format_manifest, parse_manifest, plan_tiles
 
@@ -141,7 +141,6 @@ def _documents():
         (format_rpc(model), parse_rpc),
         (format_camera(camera), parse_camera),
         (format_warp(PolynomialWarp(m=np.array(IDENTITY_COEFFS), fit_rms_px=0.5)), parse_warp),
-        (format_warp(Homography(h=np.eye(3), fit_rms_px=0.5)), parse_warp),
         (format_equivalence_report(report), parse_equivalence_report),
         (format_manifest(plan, [n + ".asc" for n in names], [n + ".rpc" for n in names]), parse_manifest),
         (format_ascii_grid(grid), parse_ascii_grid),
@@ -207,7 +206,7 @@ def test_pixel_distances_must_be_finite_and_non_negative(key, value, message):
             parse(pattern.sub(f"{key}: {value}", text))
 
 
-@pytest.mark.parametrize("key", ["LINE_NUM_COEFF_5", "K", "M", "H", "N_POINTS"])
+@pytest.mark.parametrize("key", ["LINE_NUM_COEFF_5", "K", "M", "FIT_RMS_PX", "N_POINTS"])
 def test_repeated_key_is_a_parse_error(key):
     # Neither the first nor the last copy of a key may win silently.
     pattern = re.compile(rf"^{key}: .*\n", re.M)

@@ -1,4 +1,4 @@
-"""Tests for the polynomial and homography refinement warps."""
+"""Tests for the polynomial refinement warp and the homography comparator."""
 
 import numpy as np
 import pytest
@@ -344,20 +344,27 @@ def test_warp_round_trip_bytes(tmp_path):
     rng = np.random.default_rng(6)
     src = _scatter(rng, 30)
     dst = src + rng.normal(0.0, 0.4, size=src.shape)
-    for warp, name in [
-        (fit_polynomial(src, dst), "poly.txt"),
-        (fit_homography(src, dst), "homo.txt"),
-    ]:
-        path = tmp_path / name
-        save_warp(warp, path)
-        text = path.read_text()
-        again = parse_warp(text)
-        assert format_warp(again) == text
-        ax, ay = again.apply(src[:, 0], src[:, 1])
-        bx, by = warp.apply(src[:, 0], src[:, 1])
-        np.testing.assert_array_equal(ax, bx)
-        np.testing.assert_array_equal(ay, by)
-        assert again.fit_rms_px == warp.fit_rms_px
+    warp = fit_polynomial(src, dst)
+    path = tmp_path / "poly.txt"
+    save_warp(warp, path)
+    text = path.read_text()
+    again = parse_warp(text)
+    assert format_warp(again) == text
+    ax, ay = again.apply(src[:, 0], src[:, 1])
+    bx, by = warp.apply(src[:, 0], src[:, 1])
+    np.testing.assert_array_equal(ax, bx)
+    np.testing.assert_array_equal(ay, by)
+    assert again.fit_rms_px == warp.fit_rms_px
+
+
+def test_homography_is_not_a_warp_file():
+    # The homography is a library comparator; warp files hold the polynomial
+    # warp only.
+    with pytest.raises(TypeError, match="Homography"):
+        format_warp(Homography(h=np.eye(3), fit_rms_px=0.5))
+    with pytest.raises(FormatError, match="unknown warp kind: 'homography'") as info:
+        parse_warp("KIND: homography\nH: 1 0 0 0 1 0 0 0 1\nFIT_RMS_PX: 0.5\n")
+    assert info.value.category == "parse"
 
 
 def test_load_warp_matches_parse(tmp_path):
@@ -395,24 +402,24 @@ def test_parse_warp_wrong_coefficient_count():
 
 
 def test_parse_warp_missing_field():
-    text = "KIND: homography\nH: 1 0 0 0 1 0 0 0 1\n"
+    text = "KIND: polynomial\nM: 0 1 0 0 0 0 0 0 1 0 0 0\n"
     with pytest.raises(FormatError, match="FIT_RMS_PX"):
         parse_warp(text)
 
 
 @pytest.mark.parametrize(
-    "kind, key, text",
+    "key, text",
     [
-        ("polynomial", "M", "M: nan 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: 0\n"),
-        ("polynomial", "FIT_RMS_PX", "M: 0 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: inf\n"),
-        ("homography", "H", "H: 1 0 0 0 1 0 0 -inf 1\nFIT_RMS_PX: 0\n"),
-        ("homography", "FIT_RMS_PX", "H: 1 0 0 0 1 0 0 0 1\nFIT_RMS_PX: nan\n"),
+        ("M", "M: nan 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: 0\n"),
+        ("FIT_RMS_PX", "M: 0 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: inf\n"),
+        ("M", "M: 0 1 0 0 0 0 0 -inf 1 0 0 0\nFIT_RMS_PX: 0\n"),
+        ("FIT_RMS_PX", "M: 0 1 0 0 0 0 0 0 1 0 0 0\nFIT_RMS_PX: nan\n"),
     ],
-    ids=["poly-M-nan", "poly-rms-inf", "homography-H-inf", "homography-rms-nan"],
+    ids=["poly-M-nan", "poly-rms-inf", "poly-M-neg-inf", "poly-rms-nan"],
 )
-def test_parse_warp_non_finite_value_names_key(kind, key, text):
+def test_parse_warp_non_finite_value_names_key(key, text):
     with pytest.raises(FormatError, match=f"^{key}: values must be finite"):
-        parse_warp(f"KIND: {kind}\n" + text)
+        parse_warp("KIND: polynomial\n" + text)
 
 
 def test_parse_warp_malformed_line():

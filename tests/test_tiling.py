@@ -196,10 +196,14 @@ def test_manifest_round_trip():
 
 
 def test_manifest_rejects_spaces_in_paths():
-    plan, images, rpcs = _demo_plan()
-    images[0] = "my tiles/tile.asc"
-    with pytest.raises(ValueError, match="spaces"):
-        format_manifest(plan, images, rpcs)
+    # Each of these would split the line into other than 7 fields when read.
+    for bad in ("my tiles/tile.asc", "", "tiles/a\tb.asc", "tiles/a\nb.asc", "a\u2028b.asc"):
+        for column in ("image", "rpc"):
+            plan, images, rpcs = _demo_plan()
+            (images if column == "image" else rpcs)[1] = bad
+            with pytest.raises(ValueError, match="whitespace") as info:
+                format_manifest(plan, images, rpcs)
+            assert repr(bad) in str(info.value)
 
 
 def test_manifest_length_mismatch():
