@@ -64,17 +64,19 @@ class PinholeCamera:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
         object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
 
+    def _homogeneous(self, enu: np.ndarray) -> np.ndarray:
+        enu = np.asarray(enu, dtype=np.float64)
+        return (enu @ self.r.T + self.t) @ self.k.T
+
     def project(self, enu: np.ndarray):
         """Project (N, 3) ENU points to (samp, line) pixel arrays."""
-        enu = np.asarray(enu, dtype=np.float64)
-        cam = enu @ self.r.T + self.t
-        pix = cam @ self.k.T
+        pix = self._homogeneous(enu)
         return pix[:, 0] / pix[:, 2], pix[:, 1] / pix[:, 2]
 
     def depths(self, enu: np.ndarray) -> np.ndarray:
-        """Camera-frame depth (Z) of each ENU point."""
-        enu = np.asarray(enu, dtype=np.float64)
-        return enu @ self.r.T[:, 2] + self.t[2]
+        """Camera-frame depth (Z) of each ENU point: the number
+        :meth:`project` divides by, since k's last row is (0, 0, 1)."""
+        return self._homogeneous(enu)[:, 2]
 
     def localize_at_height(self, samp, line, u):
         """Intersect pixel rays with the horizontal plane at ENU height u."""
@@ -413,12 +415,23 @@ def fit_equivalence(
     comes from an independent validation grid at twice the density, offset by
     half a cell so no node is shared. Both grids are returned for reuse, so a
     refinement warp and its before/after reports need no further grids.
+
+    Raises:
+        DecompositionError: if the camera cannot be factored from the fit
+            grid, or if any validation node falls behind it, where the
+            report would score mirrored projections.
     """
     fit_grid = build_virtual_grid(model, image_size, dims)
     p = solve_projection(fit_grid)
     camera = decompose_projection(p, fit_grid, image_size)
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
+    behind = camera.depths(val_grid.enu) <= 0
+    if behind.any():
+        raise DecompositionError(
+            f"cheirality unsatisfiable: {int(behind.sum())} of {len(behind)} "
+            "validation points fall behind the camera"
+        )
     report = measure_equivalence_error(model, camera, val_grid)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
 

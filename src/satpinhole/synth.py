@@ -307,9 +307,10 @@ def render_image(scene: SyntheticScene) -> Raster:
     plus a height ramp. Pixels whose ground intersection falls well outside
     the terrain footprint (or whose ray is degenerate) come out nodata.
 
-    The sweeps run in row blocks, so the frame-sized memory is the output and
-    the ray heights. Every sweep shades each block into the output, and the
-    sweeps stop only once the height update is below 1e-6 m in every block.
+    Each ray's height is its own fixed point, evaluated at most 12 times: a
+    ray stops moving once its update is below 1e-6 m. So the image does not
+    depend on how the frame is cut, and each row block runs start to finish
+    on its own, holding no frame-sized array but the output.
 
     Returns:
         Raster of DN values in [0, 255], pixel georeference.
@@ -324,39 +325,38 @@ def render_image(scene: SyntheticScene) -> Raster:
     margin_lon = 0.05 * (volume.lon_max - volume.lon_min)
 
     cols = np.arange(w, dtype=np.float64)
-    u = np.full((h, w), (alt_lo + alt_hi) / 2.0 - anchor.alt)
     values = np.empty((h, w))
-    for _ in range(12):
-        converged = True
-        for rows in _row_blocks(h, w):
-            line, samp = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), cols, indexing="ij")
-            e, n = cam.localize_at_height(samp, line, u[rows])
+    for rows in _row_blocks(h, w):
+        line, samp = np.meshgrid(np.arange(rows.start, rows.stop, dtype=np.float64), cols, indexing="ij")
+        u = np.full(line.shape, (alt_lo + alt_hi) / 2.0 - anchor.alt)
+        for _ in range(12):
+            e, n = cam.localize_at_height(samp, line, u)
             finite = np.isfinite(e) & np.isfinite(n)
             e = np.where(finite, e, 0.0)
             n = np.where(finite, n, 0.0)
-            lat, lon, alt_geo = enu_to_geodetic(e, n, u[rows], anchor)
+            lat, lon, alt_geo = enu_to_geodetic(e, n, u, anchor)
             height = sample_bilinear(terrain, lon, lat, clamp=True)
             delta = height - alt_geo
-            u[rows] += delta
-            # A NaN update compares False, so it never counts as converged.
-            converged = converged and bool(np.max(np.abs(delta)) < 1e-6)
+            # A NaN update compares False, so it never counts as settled.
+            moving = ~(np.abs(delta) < 1e-6)
+            if not moving.any():
+                break
+            u = u + np.where(moving, delta, 0.0)
 
-            # Procedural texture: checkerboard in ground meters plus height shading.
-            parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
-            dn = 70.0 + 115.0 * parity
-            if alt_hi > alt_lo:
-                dn = dn + 55.0 * (height - alt_lo) / (alt_hi - alt_lo)
-            dn = np.clip(dn, 0.0, 255.0)
-            off_terrain = (
-                (lat < volume.lat_min - margin_lat)
-                | (lat > volume.lat_max + margin_lat)
-                | (lon < volume.lon_min - margin_lon)
-                | (lon > volume.lon_max + margin_lon)
-            )
-            bad = off_terrain | ~finite
-            values[rows] = np.where(bad, NODATA, dn)
-        if converged:
-            break
+        # Procedural texture: checkerboard in ground meters plus height shading.
+        parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
+        dn = 70.0 + 115.0 * parity
+        if alt_hi > alt_lo:
+            dn = dn + 55.0 * (height - alt_lo) / (alt_hi - alt_lo)
+        dn = np.clip(dn, 0.0, 255.0)
+        off_terrain = (
+            (lat < volume.lat_min - margin_lat)
+            | (lat > volume.lat_max + margin_lat)
+            | (lon < volume.lon_min - margin_lon)
+            | (lon > volume.lon_max + margin_lon)
+        )
+        bad = off_terrain | ~finite
+        values[rows] = np.where(bad, NODATA, dn)
     return Raster(values=values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA)
 
 

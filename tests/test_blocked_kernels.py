@@ -1,10 +1,12 @@
 """The row-blocked full-frame kernels against their full-frame references.
 
 ``render_image``, ``resample`` and ``fuse_views`` work in slices of whole
-rows (``raster._row_blocks``). Each reference below is the full-frame code
-they replaced, kept here so the blocked kernels can be held to it bit for
-bit under block sizes of one row, of a count that does not divide the row
-count, of more rows than the frame has, and narrower than one row.
+rows (``raster._row_blocks``). Each reference below does the same work on
+the whole frame at once: for ``resample`` and ``fuse_views`` it is the code
+they replaced, and for ``render_image`` it runs each ray's height to its own
+fixed point over every pixel together. The blocked kernels are held to them
+bit for bit under block sizes of one row, of a count that does not divide
+the row count, of more rows than the frame has, and narrower than one row.
 """
 
 import dataclasses
@@ -51,10 +53,11 @@ def _render_full(scene):
         lat, lon, alt_geo = enu_to_geodetic(e, n, u, anchor)
         height = sample_bilinear(terrain, lon, lat, clamp=True)
         delta = height - alt_geo
-        u = u + delta
         row_updates.append(np.abs(delta).reshape(h, w).max(axis=1))
-        if np.max(np.abs(delta)) < 1e-6:
+        moving = ~(np.abs(delta) < 1e-6)
+        if not moving.any():
             break
+        u = u + np.where(moving, delta, 0.0)
 
     parity = (np.floor(e / CHECKER_PERIOD_M) + np.floor(n / CHECKER_PERIOD_M)) % 2.0
     dn = 70.0 + 115.0 * parity
@@ -167,11 +170,11 @@ def test_render_matches_full_frame(block_cells, maker, seed, size):
     np.testing.assert_array_equal(_bits(render_image(scene).values), _bits(expected))
 
 
-def test_render_keeps_sweeping_converged_blocks(block_cells):
+def test_render_settles_each_ray_on_its_own(block_cells):
     # Flatten the terrain north of its middle: rays that land there settle a
     # sweep or more before the rays on the relief, so with row blocks some
-    # blocks converge while others still move, and the image must still come
-    # out of the sweep that ends the whole frame.
+    # blocks finish while others still move. Each ray keeps the height it
+    # settled at, so the image must not depend on where the blocks end.
     base = make_pushbroom_scene(4, (33, 40), relief=200.0)
     values = base.terrain.values.copy()
     values[: values.shape[0] // 2] = values.min()

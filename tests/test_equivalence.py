@@ -361,12 +361,15 @@ def _log_factor():
 
 # The model's ground scales shrink by up to 1e-9, down to volumes under a
 # millimetre across, on images of 1 to 256 px, so only a few nodes may
-# survive. Each case fits or is refused by name; any warning fails it. The
-# first example left a fit-grid node with w = 0 in P X where it was found,
-# which the camera's residual divided by before cheirality was checked.
+# survive. Each case fits, with every validation node in front of the
+# camera, or is refused by name; any warning fails it. The first example
+# left a fit-grid node with w = 0 in P X where it was found, which the
+# camera's residual divided by before cheirality was checked. The last one
+# has 232 of its 384 validation nodes behind the camera fitted to it.
 @settings(deadline=None, max_examples=200)
 @example(factors=(0.00054032515237268, 2.6796645215094675e-07, 2.337554332979039e-09), edge=20, dims=(2, 2, 6))
 @example(factors=(5.40325154e-04, 2.67966451e-07, 2.33755434e-09), edge=20, dims=(2, 2, 6))
+@example(factors=(1.3e-4, 1.3e-2, 2.7e-3), edge=245, dims=(2, 6, 4))
 @given(
     factors=st.tuples(_log_factor(), _log_factor(), _log_factor()),
     edge=st.integers(1, 256),
@@ -388,6 +391,7 @@ def test_thin_volumes_and_sparse_grids_fit_or_are_refused(acceptance_scene_256, 
     assert np.isfinite(
         [report.samp_rmse, report.line_rmse, report.rmse, report.max_error, eq.camera.residual_rms_px]
     ).all()
+    assert (eq.camera.depths(eq.val_grid.enu) > 0).all()
 
 
 def _synthetic_camera_and_grid(tz: float, n: int = 40):

@@ -20,7 +20,7 @@ from satpinhole.raster import (
     save_ascii_grid,
 )
 from satpinhole.refinement import IDENTITY_COEFFS, PolynomialWarp, resample
-from satpinhole.synth import render_image
+from satpinhole.synth import make_pushbroom_scene, render_image
 
 
 def _demo():
@@ -383,6 +383,16 @@ def test_render_image_memory_is_blocked(pinhole_bundle):
     image, peak = _traced_peak(render_image, pinhole_bundle.scene)
     assert image.values.shape == (512, 512)
     assert peak < 6 * image.values.nbytes, (peak, image.values.nbytes)
+
+
+def test_render_image_holds_one_frame_with_small_blocks(monkeypatch):
+    # With blocks of 4 rows the temporaries are small, so the peak is the
+    # output plus what does not grow with the frame. Per-pixel ray heights
+    # kept across blocks would add a second frame.
+    scene = make_pushbroom_scene(21, (256, 256), relief=60, extent_deg=0.16)
+    monkeypatch.setattr(raster_module, "_BLOCK_CELLS", 4 * 256)
+    image, peak = _traced_peak(render_image, scene)
+    assert peak < 2 * image.values.nbytes, (peak, image.values.nbytes)
 
 
 def test_resample_memory_is_blocked():
