@@ -11,16 +11,20 @@ Euclidean pixel distance between the rational and pinhole projections.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
-from .geodesy import GeoPoint, lattice_to_enu
+from .geodesy import GeoPoint, _lattice_converter
 from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
-from .rpc import RpcModel, project_forward
+from .rpc import RpcModel, _fill_lattice, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
+# The most a grid node can take once it survives: pixels (2) and ENU (3) float64.
+_SURVIVOR_BYTES = 40
+_ROWS = 1 << 13  # ENU rows per block of a pinhole projection: about 1 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,23 @@ class PinholeCamera:
         enu = np.asarray(enu, dtype=np.float64)
         return (enu @ self.r.T + self.t) @ self.k.T
 
+    def _row_blocks(self, enu: np.ndarray):
+        """Yield (rows, x) over blocks of ``_ROWS`` rows of (N, 3) *enu*, x
+        being those rows' homogeneous pixels K (R X + t), (n, 3)."""
+        enu = np.asarray(enu, dtype=np.float64)
+        for lo in range(0, enu.shape[0], _ROWS):
+            rows = slice(lo, lo + _ROWS)
+            yield rows, self._homogeneous(enu[rows])
+
     def project(self, enu: np.ndarray):
-        """Project (N, 3) ENU points to (samp, line) pixel arrays."""
-        pix = self._homogeneous(enu)
-        return pix[:, 0] / pix[:, 2], pix[:, 1] / pix[:, 2]
+        """Project (N, 3) ENU points to (samp, line) pixel arrays, a block of
+        rows at a time."""
+        n = np.shape(enu)[0]
+        samp, line = np.empty(n), np.empty(n)
+        for rows, x in self._row_blocks(enu):
+            np.divide(x[:, 0], x[:, 2], out=samp[rows])
+            np.divide(x[:, 1], x[:, 2], out=line[rows])
+        return samp, line
 
     def depths(self, enu: np.ndarray) -> np.ndarray:
         """Camera-frame depth (Z) of each ENU point: the number
@@ -103,6 +120,65 @@ def _axis_nodes(lo: float, hi: float, n: int, stagger: bool) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 2**63 where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 2**63
+
+
+def _survivors(model: RpcModel, image_size, dims, stagger: bool, anchor: GeoPoint):
+    """The nodes of a grid that project into the image, one lattice block at a time.
+
+    Checks *dims* and *image_size* as :func:`build_virtual_grid` documents,
+    and refuses with MemoryError, before any work, a grid whose nodes could
+    not all be kept in physical memory. Then it yields, for each block of
+    :func:`~satpinhole.rpc.project_lattice`, its survivors' (pixels (k, 2),
+    ENU (k, 3)) in lattice order. After the last block it raises
+    DegenerateError if fewer than 6 nodes survived or they all lie in one
+    altitude layer.
+    """
+    n_lat, n_lon, n_alt = (int(d) for d in dims)
+    if min(n_lat, n_lon, n_alt) < 2:
+        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
+    w, h = image_size
+    if not (w > 0 and h > 0):
+        raise ValueError(f"image size must be positive, got {w} x {h}")
+    worst = n_lat * n_lon * n_alt * _SURVIVOR_BYTES
+    if worst > _physical_memory():
+        raise MemoryError(
+            f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of "
+            "survivors, more than this machine's memory"
+        )
+    lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
+    lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
+    alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
+    to_enu = _lattice_converter(lats, lons, anchor)
+    # The block's (lat, lon, alt) indices are written like its axis values,
+    # by slices, and only the survivors' are gathered.
+    positions = [np.arange(n) for n in (n_lat, n_lon, n_alt)]
+    index = None
+    size, layers = 0, np.zeros(n_alt, dtype=bool)
+    for lo, samp, line in project_lattice(model, lats, lons, alts):
+        if index is None:
+            index = np.empty((3, samp.size), dtype=np.intp)
+        _fill_lattice(index[:, : samp.size], positions, lo)
+        idx = np.flatnonzero((samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h))
+        i_lat, i_lon, i_alt = (row[idx] for row in index[:, : samp.size])
+        size += idx.size
+        layers[i_alt] = True
+        pixels = np.column_stack([samp[idx], line[idx]])
+        enu = to_enu(i_lat, i_lon, alts[i_alt])
+        # The caller works on the block while this frame is suspended.
+        del samp, line, idx, i_lat, i_lon, i_alt
+        yield pixels, enu
+    if size < 6:
+        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
+    if np.unique(alts[layers]).size < 2:
+        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
+
+
 def build_virtual_grid(
     model: RpcModel,
     image_size: tuple[int, int],
@@ -117,11 +193,13 @@ def build_virtual_grid(
     extent masks ground coverage. The survivors are converted to ENU at the
     model's offset point (or an explicit *anchor*).
 
-    The nodes form a lattice, so the model is evaluated on the broadcast
-    axes, and once the lattice-sized projections are freed the survivors go
-    to ENU through :func:`~satpinhole.geodesy.lattice_to_enu`, which works
-    per axis value and in blocks. Survivors come in C order of (lat, lon,
-    alt) index.
+    The nodes form a lattice, which :func:`~satpinhole.rpc.project_lattice`
+    evaluates in fixed blocks of its flat C order, with the bits
+    :func:`~satpinhole.rpc.project_forward` gives on the broadcast axes.
+    Each block keeps only its survivors' pixels and ENU (from
+    :func:`~satpinhole.geodesy.lattice_to_enu`, per axis value), so the
+    memory is the survivors plus one block, whatever the lattice size.
+    Survivors come in C order of (lat, lon, alt) index.
 
     The grid only samples. Whether the survivors determine a camera is the
     DLT's question: :func:`solve_projection` refuses coplanar and collinear
@@ -130,34 +208,19 @@ def build_virtual_grid(
 
     Raises:
         ValueError: if the image width or height is not positive.
+        MemoryError: if the survivors, at 40 bytes a node, could outgrow
+            physical memory: the grid is refused before it is walked.
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
             they all lie in one altitude layer.
     """
-    n_lat, n_lon, n_alt = (int(d) for d in dims)
-    if min(n_lat, n_lon, n_alt) < 2:
-        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
-    w, h = image_size
-    if not (w > 0 and h > 0):
-        raise ValueError(f"image size must be positive, got {w} x {h}")
-    lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
-    lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
-    alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
-
-    samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
-    keep = (samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h)
-    pixels = np.column_stack([samp[keep], line[keep]])
-    i_lat, i_lon, i_alt = np.nonzero(keep)
-    del samp, line, keep
-    layers = np.unique(alts[np.bincount(i_alt, minlength=n_alt) > 0]).size
-
-    size = pixels.shape[0]
-    if size < 6:
-        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
-    if layers < 2:
-        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
-    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alts[i_alt], anchor)
+    pixels, enu = [], []
+    for block_pixels, block_enu in _survivors(model, image_size, dims, stagger, anchor):
+        pixels.append(block_pixels)
+        enu.append(block_enu)
+    enu = np.concatenate(enu)
+    pixels = np.concatenate(pixels)
     return VirtualGrid(enu=enu, pixels=pixels, anchor=anchor)
 
 
@@ -378,11 +441,31 @@ def measure_equivalence_error(
     an ``apply(x, y)`` method), the pinhole projections are pushed through it
     before differencing, so the result measures the post-refinement residual.
     """
-    samp, line = grid.pixels.T
-    psamp, pline = camera.project(grid.enu)
-    if warp is not None:
-        psamp, pline = warp.apply(psamp, pline)
-    return EquivalenceReport.from_residuals(samp - psamp, line - pline)
+    _, dsamp, dline = _score(camera, grid, warp)
+    return EquivalenceReport.from_residuals(dsamp, dline)
+
+
+def _score(camera: PinholeCamera, grid: VirtualGrid, warp=None):
+    """Score *camera* (through *warp*, if given) on *grid* in one pass of row blocks.
+
+    Returns (behind, dsamp, dline): the count of nodes at or behind the
+    camera (w <= 0 for (u w, v w, w) = K (R X + t)), and each node's
+    rational minus pinhole pixel residual. A node with w == 0 gives an
+    infinite residual without a warning: a fit refuses such a grid by its
+    count instead.
+    """
+    n = grid.n_points
+    dsamp, dline = np.empty(n), np.empty(n)
+    behind = 0
+    for rows, x in camera._row_blocks(grid.enu):
+        behind += int(np.count_nonzero(x[:, 2] <= 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psamp, pline = x[:, 0] / x[:, 2], x[:, 1] / x[:, 2]
+        if warp is not None:
+            psamp, pline = warp.apply(psamp, pline)
+        np.subtract(grid.pixels[rows, 0], psamp, out=dsamp[rows])
+        np.subtract(grid.pixels[rows, 1], pline, out=dline[rows])
+    return behind, dsamp, dline
 
 
 @dataclass(frozen=True)
@@ -426,13 +509,13 @@ def fit_equivalence(
     camera = decompose_projection(p, fit_grid, image_size)
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
-    behind = camera.depths(val_grid.enu) <= 0
-    if behind.any():
+    behind, dsamp, dline = _score(camera, val_grid)
+    if behind:
         raise DecompositionError(
-            f"cheirality unsatisfiable: {int(behind.sum())} of {len(behind)} "
+            f"cheirality unsatisfiable: {behind} of {val_grid.n_points} "
             "validation points fall behind the camera"
         )
-    report = measure_equivalence_error(model, camera, val_grid)
+    report = EquivalenceReport.from_residuals(dsamp, dline)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
 
 

@@ -18,7 +18,7 @@ from .equivalence import (
     DEFAULT_GRID_DIMS,
     PinholeCamera,
     VirtualGrid,
-    build_virtual_grid,
+    _survivors,
     equate,
     measure_equivalence_error,
 )
@@ -55,7 +55,9 @@ def error_field(
     A dense staggered grid spanning the full rated volume, with five altitude
     layers, is projected through both models; each point's Euclidean pixel
     error accumulates into the image cell containing its rational-model
-    projection. Cells that receive no points are nodata.
+    projection. Cells that receive no points are nodata. The dense grid goes
+    into the cells one lattice block at a time, so the only frame-sized
+    memory is the output and its counts.
 
     Args:
         model: rational polynomial model (the model *grid* was sampled
@@ -76,24 +78,29 @@ def error_field(
     w, h = image_size
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
-        grid = build_virtual_grid(
-            model, image_size, (n_side, n_side, 5), stagger=True,
-            anchor=camera.anchor,
-        )
+        blocks = _survivors(model, image_size, (n_side, n_side, 5), True, camera.anchor)
+        points = n_side * n_side * 5
+    else:
+        blocks = [(grid.pixels, grid.enu)]
+        points = grid.n_points
 
-    samp, line = grid.pixels.T
-    psamp, pline = camera.project(grid.enu)
-    err = np.hypot(samp - psamp, line - pline)
-
+    # np.add.at adds each point to its cell in input order, as bincount
+    # does, so streaming the blocks changes no bit of the means.
     ncols = int(np.ceil(w / cell_px))
     nrows = int(np.ceil(h / cell_px))
-    col = np.clip((samp / cell_px).astype(np.intp), 0, ncols - 1)
-    row = np.clip((line / cell_px).astype(np.intp), 0, nrows - 1)
-    cells = row * ncols + col
-    total = np.bincount(cells, weights=err, minlength=nrows * ncols).reshape(nrows, ncols)
-    count = np.bincount(cells, minlength=nrows * ncols).reshape(nrows, ncols)
-    values = np.where(count > 0, total / np.maximum(count, 1.0), NODATA)
-    return Raster(values=values, cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)
+    total = np.zeros(nrows * ncols)
+    count = np.zeros(nrows * ncols, dtype=np.int32 if points < 2**31 else np.int64)
+    for pixels, enu in blocks:
+        samp, line = pixels.T
+        psamp, pline = camera.project(enu)
+        col = np.clip((samp / cell_px).astype(np.intp), 0, ncols - 1)
+        row = np.clip((line / cell_px).astype(np.intp), 0, nrows - 1)
+        cells = row * ncols + col
+        np.add.at(total, cells, np.hypot(samp - psamp, line - pline))
+        np.add.at(count, cells, count.dtype.type(1))  # a Python 1 would take a slow casting path
+    np.divide(total, count, out=total, where=count > 0)
+    total[count == 0] = NODATA
+    return Raster(values=total.reshape(nrows, ncols), cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)
 
 
 def size_sweep(

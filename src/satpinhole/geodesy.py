@@ -160,19 +160,30 @@ def lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor: GeoPoint) -> np.ndarra
     computed once per axis value and gathered per node, and the nodes go
     through in blocks, so the temporaries stay a few MB whatever N is.
     """
+    return _lattice_converter(lats, lons, anchor)(i_lat, i_lon, alt)
+
+
+def _lattice_converter(lats, lons, anchor: GeoPoint):
+    """The per-axis and per-anchor part of :func:`lattice_to_enu`, done once:
+    returns the function of (i_lat, i_lon, alt) that finishes it, for
+    callers that convert a lattice's nodes in several batches."""
     lat_terms = _latitude_terms(lats)
     lon_terms = _longitude_terms(lons)
     origin = geodetic_to_ecef(anchor.lat, anchor.lon, anchor.alt)
     rot = enu_rotation(anchor)
-    alt = np.asarray(alt, dtype=np.float64)
-    enu = np.empty((alt.size, 3))
-    for lo in range(0, alt.size, _LATTICE_BLOCK):
-        b = slice(lo, lo + _LATTICE_BLOCK)
-        xyz = _ecef_from_terms(
-            *(term[i_lat[b]] for term in lat_terms), *(term[i_lon[b]] for term in lon_terms), alt[b]
-        )
-        enu[b, 0], enu[b, 1], enu[b, 2] = _ecef_to_enu(*xyz, origin, rot)
-    return enu
+
+    def convert(i_lat, i_lon, alt) -> np.ndarray:
+        alt = np.asarray(alt, dtype=np.float64)
+        enu = np.empty((alt.size, 3))
+        for lo in range(0, alt.size, _LATTICE_BLOCK):
+            b = slice(lo, lo + _LATTICE_BLOCK)
+            xyz = _ecef_from_terms(
+                *(term[i_lat[b]] for term in lat_terms), *(term[i_lon[b]] for term in lon_terms), alt[b]
+            )
+            enu[b, 0], enu[b, 1], enu[b, 2] = _ecef_to_enu(*xyz, origin, rot)
+        return enu
+
+    return convert
 
 
 def enu_to_geodetic(e, n, u, anchor: GeoPoint):

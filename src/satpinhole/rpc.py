@@ -15,7 +15,11 @@ with latitude/longitude/altitude denoted P/L/H:
 Every evaluation goes through one monomial basis, built from shared products
 a block of 8192 points at a time; all four cubics (samp/line numerator and
 denominator) of a block come from one (4, 20) @ (20, block) product, so the
-working memory is a few MB whatever the number of points.
+working memory is a few MB whatever the number of points. That product is
+not batch-independent: a point's last bits (up to about 1e-13 px) can depend
+on its slot in its block. So a lattice is always evaluated in the same fixed
+blocks of its flat C-order nodes, whether :func:`project_forward` gets it as
+broadcast axes or :func:`project_lattice` streams it.
 """
 
 from __future__ import annotations
@@ -63,11 +67,12 @@ class ExtrapolationWarning(UserWarning):
 _BLOCK = 1 << 13  # points per basis block: 20 rows of 8192 float64 take 1.3 MB
 
 
-def _monomials(p, l, h, out: np.ndarray) -> np.ndarray:
-    """Fill the rows of *out* with the monomials of 1-D (p, l, h) in CUBIC_POWERS
-    order; each term above degree one is one product of two rows already filled."""
+def _monomials(out: np.ndarray) -> np.ndarray:
+    """Fill *out*, whose rows 1-3 hold 1-D (l, p, h), with the monomials in
+    CUBIC_POWERS order; each term above degree one is one product of two rows
+    already filled."""
     out[0] = 1.0
-    out[1], out[2], out[3] = l, p, h
+    l, p, h = out[1], out[2], out[3]
     lp, ll, pp, hh = out[4], out[7], out[8], out[9]
     for row, a, b in (
         (4, l, p), (5, l, h), (6, p, h), (7, l, l), (8, p, p), (9, h, h),
@@ -81,7 +86,9 @@ def _monomials(p, l, h, out: np.ndarray) -> np.ndarray:
 def cubic_basis(lat, lon, alt) -> np.ndarray:
     """Return the (N, 20) monomial basis matrix in sidecar term order."""
     p, l, h = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (lat, lon, alt)))
-    return _monomials(p.ravel(), l.ravel(), h.ravel(), np.empty((20, p.size))).T
+    out = np.empty((20, p.size))
+    out[1], out[2], out[3] = l.ravel(), p.ravel(), h.ravel()
+    return _monomials(out).T
 
 
 _NORMALIZER_FIELDS = (
@@ -203,8 +210,16 @@ def save_rpc(model: RpcModel, path) -> None:
         fh.write(format_rpc(model))
 
 
-def _ratios(model: RpcModel, p, l, h, check: bool):
-    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
+def _cubic_blocks(model: RpcModel, n: int, fill, check: bool):
+    """The four cubics of *model* at n points, ``_BLOCK`` points at a time.
+
+    ``fill(lo, rows)`` writes the normalized (l, p, h) of points lo, lo + 1,
+    ... into the three rows of *rows*. Yields (lo, vals), vals being the
+    (4, m) samp numerator, samp denominator, line numerator and line
+    denominator of points lo .. lo + m. The blocks and the basis buffer are
+    the same whatever fills them, and a point's last bits can depend on its
+    slot in its block, so callers that must agree bit for bit cut the same
+    blocks.
 
     With *check*, a denominator under 1e-10 at any point raises
     DegenerateError. The denominators' constant terms are 1, so a value
@@ -212,20 +227,48 @@ def _ratios(model: RpcModel, p, l, h, check: bool):
     the volume centre: the model has a pole inside the evaluated region.
     """
     coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
-    n = p.size
-    samp, line = np.empty(n), np.empty(n)
     basis = np.empty((20, min(n, _BLOCK)))
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        vals = coef @ _monomials(p[lo:hi], l[lo:hi], h[lo:hi], basis[:, : hi - lo])
+        out = basis[:, : min(_BLOCK, n - lo)]
+        fill(lo, out[1:4])
+        vals = coef @ _monomials(out)
         if check and np.any(vals[1::2] < DENOMINATOR_FLOOR):
             raise DegenerateError(
                 f"rational denominator below {DENOMINATOR_FLOOR:g}; it must stay "
                 "positive, as at the volume centre"
             )
+        yield lo, vals
+
+
+def _ratios(model: RpcModel, p, l, h, check: bool):
+    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h); see
+    :func:`_cubic_blocks` for the blocks and *check*."""
+    n = p.size
+    samp, line = np.empty(n), np.empty(n)
+
+    def fill(lo, rows):
+        hi = lo + rows.shape[1]
+        rows[0], rows[1], rows[2] = l[lo:hi], p[lo:hi], h[lo:hi]
+
+    for lo, vals in _cubic_blocks(model, n, fill, check):
+        hi = lo + vals.shape[1]
         np.divide(vals[0], vals[1], out=samp[lo:hi])
         np.divide(vals[2], vals[3], out=line[lo:hi])
     return samp, line
+
+
+def _warn_beyond_rated_volume(p, l, h) -> None:
+    """Warn, at the caller of the caller, if normalized (p, l, h) reach past
+    SOFT_BOUND: the bound of the inputs, not of their broadcast, so a lattice
+    given as three axes is checked per axis value."""
+    bound = max(np.max(np.abs(a), initial=0.0) for a in (p, l, h))
+    if bound > SOFT_BOUND:
+        warnings.warn(
+            f"normalized coordinates reach {bound:.3g}, beyond the rated "
+            f"volume (|coord| <= {SOFT_BOUND}); results are extrapolations",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
 
 
 def project_forward(model: RpcModel, lat, lon, alt):
@@ -244,22 +287,86 @@ def project_forward(model: RpcModel, lat, lon, alt):
     at any point raises DegenerateError: denominators are 1 at the volume
     centre and must stay positive, since a sign change means a pole between
     that point and the centre.
+
+    The points go through the model in blocks of 8192 of the flat broadcast
+    input, and a point's last bits can depend on its slot in its block: the
+    same point in another batch may move by about 1e-13 px.
     """
-    p, l, h = model.normalize_ground(lat, lon, alt)
-    # The bound of the inputs, not of their broadcast: a lattice given as
-    # three axes is checked per axis value.
-    bound = max(np.max(np.abs(a), initial=0.0) for a in (p, l, h))
-    p, l, h = np.broadcast_arrays(p, l, h)
-    if bound > SOFT_BOUND and p.size:
-        warnings.warn(
-            f"normalized coordinates reach {bound:.3g}, beyond the rated "
-            f"volume (|coord| <= {SOFT_BOUND}); results are extrapolations",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
+    axes = model.normalize_ground(lat, lon, alt)
+    p, l, h = np.broadcast_arrays(*axes)
+    if p.size:
+        _warn_beyond_rated_volume(*axes)
     samp_n, line_n = _ratios(model, p.ravel(), l.ravel(), h.ravel(), check=True)
     samp_n, line_n = samp_n.reshape(p.shape), line_n.reshape(p.shape)
     return samp_n * model.samp_scale + model.samp_off, line_n * model.line_scale + model.line_off
+
+
+def _fill_span(out: np.ndarray, ax: np.ndarray, run: int, start: int) -> None:
+    """out[j] = ax[(start + j) // run], for a non-empty span that ends by
+    ax.size * run."""
+    end = start + out.size
+    first, last = -(-start // run), end // run  # the whole runs in the span
+    if first > last:
+        out[:] = ax[start // run]
+        return
+    head = first * run - start
+    body = head + (last - first) * run
+    if head:
+        out[:head] = ax[first - 1]
+    out[head:body].reshape(last - first, run)[...] = ax[first:last, None]
+    if body < out.size:
+        out[body:] = ax[last]
+
+
+def _fill_axis(out: np.ndarray, ax: np.ndarray, run: int, lo: int) -> None:
+    """Write one lattice axis at flat C-order nodes lo, lo + 1, ... to the
+    contiguous 1-D *out*: node k holds ax[k // run % ax.size], each value
+    repeating *run* times. Slices and broadcasts only, no per-node index."""
+    period = ax.size * run
+    start = lo % period
+    head = min(out.size, period - start) if start else 0
+    if head:
+        _fill_span(out[:head], ax, run, start)
+    whole = (out.size - head) // period
+    body = head + whole * period
+    if whole:
+        out[head:body].reshape(whole, ax.size, run)[...] = ax[:, None]
+    if body < out.size:
+        _fill_span(out[body:], ax, run, 0)
+
+
+def _fill_lattice(outs, axes, lo: int) -> None:
+    """Write the lattice over 1-D *axes* (lat, lon, alt) at flat C-order
+    nodes lo, lo + 1, ...: outs[i][j] is axes[i] at node lo + j."""
+    runs = (axes[1].size * axes[2].size, axes[2].size, 1)
+    for out, ax, run in zip(outs, axes, runs):
+        _fill_axis(out, ax, run, lo)
+
+
+def project_lattice(model: RpcModel, lats, lons, alts):
+    """Project the lattice of 1-D axes lats x lons x alts, block by block.
+
+    Yields (lo, samp, line) for the nodes lo, lo + 1, ... of the lattice in
+    flat C order of (lat, lon, alt) index. These are the bits that
+    :func:`project_forward` gives on the broadcast axes
+    ``(lats[:, None, None], lons[None, :, None], alts[None, None, :])``:
+    the nodes go through the same fixed blocks of 8192, each in its slot,
+    and the same warning and DegenerateError are raised. Each block's axis
+    values are written by slices and broadcasts, so no lattice-sized array
+    is made and the working memory is about 2 MB whatever the node count.
+    """
+    p, l, h = model.normalize_ground(lats, lons, alts)
+    n = p.size * l.size * h.size
+    if n:
+        _warn_beyond_rated_volume(p, l, h)
+
+    def fill(lo, rows):
+        _fill_lattice((rows[1], rows[0], rows[2]), (p, l, h), lo)
+
+    for lo, vals in _cubic_blocks(model, n, fill, check=True):
+        samp = vals[0] / vals[1] * model.samp_scale + model.samp_off
+        line = vals[2] / vals[3] * model.line_scale + model.line_off
+        yield lo, samp, line
 
 
 def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px: float = 1e-9):

@@ -225,6 +225,11 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
     l = (lon - c_lon) / h_lon
     hh = (alt - c_alt) / h_alt
     basis = cubic_basis(p, l, hh)
+    # One design matrix serves both axes: the basis columns are shared and
+    # each axis rewrites only its 19 target-weighted denominator columns.
+    # basis stays its own array for the products after the fit.
+    a = np.empty((basis.shape[0], 39))
+    a[:, :20] = basis
 
     def solve_axis(target: np.ndarray, label: str):
         if not np.isfinite(target).all():
@@ -234,7 +239,7 @@ def fit_rpc(project, volume: Volume, image_size: tuple[int, int]):
                 f"projection is (near-)constant along the {label} axis; "
                 "the rational system is ill conditioned"
             )
-        a = np.hstack([basis, -target[:, None] * basis[:, 1:]])
+        np.multiply(-target[:, None], basis[:, 1:], out=a[:, 20:])
         sol, _, _, _ = np.linalg.lstsq(a, target, rcond=None)
         if not np.isfinite(sol).all():
             raise DegenerateError(f"rational fit along the {label} axis is not finite")

@@ -30,3 +30,11 @@ def pushbroom_bundle():
     return SimpleNamespace(
         scene=scene, model=model, fit_rms=fit_rms, camera=camera, report=report
     )
+
+
+@pytest.fixture(scope="session")
+def acceptance_512():
+    """The acceptance family's seed-21 512 x 512 pushbroom scene and its model."""
+    scene = make_pushbroom_scene(21, (512, 512), relief=60, extent_deg=0.16)
+    model, _ = fit_scene_rpc(scene)
+    return SimpleNamespace(scene=scene, model=model, image_size=scene.image_size)

@@ -17,7 +17,7 @@ from satpinhole import cli, equivalence
 from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera, parse_equivalence_report
 from satpinhole.raster import load_ascii_grid, save_ascii_grid
-from satpinhole.rpc import format_rpc, load_rpc, project_forward
+from satpinhole.rpc import format_rpc, load_rpc, project_forward, project_lattice
 from satpinhole.tiling import parse_manifest
 
 
@@ -399,11 +399,16 @@ def _n_points(model, lat, lon, alt):
     return int(np.broadcast(lat, lon, alt).size)
 
 
+def _n_nodes(model, lats, lons, alts):
+    return np.size(lats) * np.size(lons) * np.size(alts)
+
+
 def test_refine_fits_once_and_reuses_equate_grids(tmp_path, scene_dir, monkeypatch, capsys):
-    calls = {"build_virtual_grid": 0, "solve_projection": 0, "project_forward": 0}
+    calls = {"build_virtual_grid": 0, "solve_projection": 0, "project_forward": 0, "project_lattice": 0}
     _tally_calls(monkeypatch, equivalence.build_virtual_grid, calls)
     _tally_calls(monkeypatch, equivalence.solve_projection, calls)
     _tally_calls(monkeypatch, project_forward, calls, amount=_n_points)
+    _tally_calls(monkeypatch, project_lattice, calls, amount=_n_nodes)
     rpc = str(scene_dir / "rpc.txt")
     size = ["--image-size", "96", "96", "--grid", "8", "8", "4"]
     before = tmp_path / "before.txt"
@@ -413,7 +418,9 @@ def test_refine_fits_once_and_reuses_equate_grids(tmp_path, scene_dir, monkeypat
     assert rc == 0
     # Only the nodes of the fit grid (8 x 8 x 4) and of the validation grid
     # (16 x 16 x 8) go through the rational model; nothing is projected again.
-    assert calls == {"build_virtual_grid": 2, "solve_projection": 1, "project_forward": 256 + 2048}
+    assert calls == {
+        "build_virtual_grid": 2, "solve_projection": 1, "project_forward": 0, "project_lattice": 256 + 2048,
+    }
 
     report = tmp_path / "report.txt"
     rc = main(["equate", rpc, *size, "--camera", str(tmp_path / "cam.txt"), "--report", str(report)])
@@ -427,14 +434,15 @@ def test_error_map_projects_only_its_dense_grid(tmp_path, scene_dir, monkeypatch
     camera = tmp_path / "cam.txt"
     assert main(["equate", rpc, *size, "--camera", str(camera)]) == 0
 
-    calls = {"project_forward": 0}
+    calls = {"project_forward": 0, "project_lattice": 0}
     _tally_calls(monkeypatch, project_forward, calls, amount=_n_points)
+    _tally_calls(monkeypatch, project_lattice, calls, amount=_n_nodes)
     rc = main(
         ["error-map", rpc, *size, "--camera", str(camera), "--cell", "16", "--out", str(tmp_path / "e.asc")]
     )
     assert rc == 0
     # n_side = 2 * ceil(96 / 16) = 12 nodes per ground axis, 5 altitude layers.
-    assert calls == {"project_forward": 12 * 12 * 5}
+    assert calls == {"project_forward": 0, "project_lattice": 12 * 12 * 5}
 
 
 # ---------------------------------------------------------------------------

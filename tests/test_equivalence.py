@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from satpinhole.equivalence import (
     solve_projection,
 )
 from satpinhole.errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
+from satpinhole import rpc
 from satpinhole.geodesy import GeoPoint, geodetic_to_enu
-from satpinhole.rpc import RpcModel, project_forward
+from satpinhole.rpc import ExtrapolationWarning, RpcModel, project_forward, project_lattice
 from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
+from satpinhole.tiling import crop_rpc
 
 
 def test_grid_matches_brute_force_in_image_count(pushbroom_bundle):
@@ -101,6 +104,81 @@ def test_grid_is_bitwise_the_per_node_reference(pinhole_bundle, pushbroom_bundle
     grid = build_virtual_grid(model, size, dims, stagger=stagger, anchor=anchor)
     for got, ref in zip((grid.enu, grid.pixels), want):
         assert _same_bits(got, ref)
+
+
+def _broadcast_grid(model, image_size, dims, stagger):
+    """The grid as the broadcast lattice gives it: project_forward over the
+    three node axes, the keep test, np.nonzero and geodetic_to_enu."""
+    offsets = (model.lat_off, model.lon_off, model.alt_off)
+    scales = (model.lat_scale, model.lon_scale, model.alt_scale)
+    lats, lons, alts = (_axis_nodes(o - s, o + s, n, stagger) for o, s, n in zip(offsets, scales, dims))
+    samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
+    w, h = image_size
+    keep = (samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h)
+    i_lat, i_lon, i_alt = np.nonzero(keep)
+    enu = np.column_stack(geodetic_to_enu(lats[i_lat], lons[i_lon], alts[i_alt], GeoPoint(*offsets)))
+    return enu, np.column_stack([samp[keep], line[keep]])
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize(
+    "origin, size, dims, stagger",
+    [(None, (512, 512), (20, 20, 10), False), ((384, 384), (128, 128), (20, 20, 10), False),
+     (None, (512, 512), (13, 17, 6), True)],
+    ids=["frame", "corner-tile", "staggered"],
+)
+def test_streamed_grid_is_bitwise_the_broadcast_lattice(acceptance_512, monkeypatch, block, origin, size, dims, stagger):
+    # A point's bits can depend on its slot in its block of the model
+    # evaluation, so the streamed lattice must cut the blocks that
+    # project_forward cuts on the broadcast axes. Blocks of 7 and 1000 nodes
+    # end mid-row on every axis.
+    monkeypatch.setattr(rpc, "_BLOCK", block)
+    model = acceptance_512.model if origin is None else crop_rpc(acceptance_512.model, origin)
+    want_enu, want_pixels = _broadcast_grid(model, size, dims, stagger)
+    grid = build_virtual_grid(model, size, dims, stagger=stagger)
+    assert _same_bits(grid.enu, want_enu)
+    assert _same_bits(grid.pixels, want_pixels)
+
+
+def test_streamed_lattice_keeps_the_pole_and_the_extrapolation_warning(acceptance_512, monkeypatch):
+    monkeypatch.setattr(rpc, "_BLOCK", 7)
+    model, size = acceptance_512.model, acceptance_512.image_size
+    # A samp denominator of 1 + 2 H has its pole at H = -0.5, inside the volume.
+    den = np.zeros(20)
+    den[0], den[3] = 1.0, 2.0
+    with pytest.raises(DegenerateError, match="must stay positive"):
+        build_virtual_grid(dataclasses.replace(model, samp_den=den), size)
+
+    # Axes reaching twice the rated half-range warn once, before any node.
+    lats, lons, alts = (
+        off + np.linspace(-2.0, 2.0, n) * scale
+        for off, scale, n in ((model.lat_off, model.lat_scale, 9), (model.lon_off, model.lon_scale, 5),
+                              (model.alt_off, model.alt_scale, 3))
+    )
+    with pytest.warns(ExtrapolationWarning) as caught:
+        blocks = list(project_lattice(model, lats, lons, alts))
+    assert len(caught) == 1
+    with pytest.warns(ExtrapolationWarning):
+        samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
+    assert [lo for lo, _, _ in blocks] == list(range(0, 9 * 5 * 3, 7))
+    assert _same_bits(np.concatenate([b[1] for b in blocks]), samp.ravel())
+    assert _same_bits(np.concatenate([b[2] for b in blocks]), line.ravel())
+
+
+def test_fit_equivalence_holds_the_survivors_and_a_block(acceptance_512):
+    # A 128 px tile keeps about 1 node in 7 of its 40 x 40 x 20 fit and
+    # 80 x 80 x 40 validation lattices. Streamed, the fit holds the survivors
+    # (40 bytes each) and their residuals, not the lattices: holding them
+    # took 15 times the survivors' bytes here.
+    model = crop_rpc(acceptance_512.model, (112, 112))
+    tracemalloc.start()
+    try:
+        eq = fit_equivalence(model, (128, 128), (40, 40, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    survivors = sum(g.enu.nbytes + g.pixels.nbytes for g in (eq.fit_grid, eq.val_grid))
+    assert peak < 3 * survivors + 2 * 2**20, (peak, survivors)
 
 
 def _flat_model(lat_scale, lon_scale, alt_scale, pixel_scale, pixel_off):

@@ -1,11 +1,14 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from satpinhole import rpc
 from satpinhole.equivalence import (
     EquivalenceReport,
     build_virtual_grid,
+    equate,
     format_equivalence_report,
     measure_equivalence_error,
     parse_equivalence_report,
@@ -144,6 +147,53 @@ def test_error_field_binning_matches_brute_force(pushbroom_bundle):
     # points and must come out nodata.
     fine = error_field(model, camera, size, 16.0, grid=grid)
     assert (fine.values == fine.nodata).sum() > fine.values.size // 2
+
+
+def _bincount_field(model, camera, size, cell):
+    """error_field from the whole dense grid and one bincount per sum."""
+    n_side = int(np.clip(2 * int(np.ceil(max(size) / cell)), 8, 256))
+    grid = build_virtual_grid(model, size, (n_side, n_side, 5), stagger=True, anchor=camera.anchor)
+    samp, line = grid.pixels.T
+    psamp, pline = camera.project(grid.enu)
+    ncols, nrows = int(np.ceil(size[0] / cell)), int(np.ceil(size[1] / cell))
+    col = np.clip((samp / cell).astype(np.intp), 0, ncols - 1)
+    row = np.clip((line / cell).astype(np.intp), 0, nrows - 1)
+    cells = row * ncols + col
+    total = np.bincount(cells, weights=np.hypot(samp - psamp, line - pline), minlength=nrows * ncols)
+    count = np.bincount(cells, minlength=nrows * ncols)
+    values = np.where(count > 0, total / np.maximum(count, 1.0), -9999.0)
+    return values.reshape(nrows, ncols)
+
+
+@pytest.mark.parametrize("block", [1000, rpc._BLOCK])
+@pytest.mark.parametrize("cell", [1.0, 7.5, 64.0])
+def test_streamed_error_field_is_bitwise_one_bincount(acceptance_512, monkeypatch, block, cell):
+    # The dense grid goes into the cells block by block; np.add.at adds each
+    # point in lattice order, as a bincount over the whole grid does.
+    monkeypatch.setattr(rpc, "_BLOCK", block)
+    model, size = acceptance_512.model, acceptance_512.image_size
+    camera, _ = equate(model, size)
+    field = error_field(model, camera, size, cell)
+    want = _bincount_field(model, camera, size, cell)
+    assert field.values.dtype == want.dtype and field.values.tobytes() == want.tobytes()
+
+
+def test_error_field_holds_its_output_and_counts(acceptance_512, monkeypatch):
+    # At 1 px cells the 512 x 512 frame is 2 MB, and the dense lattice has
+    # 256 x 256 x 5 nodes. Streamed, the field holds the output (8 bytes a
+    # cell), its counts (4) and one block, which blocks of 1024 nodes keep
+    # small next to the frame. Holding the lattice whole took about 18 frames.
+    monkeypatch.setattr(rpc, "_BLOCK", 1024)
+    model, size = acceptance_512.model, acceptance_512.image_size
+    camera, _ = equate(model, size)
+    tracemalloc.start()
+    try:
+        field = error_field(model, camera, size, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (512, 512)
+    assert peak < 2.2 * field.values.nbytes, (peak, field.values.nbytes)
 
 
 def test_error_field_rejects_bad_cell(pushbroom_bundle):
