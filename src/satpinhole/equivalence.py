@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, _lattice_converter
 from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
-from .rpc import RpcModel, _fill_lattice, project_lattice
+from .rpc import RpcModel, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
 # The most a grid node can take once it survives: pixels (2) and ENU (3) float64.
@@ -155,23 +155,16 @@ def _survivors(model: RpcModel, image_size, dims, stagger: bool, anchor: GeoPoin
     lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
     alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
     to_enu = _lattice_converter(lats, lons, anchor)
-    # The block's (lat, lon, alt) indices are written like its axis values,
-    # by slices, and only the survivors' are gathered.
-    positions = [np.arange(n) for n in (n_lat, n_lon, n_alt)]
-    index = None
     size, layers = 0, np.zeros(n_alt, dtype=bool)
-    for lo, samp, line in project_lattice(model, lats, lons, alts):
-        if index is None:
-            index = np.empty((3, samp.size), dtype=np.intp)
-        _fill_lattice(index[:, : samp.size], positions, lo)
+    for index, samp, line in project_lattice(model, lats, lons, alts):
         idx = np.flatnonzero((samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h))
-        i_lat, i_lon, i_alt = (row[idx] for row in index[:, : samp.size])
+        i_lat, i_lon, i_alt = (i[idx] for i in index)
         size += idx.size
         layers[i_alt] = True
         pixels = np.column_stack([samp[idx], line[idx]])
         enu = to_enu(i_lat, i_lon, alts[i_alt])
         # The caller works on the block while this frame is suspended.
-        del samp, line, idx, i_lat, i_lon, i_alt
+        del index, samp, line, idx, i_lat, i_lon, i_alt
         yield pixels, enu
     if size < 6:
         raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
@@ -196,9 +189,10 @@ def build_virtual_grid(
     The nodes form a lattice, which :func:`~satpinhole.rpc.project_lattice`
     evaluates in fixed blocks of its flat C order, with the bits
     :func:`~satpinhole.rpc.project_forward` gives on the broadcast axes.
-    Each block keeps only its survivors' pixels and ENU (from
-    :func:`~satpinhole.geodesy.lattice_to_enu`, per axis value), so the
-    memory is the survivors plus one block, whatever the lattice size.
+    Each block keeps only its survivors' pixels and ENU, the latter
+    gathered from per-axis-value trigonometry by the survivors' node
+    indices, so the memory is the survivors plus one block, whatever the
+    lattice size.
     Survivors come in C order of (lat, lon, alt) index.
 
     The grid only samples. Whether the survivors determine a camera is the

@@ -72,10 +72,16 @@ def error_field(
 
     Returns:
         Raster in image coordinates: origin (0, 0), cell_size == cell_px.
+
+    Raises:
+        ValueError: if *cell_px* is not finite and positive, or a side of
+            *image_size* is not positive.
     """
     if not (np.isfinite(cell_px) and cell_px > 0):
         raise ValueError(f"cell size must be finite and positive, got {cell_px}")
     w, h = image_size
+    if not (w > 0 and h > 0):
+        raise ValueError(f"image size must be positive, got {w} x {h}")
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         blocks = _survivors(model, image_size, (n_side, n_side, 5), True, camera.anchor)

@@ -149,39 +149,20 @@ def geodetic_to_enu(lat, lon, alt, anchor: GeoPoint):
     return _ecef_to_enu(*geodetic_to_ecef(lat, lon, alt), origin, enu_rotation(anchor))
 
 
-_LATTICE_BLOCK = 1 << 13  # nodes per block of lattice_to_enu: about 1 MB of temporaries
-
-
-def lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor: GeoPoint) -> np.ndarray:
-    """ENU of lattice nodes (lats[i_lat], lons[i_lon], alt) at *anchor*, as (N, 3).
-
-    The same bits as ``geodetic_to_enu(lats[i_lat], lons[i_lon], alt,
-    anchor)``, from the same arithmetic; but the trigonometry and N(lat) are
-    computed once per axis value and gathered per node, and the nodes go
-    through in blocks, so the temporaries stay a few MB whatever N is.
-    """
-    return _lattice_converter(lats, lons, anchor)(i_lat, i_lon, alt)
-
-
 def _lattice_converter(lats, lons, anchor: GeoPoint):
-    """The per-axis and per-anchor part of :func:`lattice_to_enu`, done once:
-    returns the function of (i_lat, i_lon, alt) that finishes it, for
-    callers that convert a lattice's nodes in several batches."""
+    """The function of (i_lat, i_lon, alt) giving the (N, 3) ENU at *anchor*
+    of lattice nodes (lats[i_lat], lons[i_lon], alt): the bits of
+    ``geodetic_to_enu``, from the same arithmetic, but with the trigonometry
+    and N(lat) computed once per axis value and gathered per node. Callers
+    hand it one block of nodes at a time."""
     lat_terms = _latitude_terms(lats)
     lon_terms = _longitude_terms(lons)
     origin = geodetic_to_ecef(anchor.lat, anchor.lon, anchor.alt)
     rot = enu_rotation(anchor)
 
     def convert(i_lat, i_lon, alt) -> np.ndarray:
-        alt = np.asarray(alt, dtype=np.float64)
-        enu = np.empty((alt.size, 3))
-        for lo in range(0, alt.size, _LATTICE_BLOCK):
-            b = slice(lo, lo + _LATTICE_BLOCK)
-            xyz = _ecef_from_terms(
-                *(term[i_lat[b]] for term in lat_terms), *(term[i_lon[b]] for term in lon_terms), alt[b]
-            )
-            enu[b, 0], enu[b, 1], enu[b, 2] = _ecef_to_enu(*xyz, origin, rot)
-        return enu
+        xyz = _ecef_from_terms(*(term[i_lat] for term in lat_terms), *(term[i_lon] for term in lon_terms), alt)
+        return np.column_stack(_ecef_to_enu(*xyz, origin, rot))
 
     return convert
 

@@ -19,7 +19,8 @@ working memory is a few MB whatever the number of points. That product is
 not batch-independent: a point's last bits (up to about 1e-13 px) can depend
 on its slot in its block. So a lattice is always evaluated in the same fixed
 blocks of its flat C-order nodes, whether :func:`project_forward` gets it as
-broadcast axes or :func:`project_lattice` streams it.
+broadcast axes or :func:`project_lattice` streams it, taking each block's
+node indices from ``np.unravel_index`` and gathering the axis values.
 """
 
 from __future__ import annotations
@@ -210,16 +211,8 @@ def save_rpc(model: RpcModel, path) -> None:
         fh.write(format_rpc(model))
 
 
-def _cubic_blocks(model: RpcModel, n: int, fill, check: bool):
-    """The four cubics of *model* at n points, ``_BLOCK`` points at a time.
-
-    ``fill(lo, rows)`` writes the normalized (l, p, h) of points lo, lo + 1,
-    ... into the three rows of *rows*. Yields (lo, vals), vals being the
-    (4, m) samp numerator, samp denominator, line numerator and line
-    denominator of points lo .. lo + m. The blocks and the basis buffer are
-    the same whatever fills them, and a point's last bits can depend on its
-    slot in its block, so callers that must agree bit for bit cut the same
-    blocks.
+def _ratios(model: RpcModel, p, l, h, check: bool):
+    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
 
     With *check*, a denominator under 1e-10 at any point raises
     DegenerateError. The denominators' constant terms are 1, so a value
@@ -227,31 +220,19 @@ def _cubic_blocks(model: RpcModel, n: int, fill, check: bool):
     the volume centre: the model has a pole inside the evaluated region.
     """
     coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
+    n = p.size
+    samp, line = np.empty(n), np.empty(n)
     basis = np.empty((20, min(n, _BLOCK)))
     for lo in range(0, n, _BLOCK):
-        out = basis[:, : min(_BLOCK, n - lo)]
-        fill(lo, out[1:4])
+        hi = min(lo + _BLOCK, n)
+        out = basis[:, : hi - lo]
+        out[1], out[2], out[3] = l[lo:hi], p[lo:hi], h[lo:hi]
         vals = coef @ _monomials(out)
         if check and np.any(vals[1::2] < DENOMINATOR_FLOOR):
             raise DegenerateError(
                 f"rational denominator below {DENOMINATOR_FLOOR:g}; it must stay "
                 "positive, as at the volume centre"
             )
-        yield lo, vals
-
-
-def _ratios(model: RpcModel, p, l, h, check: bool):
-    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h); see
-    :func:`_cubic_blocks` for the blocks and *check*."""
-    n = p.size
-    samp, line = np.empty(n), np.empty(n)
-
-    def fill(lo, rows):
-        hi = lo + rows.shape[1]
-        rows[0], rows[1], rows[2] = l[lo:hi], p[lo:hi], h[lo:hi]
-
-    for lo, vals in _cubic_blocks(model, n, fill, check):
-        hi = lo + vals.shape[1]
         np.divide(vals[0], vals[1], out=samp[lo:hi])
         np.divide(vals[2], vals[3], out=line[lo:hi])
     return samp, line
@@ -301,75 +282,32 @@ def project_forward(model: RpcModel, lat, lon, alt):
     return samp_n * model.samp_scale + model.samp_off, line_n * model.line_scale + model.line_off
 
 
-def _fill_span(out: np.ndarray, ax: np.ndarray, run: int, start: int) -> None:
-    """out[j] = ax[(start + j) // run], for a non-empty span that ends by
-    ax.size * run."""
-    end = start + out.size
-    first, last = -(-start // run), end // run  # the whole runs in the span
-    if first > last:
-        out[:] = ax[start // run]
-        return
-    head = first * run - start
-    body = head + (last - first) * run
-    if head:
-        out[:head] = ax[first - 1]
-    out[head:body].reshape(last - first, run)[...] = ax[first:last, None]
-    if body < out.size:
-        out[body:] = ax[last]
-
-
-def _fill_axis(out: np.ndarray, ax: np.ndarray, run: int, lo: int) -> None:
-    """Write one lattice axis at flat C-order nodes lo, lo + 1, ... to the
-    contiguous 1-D *out*: node k holds ax[k // run % ax.size], each value
-    repeating *run* times. Slices and broadcasts only, no per-node index."""
-    period = ax.size * run
-    start = lo % period
-    head = min(out.size, period - start) if start else 0
-    if head:
-        _fill_span(out[:head], ax, run, start)
-    whole = (out.size - head) // period
-    body = head + whole * period
-    if whole:
-        out[head:body].reshape(whole, ax.size, run)[...] = ax[:, None]
-    if body < out.size:
-        _fill_span(out[body:], ax, run, 0)
-
-
-def _fill_lattice(outs, axes, lo: int) -> None:
-    """Write the lattice over 1-D *axes* (lat, lon, alt) at flat C-order
-    nodes lo, lo + 1, ...: outs[i][j] is axes[i] at node lo + j."""
-    runs = (axes[1].size * axes[2].size, axes[2].size, 1)
-    for out, ax, run in zip(outs, axes, runs):
-        _fill_axis(out, ax, run, lo)
-
-
 def project_lattice(model: RpcModel, lats, lons, alts):
     """Project the lattice of 1-D axes lats x lons x alts, block by block.
 
-    Yields (lo, samp, line) for the nodes lo, lo + 1, ... of the lattice in
-    flat C order of (lat, lon, alt) index. These are the bits that
-    :func:`project_forward` gives on the broadcast axes
-    ``(lats[:, None, None], lons[None, :, None], alts[None, None, :])``:
-    the nodes go through the same fixed blocks of 8192, each in its slot,
-    and the same warning and DegenerateError are raised. Each block's axis
-    values are written by slices and broadcasts, so no lattice-sized array
-    is made and the working memory is about 2 MB whatever the node count.
+    Yields ((i_lat, i_lon, i_alt), samp, line) for each fixed block of 8192
+    of the lattice's flat C-order nodes: its nodes' axis indices, and the
+    bits that :func:`project_forward` gives them on the broadcast axes
+    ``(lats[:, None, None], lons[None, :, None], alts[None, None, :])``, with
+    the same warning and DegenerateError. No lattice-sized array is made, so
+    the working memory is a few MB whatever the node count.
     """
     p, l, h = model.normalize_ground(lats, lons, alts)
+    shape = (p.size, l.size, h.size)
     n = p.size * l.size * h.size
     if n:
         _warn_beyond_rated_volume(p, l, h)
-
-    def fill(lo, rows):
-        _fill_lattice((rows[1], rows[0], rows[2]), (p, l, h), lo)
-
-    for lo, vals in _cubic_blocks(model, n, fill, check=True):
-        samp = vals[0] / vals[1] * model.samp_scale + model.samp_off
-        line = vals[2] / vals[3] * model.line_scale + model.line_off
-        yield lo, samp, line
+    for lo in range(0, n, _BLOCK):
+        index = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n)), shape)
+        samp, line = _ratios(model, p[index[0]], l[index[1]], h[index[2]], check=True)
+        yield index, samp * model.samp_scale + model.samp_off, line * model.line_scale + model.line_off
 
 
-def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px: float = 1e-9):
+_INVERSE_ITERATIONS = 50  # Newton iteration cap of project_inverse
+_INVERSE_TOL_PX = 1e-9  # its convergence threshold on the pixel-space residual
+
+
+def project_inverse(model: RpcModel, samp, line, alt):
     """Recover (lat, lon) for image points at a known altitude.
 
     Runs a damped Newton iteration on the normalized forward map, starting at
@@ -381,8 +319,6 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
         samp, line: pixel coordinates (scalars or arrays).
         alt: altitude in meters, broadcastable against samp/line. Must lie
             within 1.5 scale units of the altitude offset.
-        max_iter: Newton iteration cap.
-        tol_px: convergence threshold on the pixel-space residual.
 
     Returns:
         (lat, lon) in degrees with the broadcast input shape.
@@ -422,8 +358,8 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
 
     eps = 1e-6
     fs, fl, err = residual(p, l)
-    for _ in range(max_iter):
-        active = err > tol_px
+    for _ in range(_INVERSE_ITERATIONS):
+        active = err > _INVERSE_TOL_PX
         if not np.any(active):
             break
         # Central-difference Jacobian of (samp_n, line_n) wrt (p, l).
@@ -453,7 +389,7 @@ def project_inverse(model: RpcModel, samp, line, alt, max_iter: int = 50, tol_px
                 break
             step = np.where(worse, step * 0.5, step)
         p, l, (fs, fl, err) = p_try, l_try, trial
-    if np.any(err > tol_px):
+    if np.any(err > _INVERSE_TOL_PX):
         raise ConvergenceError(
             f"inverse projection stalled; worst residual {np.max(err):.3g} px"
         )

@@ -1,12 +1,14 @@
 """The package exports exactly the names its ``__init__`` imports, each of
-its modules imports on its own, its modules import each other one way, and
-every text file it opens names its encoding."""
+its modules imports on its own, its modules import each other one way,
+every text file it opens names its encoding, and every private function or
+class it defines is used."""
 
 import ast
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -115,3 +117,31 @@ def test_text_io_names_its_encoding():
     ]
     assert calls
     assert [(name, source) for name, named, source in calls if not named] == []
+
+
+def _names_used(tree):
+    """Each name a piece of AST reads, as a bare name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_definition_is_used():
+    # A module-level private function or class that nothing else in the
+    # package names is dead code (its tests alone do not keep it).
+    package = Path(satpinhole.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _names_used(tree))
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and uses[node.name] == Counter(_names_used(node))[node.name]
+    ]
+    assert unused == []

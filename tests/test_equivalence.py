@@ -160,9 +160,33 @@ def test_streamed_lattice_keeps_the_pole_and_the_extrapolation_warning(acceptanc
     assert len(caught) == 1
     with pytest.warns(ExtrapolationWarning):
         samp, line = project_forward(model, lats[:, None, None], lons[None, :, None], alts[None, None, :])
-    assert [lo for lo, _, _ in blocks] == list(range(0, 9 * 5 * 3, 7))
+    assert [b[1].size for b in blocks] == [7] * 19 + [2]
+    index = [np.concatenate(axis) for axis in zip(*(b[0] for b in blocks))]
+    want = np.unravel_index(np.arange(9 * 5 * 3), (9, 5, 3))
+    assert all(np.array_equal(got, ref) for got, ref in zip(index, want))
     assert _same_bits(np.concatenate([b[1] for b in blocks]), samp.ravel())
     assert _same_bits(np.concatenate([b[2] for b in blocks]), line.ravel())
+
+
+def test_project_lattice_walks_a_billion_nodes_one_block_at_a_time(acceptance_512):
+    # The first block of a 1000 x 1000 x 1000 lattice costs its own 8192
+    # nodes, not the lattice's 10**9.
+    model = acceptance_512.model
+    lats, lons, alts = (
+        np.linspace(off - scale, off + scale, 1000)
+        for off, scale in ((model.lat_off, model.lat_scale), (model.lon_off, model.lon_scale),
+                           (model.alt_off, model.alt_scale))
+    )
+    tracemalloc.start()
+    try:
+        index, samp, line = next(project_lattice(model, lats, lons, alts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert samp.shape == line.shape == (8192,)
+    for got, want in zip(index, np.unravel_index(np.arange(8192), (1000, 1000, 1000))):
+        assert np.array_equal(got, want)
 
 
 def test_fit_equivalence_holds_the_survivors_and_a_block(acceptance_512):

@@ -206,6 +206,17 @@ def test_error_field_rejects_bad_cell(pushbroom_bundle):
         )
 
 
+@pytest.mark.parametrize("size", [(0, 0), (-5, 128), (128, 0)])
+@pytest.mark.parametrize("with_grid", [False, True], ids=["dense", "grid"])
+def test_error_field_rejects_non_positive_image_size(pushbroom_bundle, size, with_grid):
+    # An explicit grid skips the dense lattice and its size check, so the
+    # size is checked before either path.
+    model = pushbroom_bundle.model
+    grid = build_virtual_grid(model, pushbroom_bundle.scene.image_size, dims=(6, 6, 3)) if with_grid else None
+    with pytest.raises(ValueError, match="image size must be positive"):
+        error_field(model, pushbroom_bundle.camera, size, 64.0, grid=grid)
+
+
 def test_size_sweep_shrinks_error(pushbroom_bundle):
     model = pushbroom_bundle.model
     size = pushbroom_bundle.scene.image_size

@@ -13,7 +13,6 @@ from satpinhole.geodesy import (
     enu_to_geodetic,
     geodetic_to_ecef,
     geodetic_to_enu,
-    lattice_to_enu,
 )
 
 
@@ -138,23 +137,10 @@ def test_lattice_to_enu_is_bitwise_geodetic_to_enu(n_lat, n_lon, n, seed, anchor
     i_lon = rng.integers(0, n_lon, n)
     alt = rng.uniform(-500.0, 9000.0, n)
     anchor = GeoPoint(*anchor)
-    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
+    enu = geodesy._lattice_converter(lats, lons, anchor)(i_lat, i_lon, alt)
     assert enu.shape == (n, 3)
     for got, want in zip(enu.T, geodetic_to_enu(lats[i_lat], lons[i_lon], alt, anchor)):
         assert _same_bits(np.ascontiguousarray(got), want)
-
-
-def test_lattice_to_enu_blocks_change_no_bit():
-    # Two and a half blocks of nodes: the block seams must not show.
-    rng = np.random.default_rng(4)
-    n = 5 * geodesy._LATTICE_BLOCK // 2
-    lats, lons = np.linspace(41.0, 41.3, 17), np.linspace(-3.2, -2.9, 19)
-    i_lat, i_lon = rng.integers(0, 17, n), rng.integers(0, 19, n)
-    alt = rng.uniform(0.0, 2500.0, n)
-    anchor = GeoPoint(41.15, -3.05, 700.0)
-    enu = lattice_to_enu(lats, lons, i_lat, i_lon, alt, anchor)
-    want = np.column_stack(geodetic_to_enu(lats[i_lat], lons[i_lon], alt, anchor))
-    assert _same_bits(enu, want)
 
 
 def test_enu_rotation_is_orthonormal():

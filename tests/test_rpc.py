@@ -450,10 +450,12 @@ def test_inverse_against_generator_geometry(pushbroom_bundle):
     assert np.max(np.abs(lon2 - lon)) < 1e-9
 
 
-def test_inverse_iteration_cap_raises(pushbroom_bundle):
+def test_inverse_iteration_cap_raises(pushbroom_bundle, monkeypatch):
+    monkeypatch.setattr(rpc, "_INVERSE_ITERATIONS", 1)
+    monkeypatch.setattr(rpc, "_INVERSE_TOL_PX", 1e-12)
     model = pushbroom_bundle.model
     with pytest.raises(ConvergenceError, match="px"):
-        project_inverse(model, 0.0, 0.0, 0.0, max_iter=1, tol_px=1e-12)
+        project_inverse(model, 0.0, 0.0, 0.0)
 
 
 def _overshoot_model() -> RpcModel:
