@@ -164,6 +164,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_error_map(args) -> int:
+    # argparse keeps the default object itself unless --grid is given.
+    if args.camera and args.grid is not DEFAULT_GRID_DIMS:
+        raise ValueError(
+            "--grid sets the nodes a camera is derived on, and --camera gives "
+            "the camera: pass one or the other"
+        )
     model = load_rpc(args.rpc)
     image_size = tuple(args.image_size)
     if args.camera:

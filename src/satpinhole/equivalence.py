@@ -128,48 +128,39 @@ def _physical_memory() -> int:
         return 2**63
 
 
-def _survivors(model: RpcModel, image_size, dims, stagger: bool, anchor: GeoPoint):
-    """The nodes of a grid that project into the image, one lattice block at a time.
-
-    Checks *dims* and *image_size* as :func:`build_virtual_grid` documents,
-    and refuses with MemoryError, before any work, a grid whose nodes could
-    not all be kept in physical memory. Then it yields, for each block of
-    :func:`~satpinhole.rpc.project_lattice`, its survivors' (pixels (k, 2),
-    ENU (k, 3)) in lattice order. After the last block it raises
-    DegenerateError if fewer than 6 nodes survived or they all lie in one
-    altitude layer.
-    """
-    n_lat, n_lon, n_alt = (int(d) for d in dims)
-    if min(n_lat, n_lon, n_alt) < 2:
-        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
-    w, h = image_size
-    if not (w > 0 and h > 0):
-        raise ValueError(f"image size must be positive, got {w} x {h}")
-    worst = n_lat * n_lon * n_alt * _SURVIVOR_BYTES
-    if worst > _physical_memory():
-        raise MemoryError(
-            f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of "
-            "survivors, more than this machine's memory"
+def _grid_axes(model: RpcModel, dims, stagger: bool):
+    """The (lat, lon, alt) node values of a *dims* grid over *model*'s rated
+    volume: offset +- scale on each axis."""
+    return tuple(
+        _axis_nodes(off - scale, off + scale, int(n), stagger)
+        for off, scale, n in zip(
+            (model.lat_off, model.lon_off, model.alt_off),
+            (model.lat_scale, model.lon_scale, model.alt_scale),
+            dims,
         )
-    lats = _axis_nodes(model.lat_off - model.lat_scale, model.lat_off + model.lat_scale, n_lat, stagger)
-    lons = _axis_nodes(model.lon_off - model.lon_scale, model.lon_off + model.lon_scale, n_lon, stagger)
-    alts = _axis_nodes(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, n_alt, stagger)
+    )
+
+
+def _survivors(model: RpcModel, image_size, axes, anchor: GeoPoint):
+    """The nodes of the lattice on *axes* that project into the image, one
+    lattice block at a time.
+
+    For each block of :func:`~satpinhole.rpc.project_lattice` it yields its
+    survivors' (pixels (k, 2), ENU (k, 3), altitude indices (k,)) in lattice
+    order. It only samples: how many survivors there must be, and in how
+    many layers, is the caller's rule.
+    """
+    lats, lons, alts = axes
+    w, h = image_size
     to_enu = _lattice_converter(lats, lons, anchor)
-    size, layers = 0, np.zeros(n_alt, dtype=bool)
     for index, samp, line in project_lattice(model, lats, lons, alts):
         idx = np.flatnonzero((samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h))
         i_lat, i_lon, i_alt = (i[idx] for i in index)
-        size += idx.size
-        layers[i_alt] = True
         pixels = np.column_stack([samp[idx], line[idx]])
         enu = to_enu(i_lat, i_lon, alts[i_alt])
         # The caller works on the block while this frame is suspended.
-        del index, samp, line, idx, i_lat, i_lon, i_alt
-        yield pixels, enu
-    if size < 6:
-        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
-    if np.unique(alts[layers]).size < 2:
-        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
+        del index, samp, line, idx, i_lat, i_lon
+        yield pixels, enu, i_alt
 
 
 def build_virtual_grid(
@@ -195,10 +186,12 @@ def build_virtual_grid(
     lattice size.
     Survivors come in C order of (lat, lon, alt) index.
 
-    The grid only samples. Whether the survivors determine a camera is the
-    DLT's question: :func:`solve_projection` refuses coplanar and collinear
-    ones. A single altitude layer is refused here: the Earth's curvature
-    bends it just off a plane, so the DLT would fit it, and badly.
+    The grid is built for a fit, and the fit's rules are checked here: the
+    dims and image size before the walk, and the survivors' count and
+    layers after it. Whether the survivors determine a camera is the DLT's
+    question: :func:`solve_projection` refuses coplanar and collinear ones.
+    A single altitude layer is refused here: the Earth's curvature bends it
+    just off a plane, so the DLT would fit it, and badly.
 
     Raises:
         ValueError: if the image width or height is not positive.
@@ -207,12 +200,31 @@ def build_virtual_grid(
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
             they all lie in one altitude layer.
     """
+    n_lat, n_lon, n_alt = (int(d) for d in dims)
+    if min(n_lat, n_lon, n_alt) < 2:
+        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
+    w, h = image_size
+    if not (w > 0 and h > 0):
+        raise ValueError(f"image size must be positive, got {w} x {h}")
+    worst = n_lat * n_lon * n_alt * _SURVIVOR_BYTES
+    if worst > _physical_memory():
+        raise MemoryError(
+            f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of "
+            "survivors, more than this machine's memory"
+        )
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
-    pixels, enu = [], []
-    for block_pixels, block_enu in _survivors(model, image_size, dims, stagger, anchor):
+    axes = _grid_axes(model, (n_lat, n_lon, n_alt), stagger)
+    pixels, enu, layers = [], [], np.zeros(n_alt, dtype=bool)
+    for block_pixels, block_enu, i_alt in _survivors(model, image_size, axes, anchor):
         pixels.append(block_pixels)
         enu.append(block_enu)
+        layers[i_alt] = True
+    size = sum(block.shape[0] for block in pixels)
+    if size < 6:
+        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
+    if np.unique(axes[2][layers]).size < 2:
+        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
     enu = np.concatenate(enu)
     pixels = np.concatenate(pixels)
     return VirtualGrid(enu=enu, pixels=pixels, anchor=anchor)
@@ -445,8 +457,8 @@ def _score(camera: PinholeCamera, grid: VirtualGrid, warp=None):
     Returns (behind, dsamp, dline): the count of nodes at or behind the
     camera (w <= 0 for (u w, v w, w) = K (R X + t)), and each node's
     rational minus pinhole pixel residual. A node with w == 0 gives an
-    infinite residual without a warning: a fit refuses such a grid by its
-    count instead.
+    infinite residual without a warning: a caller refuses such a grid by its
+    count instead, through :func:`_require_in_front`.
     """
     n = grid.n_points
     dsamp, dline = np.empty(n), np.empty(n)
@@ -460,6 +472,19 @@ def _score(camera: PinholeCamera, grid: VirtualGrid, warp=None):
         np.subtract(grid.pixels[rows, 0], psamp, out=dsamp[rows])
         np.subtract(grid.pixels[rows, 1], pline, out=dline[rows])
     return behind, dsamp, dline
+
+
+def _require_in_front(behind: int, n: int, kind: str) -> None:
+    """Refuse a score in which *behind* of *n* *kind* points lie at or
+    behind the camera: their pinhole projections are mirror images.
+
+    Raises:
+        DecompositionError: if *behind* is not zero.
+    """
+    if behind:
+        raise DecompositionError(
+            f"cheirality unsatisfiable: {behind} of {n} {kind} points fall behind the camera"
+        )
 
 
 @dataclass(frozen=True)
@@ -504,11 +529,7 @@ def fit_equivalence(
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
     behind, dsamp, dline = _score(camera, val_grid)
-    if behind:
-        raise DecompositionError(
-            f"cheirality unsatisfiable: {behind} of {val_grid.n_points} "
-            "validation points fall behind the camera"
-        )
+    _require_in_front(behind, val_grid.n_points, "validation")
     report = EquivalenceReport.from_residuals(dsamp, dline)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
 

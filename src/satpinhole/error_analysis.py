@@ -18,6 +18,9 @@ from .equivalence import (
     DEFAULT_GRID_DIMS,
     PinholeCamera,
     VirtualGrid,
+    _grid_axes,
+    _require_in_front,
+    _score,
     _survivors,
     equate,
     measure_equivalence_error,
@@ -57,7 +60,10 @@ def error_field(
     error accumulates into the image cell containing its rational-model
     projection. Cells that receive no points are nodata. The dense grid goes
     into the cells one lattice block at a time, so the only frame-sized
-    memory is the output and its counts.
+    memory is the output and its counts. A map needs no minimum number of
+    nodes: with none inside the image, every cell is nodata. Each block is
+    scored as the fit's validation grid is, by
+    :func:`~satpinhole.equivalence._score`.
 
     Args:
         model: rational polynomial model (the model *grid* was sampled
@@ -76,6 +82,8 @@ def error_field(
     Raises:
         ValueError: if *cell_px* is not finite and positive, or a side of
             *image_size* is not positive.
+        DecompositionError: if any node lies at or behind the camera, where
+            the pinhole projection is a mirror image.
     """
     if not (np.isfinite(cell_px) and cell_px > 0):
         raise ValueError(f"cell size must be finite and positive, got {cell_px}")
@@ -84,10 +92,14 @@ def error_field(
         raise ValueError(f"image size must be positive, got {w} x {h}")
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
-        blocks = _survivors(model, image_size, (n_side, n_side, 5), True, camera.anchor)
+        axes = _grid_axes(model, (n_side, n_side, 5), True)
+        blocks = (
+            VirtualGrid(enu=enu, pixels=pixels, anchor=camera.anchor)
+            for pixels, enu, _ in _survivors(model, image_size, axes, camera.anchor)
+        )
         points = n_side * n_side * 5
     else:
-        blocks = [(grid.pixels, grid.enu)]
+        blocks = [grid]
         points = grid.n_points
 
     # np.add.at adds each point to its cell in input order, as bincount
@@ -96,14 +108,18 @@ def error_field(
     nrows = int(np.ceil(h / cell_px))
     total = np.zeros(nrows * ncols)
     count = np.zeros(nrows * ncols, dtype=np.int32 if points < 2**31 else np.int64)
-    for pixels, enu in blocks:
-        samp, line = pixels.T
-        psamp, pline = camera.project(enu)
+    behind = scored = 0
+    for block in blocks:
+        block_behind, dsamp, dline = _score(camera, block)
+        behind += block_behind
+        scored += block.n_points
+        samp, line = block.pixels.T
         col = np.clip((samp / cell_px).astype(np.intp), 0, ncols - 1)
         row = np.clip((line / cell_px).astype(np.intp), 0, nrows - 1)
         cells = row * ncols + col
-        np.add.at(total, cells, np.hypot(samp - psamp, line - pline))
+        np.add.at(total, cells, np.hypot(dsamp, dline))
         np.add.at(count, cells, count.dtype.type(1))  # a Python 1 would take a slow casting path
+    _require_in_front(behind, scored, "map")
     np.divide(total, count, out=total, where=count > 0)
     total[count == 0] = NODATA
     return Raster(values=total.reshape(nrows, ncols), cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)

@@ -9,7 +9,6 @@ charged against all truth-valid cells.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +153,9 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
     nodata = dsms[0].nodata
 
     fused = np.empty((nrows, ncols))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # Halving two samples above half the float range overflows to inf, as in
+    # np.nanmedian, and a cell with no kept sample has the mean 0 / 0 = nan.
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(nrows, ncols):
             stack = np.full((len(dsms), rows.stop - rows.start, ncols), np.nan)
             for i, (r, (row, col)) in enumerate(zip(dsms, offsets)):
@@ -175,7 +175,8 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
             if config.aggregator == "median":
                 fused[rows] = _median_views(survivors)
             else:
-                fused[rows] = np.nanmean(survivors, axis=0)
+                kept = ~np.isnan(survivors)
+                fused[rows] = np.where(kept, survivors, 0.0).sum(axis=0) / kept.sum(axis=0)
 
     valid = np.isfinite(fused)
     radius = config.radius if config.radius is not None else 3.0 * cell

@@ -145,3 +145,23 @@ def test_every_private_definition_is_used():
         and uses[node.name] == Counter(_names_used(node))[node.name]
     ]
     assert unused == []
+
+
+_WARNING_FILTER_CALLS = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+
+
+def test_package_leaves_warning_filters_alone():
+    # Warning filters are process-wide state, like thread settings: the
+    # package silences a floating-point case with np.errstate instead.
+    package = Path(satpinhole.__file__).parent
+    calls = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr in _WARNING_FILTER_CALLS)
+            or (isinstance(node.func, ast.Name) and node.func.id in _WARNING_FILTER_CALLS)
+        )
+    ]
+    assert calls == []

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,55 @@ def test_error_map_camera_of_another_image_size_is_invalid(tmp_path, scene_dir, 
     assert "--image-size is 64 x 48" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_error_map_grid_with_camera_is_invalid(tmp_path, scene_dir, capsys):
+    # --grid only sets the nodes a camera is derived on; with --camera it
+    # was ignored, and the map exited 0.
+    out = tmp_path / "field.asc"
+    rc = main(
+        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--out", str(out),
+         "--camera", str(scene_dir / "camera.txt"), "--grid", "1", "1", "1"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid:") and "--grid" in err and "--camera" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_error_map_camera_looking_away_is_a_decomposition_error(tmp_path, scene_dir, capsys):
+    # diag(1, -1, -1) is a proper rotation, so the camera parses, but every
+    # map node lies behind it; the map of mirrored projections exited 0.
+    camera = load_camera(scene_dir / "camera.txt")
+    flip = np.diag([1.0, -1.0, -1.0])
+    flipped = tmp_path / "camera.txt"
+    equivalence.save_camera(replace(camera, r=flip @ camera.r, t=flip @ camera.t), flipped)
+    out = tmp_path / "field.asc"
+    rc = main(
+        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--out", str(out), "--camera", str(flipped)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: decomposition: cheirality unsatisfiable:")
+    assert "map points fall behind the camera" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_error_map_with_no_node_in_the_image_has_no_valid_cells(tmp_path, scene_dir, capsys):
+    # None of the 8 x 8 x 5 map nodes lands in a 1 x 1 image: a map needs
+    # no minimum count, so it is written, all nodata.
+    camera = tmp_path / "camera.txt"
+    text = (scene_dir / "camera.txt").read_text()
+    camera.write_text(re.sub(r"(?m)^IMAGE_SIZE: .*$", "IMAGE_SIZE: 1 1", text))
+    out = tmp_path / "field.asc"
+    rc = main(
+        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "1", "1", "--out", str(out), "--camera", str(camera)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == "error map: no valid cells\n"
+    field = load_ascii_grid(out)
+    assert field.values.shape == (1, 1) and not field.valid_mask().any()
 
 
 @pytest.mark.parametrize("value", ["nan", "91", "-inf"])

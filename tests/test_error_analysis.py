@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from satpinhole.error_analysis import (
     size_sweep,
     write_field_preview,
 )
-from satpinhole.errors import FormatError
+from satpinhole.errors import DecompositionError, FormatError
+from satpinhole.tiling import crop_rpc
 
 
 def test_report_hand_values():
@@ -215,6 +217,33 @@ def test_error_field_rejects_non_positive_image_size(pushbroom_bundle, size, wit
     grid = build_virtual_grid(model, pushbroom_bundle.scene.image_size, dims=(6, 6, 3)) if with_grid else None
     with pytest.raises(ValueError, match="image size must be positive"):
         error_field(model, pushbroom_bundle.camera, size, 64.0, grid=grid)
+
+
+def test_error_field_of_a_64_px_tile_needs_no_fit_minimum(acceptance_512):
+    # The map lattice spans the parent scene's rated volume, so only a few
+    # of its nodes land in a 64 px corner tile: fewer than the 6 a fit
+    # needs, which the map used to refuse.
+    model = crop_rpc(acceptance_512.model, (0, 0))
+    camera, _ = equate(model, (64, 64))
+    field = error_field(model, camera, (64, 64), 32.0)
+    assert field.values.shape == (2, 2)
+    assert field.valid_mask().any()
+
+
+def _flipped(camera):
+    """*camera* turned by diag(1, -1, -1): a proper rotation that looks
+    down its -Z axis, so every node in front of *camera* is behind it."""
+    flip = np.diag([1.0, -1.0, -1.0])
+    return replace(camera, r=flip @ camera.r, t=flip @ camera.t)
+
+
+@pytest.mark.parametrize("with_grid", [False, True], ids=["dense", "grid"])
+def test_error_field_refuses_nodes_behind_the_camera(pinhole_bundle, with_grid):
+    # The mirrored projections made a map of about 100 px.
+    model, size = pinhole_bundle.model, pinhole_bundle.scene.image_size
+    grid = build_virtual_grid(model, size, dims=(6, 6, 3)) if with_grid else None
+    with pytest.raises(DecompositionError, match=r"cheirality unsatisfiable: (\d+) of \1 map points fall behind"):
+        error_field(model, _flipped(pinhole_bundle.camera), size, 64.0, grid=grid)
 
 
 def test_size_sweep_shrinks_error(pushbroom_bundle):

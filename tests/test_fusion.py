@@ -142,6 +142,25 @@ def test_fuse_reads_infinities_as_nodata(aggregator):
     assert infinite.values[0, 0] == missing.values[0, 0] == 3.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aggregator", ["median", "mean"])
+@pytest.mark.parametrize(
+    "heights, fused",
+    [
+        # Halving two samples above half the float range overflows to inf,
+        # which is no height, so the cell is nodata.
+        ([1e308, 1e308], -9999.0),
+        ([1e308, -1e308], 0.0),
+        ([-1e308, -1e308, 1e308], -9999.0),
+    ],
+)
+def test_fuse_near_the_float_limit_warns_nothing(aggregator, heights, fused):
+    views = [_raster(np.full((3, 4), h)) for h in heights]
+    out = fuse_views(views, FusionConfig(min_neighbors=1, aggregator=aggregator))
+    assert out.nodata == -9999.0
+    assert (out.values == fused).all()
+
+
 def test_fuse_threshold_is_inclusive():
     views = _stack_views([[0.0], [1.0], [3.0]])
     # median 1, deviations (1, 0, 2), MAD 1. A threshold of exactly 1.0
