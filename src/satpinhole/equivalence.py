@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, _lattice_converter
 from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
+from .raster import _row_blocks
 from .rpc import RpcModel, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
@@ -72,22 +73,10 @@ class PinholeCamera:
         enu = np.asarray(enu, dtype=np.float64)
         return (enu @ self.r.T + self.t) @ self.k.T
 
-    def _row_blocks(self, enu: np.ndarray):
-        """Yield (rows, x) over blocks of ``_ROWS`` rows of (N, 3) *enu*, x
-        being those rows' homogeneous pixels K (R X + t), (n, 3)."""
-        enu = np.asarray(enu, dtype=np.float64)
-        for lo in range(0, enu.shape[0], _ROWS):
-            rows = slice(lo, lo + _ROWS)
-            yield rows, self._homogeneous(enu[rows])
-
     def project(self, enu: np.ndarray):
-        """Project (N, 3) ENU points to (samp, line) pixel arrays, a block of
-        rows at a time."""
-        n = np.shape(enu)[0]
-        samp, line = np.empty(n), np.empty(n)
-        for rows, x in self._row_blocks(enu):
-            np.divide(x[:, 0], x[:, 2], out=samp[rows])
-            np.divide(x[:, 1], x[:, 2], out=line[rows])
+        """Project (N, 3) ENU points to (samp, line) pixel arrays by :func:`_score`;
+        a point at depth 0 gives an infinite pixel, without a warning."""
+        _, (samp, line) = _score(self, enu)
         return samp, line
 
     def depths(self, enu: np.ndarray) -> np.ndarray:
@@ -446,32 +435,37 @@ def measure_equivalence_error(
     the model *grid* was sampled from. When *warp* is given (any object with
     an ``apply(x, y)`` method), the pinhole projections are pushed through it
     before differencing, so the result measures the post-refinement residual.
+
+    Raises:
+        DecompositionError: if any grid node lies at or behind the camera.
     """
-    _, dsamp, dline = _score(camera, grid, warp)
-    return EquivalenceReport.from_residuals(dsamp, dline)
+    behind, residual = _score(camera, grid.enu, warp)
+    _require_in_front(behind, grid.n_points, "grid")
+    np.subtract(grid.pixels.T, residual, out=residual)
+    return EquivalenceReport.from_residuals(*residual)
 
 
-def _score(camera: PinholeCamera, grid: VirtualGrid, warp=None):
-    """Score *camera* (through *warp*, if given) on *grid* in one pass of row blocks.
+def _score(camera: PinholeCamera, enu: np.ndarray, warp=None):
+    """Project (N, 3) *enu* through *camera* (then *warp*, if given) in one
+    pass of ``_ROWS``-row blocks: the package's only pinhole divide.
 
-    Returns (behind, dsamp, dline): the count of nodes at or behind the
-    camera (w <= 0 for (u w, v w, w) = K (R X + t)), and each node's
-    rational minus pinhole pixel residual. A node with w == 0 gives an
-    infinite residual without a warning: a caller refuses such a grid by its
-    count instead, through :func:`_require_in_front`.
+    Returns (behind, pixels): the count of nodes at or behind the camera
+    (w <= 0 for (u w, v w, w) = K (R X + t)), and the nodes' pinhole
+    (samp, line) as a (2, N) array. A node with w == 0 gives an infinite
+    pixel without a warning: a caller refuses such nodes by their count
+    instead, through :func:`_require_in_front`.
     """
-    n = grid.n_points
-    dsamp, dline = np.empty(n), np.empty(n)
+    enu = np.asarray(enu, dtype=np.float64)
+    pixels = np.empty((2, enu.shape[0]))
     behind = 0
-    for rows, x in camera._row_blocks(grid.enu):
+    for rows in _row_blocks(enu.shape[0], 1, _ROWS):
+        x = camera._homogeneous(enu[rows])
         behind += int(np.count_nonzero(x[:, 2] <= 0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            psamp, pline = x[:, 0] / x[:, 2], x[:, 1] / x[:, 2]
-        if warp is not None:
-            psamp, pline = warp.apply(psamp, pline)
-        np.subtract(grid.pixels[rows, 0], psamp, out=dsamp[rows])
-        np.subtract(grid.pixels[rows, 1], pline, out=dline[rows])
-    return behind, dsamp, dline
+            np.divide(x[:, :2].T, x[:, 2], out=pixels[:, rows])
+            if warp is not None:
+                pixels[:, rows] = warp.apply(*pixels[:, rows])
+    return behind, pixels
 
 
 def _require_in_front(behind: int, n: int, kind: str) -> None:
@@ -528,9 +522,10 @@ def fit_equivalence(
     camera = decompose_projection(p, fit_grid, image_size)
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
-    behind, dsamp, dline = _score(camera, val_grid)
+    behind, residual = _score(camera, val_grid.enu)
     _require_in_front(behind, val_grid.n_points, "validation")
-    report = EquivalenceReport.from_residuals(dsamp, dline)
+    np.subtract(val_grid.pixels.T, residual, out=residual)
+    report = EquivalenceReport.from_residuals(*residual)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
 
 

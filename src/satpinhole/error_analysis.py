@@ -40,10 +40,16 @@ def predict_error(x, z_cam, z_mean):
 
     Returns:
         Signed predicted error in pixels: -x * (z_cam - z_mean) / z_mean.
+
+    Raises:
+        ValueError: if *z_mean* is not finite and positive.
     """
+    z_mean = np.float64(z_mean)
+    if not (np.isfinite(z_mean) and z_mean > 0):
+        raise ValueError(f"mean depth must be finite and positive, got {z_mean}")
     x = np.asarray(x, dtype=np.float64)
     z_cam = np.asarray(z_cam, dtype=np.float64)
-    return -x * (z_cam - np.float64(z_mean)) / np.float64(z_mean)
+    return -x * (z_cam - z_mean) / z_mean
 
 
 def error_field(
@@ -93,13 +99,10 @@ def error_field(
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         axes = _grid_axes(model, (n_side, n_side, 5), True)
-        blocks = (
-            VirtualGrid(enu=enu, pixels=pixels, anchor=camera.anchor)
-            for pixels, enu, _ in _survivors(model, image_size, axes, camera.anchor)
-        )
+        blocks = _survivors(model, image_size, axes, camera.anchor)
         points = n_side * n_side * 5
     else:
-        blocks = [grid]
+        blocks = [(grid.pixels, grid.enu, None)]
         points = grid.n_points
 
     # np.add.at adds each point to its cell in input order, as bincount
@@ -108,18 +111,18 @@ def error_field(
     nrows = int(np.ceil(h / cell_px))
     total = np.zeros(nrows * ncols)
     count = np.zeros(nrows * ncols, dtype=np.int32 if points < 2**31 else np.int64)
-    behind = scored = 0
-    for block in blocks:
-        block_behind, dsamp, dline = _score(camera, block)
+    behind = 0
+    for pixels, enu, _ in blocks:
+        block_behind, residual = _score(camera, enu)
         behind += block_behind
-        scored += block.n_points
-        samp, line = block.pixels.T
+        np.subtract(pixels.T, residual, out=residual)
+        samp, line = pixels.T
         col = np.clip((samp / cell_px).astype(np.intp), 0, ncols - 1)
         row = np.clip((line / cell_px).astype(np.intp), 0, nrows - 1)
         cells = row * ncols + col
-        np.add.at(total, cells, np.hypot(dsamp, dline))
+        np.add.at(total, cells, np.hypot(*residual))
         np.add.at(count, cells, count.dtype.type(1))  # a Python 1 would take a slow casting path
-    _require_in_front(behind, scored, "map")
+    _require_in_front(behind, int(count.sum()), "map")  # each scored node is in one cell
     np.divide(total, count, out=total, where=count > 0)
     total[count == 0] = NODATA
     return Raster(values=total.reshape(nrows, ncols), cell_size=float(cell_px), origin=(0.0, 0.0), nodata=NODATA)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt
+from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt, _require_in_front, _score
 from .errors import DegenerateError, FormatError
 from .kvio import fmt, get_distance, get_floats, read_kv, require_finite
 from .raster import Raster, _row_blocks, interpolate
@@ -186,9 +186,13 @@ def build_refinement(
 
     Returns:
         PolynomialWarp or Homography with fit_rms_px filled in.
+
+    Raises:
+        DecompositionError: if any grid node lies at or behind the camera.
     """
-    psamp, pline = camera.project(grid.enu)
-    src = np.column_stack([psamp, pline])
+    behind, pinhole = _score(camera, grid.enu)
+    _require_in_front(behind, grid.n_points, "grid")
+    src = np.column_stack(pinhole)
     if kind == "polynomial":
         return fit_polynomial(src, grid.pixels)
     if kind == "homography":

@@ -462,9 +462,7 @@ def make_pinhole_scene(
     t = -r @ center
 
     box = _volume_enu_samples(volume, anchor)
-    cam_pts = box @ r.T + t
-    xs = cam_pts[:, 0] / cam_pts[:, 2]
-    ys = cam_pts[:, 1] / cam_pts[:, 2]
+    xs, ys = PinholeCamera(k=np.eye(3), r=r, t=t, anchor=anchor, image_size=image_size).project(box)
     fx = 0.46 * w / np.max(np.abs(xs))
     fy_cap = 0.46 * h / np.max(np.abs(ys))
     f = min(fx, fy_cap)

@@ -165,3 +165,40 @@ def test_package_leaves_warning_filters_alone():
         )
     ]
     assert calls == []
+
+
+_ENVIRON_CALLS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _is_environ(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ"
+    )
+
+
+def _changes_environment(node):
+    if isinstance(node, ast.Subscript):
+        return _is_environ(node.value) and isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in {"putenv", "unsetenv"} or (name in _ENVIRON_CALLS and _is_environ(func.value))
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "threadpoolctl" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "threadpoolctl"
+    return False
+
+
+def test_package_leaves_the_environment_alone():
+    # Thread counts (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, threadpoolctl)
+    # are the caller's to set: the package reads the environment, never
+    # writes it.
+    package = Path(satpinhole.__file__).parent
+    changes = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _changes_environment(node)
+    ]
+    assert changes == []

@@ -80,6 +80,20 @@ def test_readme_matches_parser():
     assert not unknown, sorted(unknown)
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    from satpinhole.rpc import save_rpc
+    from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", text.split("## Library use", 1)[1], flags=re.M | re.S)
+    (tmp_path / "scene").mkdir()
+    save_rpc(fit_scene_rpc(make_pushbroom_scene(21))[0], tmp_path / "scene" / "rpc.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    before, arrow, after = capsys.readouterr().out.split()
+    assert arrow == "->" and 0.0 < float(after) < float(before)
+
+
 def test_degenerate_grid_reports_category(tmp_path, scene_dir, capsys):
     rc = main(
         [

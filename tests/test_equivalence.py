@@ -17,12 +17,14 @@ from satpinhole.equivalence import (
     equate,
     fit_equivalence,
     format_camera,
+    measure_equivalence_error,
     parse_camera,
     solve_projection,
 )
 from satpinhole.errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from satpinhole import rpc
 from satpinhole.geodesy import GeoPoint, geodetic_to_enu
+from satpinhole.refinement import IDENTITY_COEFFS, Homography, PolynomialWarp
 from satpinhole.rpc import ExtrapolationWarning, RpcModel, project_forward, project_lattice
 from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
 from satpinhole.tiling import crop_rpc
@@ -531,6 +533,35 @@ def test_node_on_the_principal_plane_refused_before_the_residual():
     grid = VirtualGrid(enu=enu, pixels=pixels, anchor=GeoPoint(0.0, 0.0, 0.0))
     with pytest.raises(DecompositionError, match="1 of 41 grid points fall behind"):
         decompose_projection(p, grid, (640, 480))
+
+
+def _principal_plane_camera():
+    """A camera 500 m above the ENU origin, looking up: ENU height -500 is
+    its principal plane."""
+    k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
+    return PinholeCamera(k=k, r=np.eye(3), t=[0.0, 0.0, 500.0], anchor=GeoPoint(0.0, 0.0, 0.0), image_size=(640, 480))
+
+
+def test_project_of_a_node_on_the_principal_plane_is_infinite_without_a_warning():
+    # w = 0 in K (R X + t): the pixel is at infinity. The callers refuse it by
+    # name (fit_rpc as degenerate, the scene builders as invalid), so the
+    # divide must not warn first (a RuntimeWarning is an error in this suite).
+    samp, line = _principal_plane_camera().project(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, -500.0]]))
+    assert (samp[0], line[0]) == (320.0, 240.0)
+    assert np.isinf(samp[1]) and np.isinf(line[1])
+
+
+@pytest.mark.parametrize(
+    "warp",
+    [PolynomialWarp(np.add(IDENTITY_COEFFS, 1e-3 * (-1.0) ** np.arange(12))), Homography(np.eye(3) + 1e-3)],
+    ids=["polynomial", "homography"],
+)
+def test_report_through_a_warp_refuses_a_node_on_the_principal_plane_without_a_warning(warp):
+    # The warp meets the node's infinite pixel before the count refuses it.
+    enu = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, -500.0]])
+    grid = VirtualGrid(enu=enu, pixels=np.zeros((2, 2)), anchor=GeoPoint(0.0, 0.0, 0.0))
+    with pytest.raises(DecompositionError, match="1 of 2 grid points fall behind"):
+        measure_equivalence_error(None, _principal_plane_camera(), grid, warp=warp)
 
 
 def test_mirror_camera_rejected():

@@ -21,6 +21,7 @@ from satpinhole.error_analysis import (
     write_field_preview,
 )
 from satpinhole.errors import DecompositionError, FormatError
+from satpinhole.refinement import build_refinement
 from satpinhole.tiling import crop_rpc
 
 
@@ -117,6 +118,14 @@ def test_predictor_sign_and_growth():
     assert predict_error(200.0, 1050.0, 1000.0) == pytest.approx(-10.0)
     assert predict_error(100.0, 950.0, 1000.0) == pytest.approx(5.0)
     assert predict_error(100.0, 1000.0, 1000.0) == 0.0
+
+
+@pytest.mark.parametrize("z_mean", [0.0, -5.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_predictor_refuses_a_mean_depth_not_in_front(z_mean):
+    # A zero mean depth used to divide by zero (a RuntimeWarning); a negative
+    # or NaN one returned numbers for a scene on or behind the camera.
+    with pytest.raises(ValueError, match=rf"mean depth must be finite and positive, got {z_mean}"):
+        predict_error([1.0, 2.0], [3.0, 4.0], z_mean)
 
 
 def test_error_field_binning_matches_brute_force(pushbroom_bundle):
@@ -244,6 +253,26 @@ def test_error_field_refuses_nodes_behind_the_camera(pinhole_bundle, with_grid):
     grid = build_virtual_grid(model, size, dims=(6, 6, 3)) if with_grid else None
     with pytest.raises(DecompositionError, match=r"cheirality unsatisfiable: (\d+) of \1 map points fall behind"):
         error_field(model, _flipped(pinhole_bundle.camera), size, 64.0, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda model, camera, grid, warp: measure_equivalence_error(model, camera, grid),
+        lambda model, camera, grid, warp: measure_equivalence_error(model, camera, grid, warp=warp),
+        lambda model, camera, grid, warp: build_refinement(model, camera, grid),
+        lambda model, camera, grid, warp: build_refinement(model, camera, grid, kind="homography"),
+    ],
+    ids=["report", "report-after-warp", "polynomial", "homography"],
+)
+def test_grid_scorers_refuse_nodes_behind_the_camera(pinhole_bundle, score):
+    # The mirrored projections gave a report of about 100 px, and a warp fit
+    # to the mirror that made the report after it read about 1e-11 px.
+    model, size = pinhole_bundle.model, pinhole_bundle.scene.image_size
+    grid = build_virtual_grid(model, size, dims=(6, 6, 3))
+    warp = build_refinement(model, pinhole_bundle.camera, grid)
+    with pytest.raises(DecompositionError, match=r"cheirality unsatisfiable: (\d+) of \1 grid points fall behind"):
+        score(model, _flipped(pinhole_bundle.camera), grid, warp)
 
 
 def test_size_sweep_shrinks_error(pushbroom_bundle):
