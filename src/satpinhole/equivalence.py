@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, _lattice_converter
 from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
-from .raster import _row_blocks
+from .raster import _image_size, _row_blocks
 from .rpc import RpcModel, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
@@ -117,6 +117,12 @@ def _physical_memory() -> int:
         return 2**63
 
 
+def _require_memory(nbytes: float, what: str) -> None:
+    """Refuse *what*, of *nbytes* (maybe inf), before it can outgrow physical memory."""
+    if nbytes > _physical_memory():
+        raise MemoryError(f"{what}, more than this machine's memory")
+
+
 def _grid_axes(model: RpcModel, dims, stagger: bool):
     """The (lat, lon, alt) node values of a *dims* grid over *model*'s rated
     volume: offset +- scale on each axis."""
@@ -183,7 +189,7 @@ def build_virtual_grid(
     just off a plane, so the DLT would fit it, and badly.
 
     Raises:
-        ValueError: if the image width or height is not positive.
+        ValueError: if the image size is not whole positive pixels.
         MemoryError: if the survivors, at 40 bytes a node, could outgrow
             physical memory: the grid is refused before it is walked.
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
@@ -192,15 +198,9 @@ def build_virtual_grid(
     n_lat, n_lon, n_alt = (int(d) for d in dims)
     if min(n_lat, n_lon, n_alt) < 2:
         raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
-    w, h = image_size
-    if not (w > 0 and h > 0):
-        raise ValueError(f"image size must be positive, got {w} x {h}")
+    image_size = _image_size(image_size)
     worst = n_lat * n_lon * n_alt * _SURVIVOR_BYTES
-    if worst > _physical_memory():
-        raise MemoryError(
-            f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of "
-            "survivors, more than this machine's memory"
-        )
+    _require_memory(worst, f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of survivors")
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
     axes = _grid_axes(model, (n_lat, n_lon, n_alt), stagger)
@@ -333,11 +333,7 @@ def decompose_projection(
             "cheirality unsatisfiable: the best-fit camera is a mirror image "
             "(the source pixel frame is left-handed)"
         )
-    if behind.any():
-        raise DecompositionError(
-            f"cheirality unsatisfiable: {int(behind.sum())} of {len(behind)} "
-            "grid points fall behind the camera"
-        )
+    _require_in_front(int(behind.sum()), len(behind), "grid")
 
     k, r = _rq(p[:, :3])
     t = np.linalg.solve(k, p[:, 3])
@@ -437,8 +433,10 @@ def measure_equivalence_error(
     before differencing, so the result measures the post-refinement residual.
 
     Raises:
+        ValueError: if *grid* is in another ENU frame than *camera*.
         DecompositionError: if any grid node lies at or behind the camera.
     """
+    _require_same_frame(camera, grid)
     behind, residual = _score(camera, grid.enu, warp)
     _require_in_front(behind, grid.n_points, "grid")
     np.subtract(grid.pixels.T, residual, out=residual)
@@ -479,6 +477,12 @@ def _require_in_front(behind: int, n: int, kind: str) -> None:
         raise DecompositionError(
             f"cheirality unsatisfiable: {behind} of {n} {kind} points fall behind the camera"
         )
+
+
+def _require_same_frame(camera: PinholeCamera, grid: VirtualGrid) -> None:
+    """Refuse to compare *camera* and *grid* in the ENU frames of two anchors."""
+    if grid.anchor != camera.anchor:
+        raise ValueError(f"the grid's ENU frame is anchored at {grid.anchor}, the camera's at {camera.anchor}")
 
 
 @dataclass(frozen=True)
@@ -522,10 +526,7 @@ def fit_equivalence(
     camera = decompose_projection(p, fit_grid, image_size)
     val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
     val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
-    behind, residual = _score(camera, val_grid.enu)
-    _require_in_front(behind, val_grid.n_points, "validation")
-    np.subtract(val_grid.pixels.T, residual, out=residual)
-    report = EquivalenceReport.from_residuals(*residual)
+    report = measure_equivalence_error(model, camera, val_grid)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
 
 

@@ -15,17 +15,18 @@ import numpy as np
 # measure_equivalence_error lives with the fit in equivalence; the name is
 # bound here too for the bench, which imports and traces it from this module.
 from .equivalence import (
-    DEFAULT_GRID_DIMS,
     PinholeCamera,
     VirtualGrid,
     _grid_axes,
     _require_in_front,
+    _require_memory,
+    _require_same_frame,
     _score,
     _survivors,
     equate,
     measure_equivalence_error,
 )
-from .raster import NODATA, Raster
+from .raster import NODATA, Raster, _image_size
 from .rpc import RpcModel
 from .tiling import crop_rpc
 
@@ -86,22 +87,25 @@ def error_field(
         Raster in image coordinates: origin (0, 0), cell_size == cell_px.
 
     Raises:
-        ValueError: if *cell_px* is not finite and positive, or a side of
-            *image_size* is not positive.
+        ValueError: if *cell_px* is not finite and positive, *image_size* is
+            not whole positive pixels, or *grid* is in another ENU frame.
+        MemoryError: if the map's sums and counts (16 bytes a cell) could
+            outgrow physical memory.
         DecompositionError: if any node lies at or behind the camera, where
             the pinhole projection is a mirror image.
     """
     if not (np.isfinite(cell_px) and cell_px > 0):
         raise ValueError(f"cell size must be finite and positive, got {cell_px}")
-    w, h = image_size
-    if not (w > 0 and h > 0):
-        raise ValueError(f"image size must be positive, got {w} x {h}")
+    w, h = _image_size(image_size)
+    nbytes = 16 * (w / float(cell_px) + 1) * (h / float(cell_px) + 1)  # floats: inf past their range
+    _require_memory(nbytes, f"a {w} x {h} px map of {cell_px:g} px cells holds up to {nbytes:.3g} bytes")
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         axes = _grid_axes(model, (n_side, n_side, 5), True)
         blocks = _survivors(model, image_size, axes, camera.anchor)
         points = n_side * n_side * 5
     else:
+        _require_same_frame(camera, grid)
         blocks = [(grid.pixels, grid.enu, None)]
         points = grid.n_points
 
@@ -132,7 +136,6 @@ def size_sweep(
     model: RpcModel,
     image_size: tuple[int, int],
     crop_sizes,
-    dims: tuple[int, int, int] = DEFAULT_GRID_DIMS,
 ):
     """Re-estimate the pinhole camera over centered crops of shrinking size.
 
@@ -145,7 +148,6 @@ def size_sweep(
         image_size: (width, height) of the full image.
         crop_sizes: iterable of square crop edge lengths in pixels; values
             are clamped to the image dimensions.
-        dims: virtual grid node counts (defaults to the standard grid).
 
     Returns:
         List of (crop_size, EquivalenceReport), in input order.
@@ -159,7 +161,7 @@ def size_sweep(
             raise ValueError(f"crop size must be positive, got {size}")
         origin = ((w - cw) // 2, (h - ch) // 2)
         cropped = crop_rpc(model, origin)
-        _, report = equate(cropped, (cw, ch), dims)
+        _, report = equate(cropped, (cw, ch))
         results.append((size, report))
     return results
 

@@ -75,8 +75,10 @@ def _overlay(rasters):
     y0 = min(r.origin[1] for r in rasters)
     top = max(r.origin[1] + r.nrows * cell for r in rasters)
     x1 = max(r.origin[0] + r.ncols * cell for r in rasters)
-    ncols = int(round((x1 - x0) / cell))
-    nrows = int(round((top - y0) / cell))
+    span = ((x1 - x0) / cell, (top - y0) / cell)  # in cells; no offset below exceeds it
+    if not np.isfinite(span).all():
+        raise LatticeError(f"the rasters span {span[0]:.3g} x {span[1]:.3g} cells of {cell:g}, not a finite count")
+    ncols, nrows = (int(round(s)) for s in span)
     offsets = []
     for r in rasters:
         fc = (r.origin[0] - x0) / cell
@@ -114,8 +116,9 @@ def _neighbor_counts(valid: np.ndarray, radius_cells: float) -> np.ndarray:
     Row dy of the disk, |dx| <= w, is the difference of two int32 running
     sums along the padded rows; no count exceeds the grid's size.
     """
-    w = int(np.floor(radius_cells))
     nrows, ncols = valid.shape
+    radius_cells = min(radius_cells, nrows + ncols)  # a disk that wide covers the grid from any cell
+    w = int(np.floor(radius_cells))
     ry, rx = (min(w, max(n - 1, 0)) for n in valid.shape)
     sums = np.pad(valid, ((ry, ry), (rx + 1, rx))).cumsum(axis=1, dtype=np.int32)
     counts = np.zeros(valid.shape, dtype=np.int32)

@@ -438,6 +438,14 @@ def save_ascii_grid(raster: Raster, path) -> None:
         fh.writelines(_ascii_grid_chunks(raster))
 
 
+def _image_size(image_size) -> tuple[int, int]:
+    """(width, height) as ints, by the package's one rule: whole pixels, positive, float-finite."""
+    w, h = image_size
+    if not all(0 < v <= np.finfo(float).max and v % 1 == 0 for v in (w, h)):
+        raise ValueError(f"image size must be positive whole pixels, got {w} x {h}")
+    return int(w), int(h)
+
+
 def _row_blocks(nrows: int, ncols: int, cells: int | None = None) -> list[slice]:
     """Split a frame into slices of whole rows, each about *cells* cells
     (``_BLOCK_CELLS`` by default) and at least one row."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt, _require_in_front, _score
+from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt, _require_in_front, _require_same_frame, _score
 from .errors import DegenerateError, FormatError
 from .kvio import fmt, get_distance, get_floats, read_kv, require_finite
 from .raster import Raster, _row_blocks, interpolate
@@ -188,8 +188,10 @@ def build_refinement(
         PolynomialWarp or Homography with fit_rms_px filled in.
 
     Raises:
+        ValueError: if *grid* is in another ENU frame than *camera*.
         DecompositionError: if any grid node lies at or behind the camera.
     """
+    _require_same_frame(camera, grid)
     behind, pinhole = _score(camera, grid.enu)
     _require_in_front(behind, grid.n_points, "grid")
     src = np.column_stack(pinhole)

@@ -17,7 +17,7 @@ import numpy as np
 from .equivalence import PinholeCamera
 from .errors import DegenerateError
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
-from .raster import NODATA, Raster, _row_blocks, sample_bilinear
+from .raster import NODATA, Raster, _image_size, _row_blocks, sample_bilinear
 from .rpc import RpcModel, cubic_basis
 
 # Rational fits sample the rated volume on this many (lat, lon, alt) nodes.
@@ -368,9 +368,7 @@ def render_image(scene: SyntheticScene) -> Raster:
 def _check_staging(
     image_size: tuple[int, int], relief: float, sensor_height: float, extent_deg: float
 ) -> None:
-    w, h = image_size
-    if not (w >= 1 and h >= 1):
-        raise ValueError(f"image size must be positive, got {w} x {h}")
+    _image_size(image_size)
     if not (np.isfinite(relief) and relief >= 0):
         raise ValueError(f"relief must be finite and non-negative, got {relief}")
     if not (np.isfinite(sensor_height) and sensor_height > 0):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .raster import Raster
+from .raster import Raster, _image_size
 from .rpc import RpcModel
 
 
@@ -57,11 +57,9 @@ def plan_tiles(image_size: tuple[int, int], tile_size: int, overlap: int) -> Til
     Returns:
         TilePlan with tiles ordered row-major (top-left first).
     """
-    w, h = int(image_size[0]), int(image_size[1])
+    w, h = _image_size(image_size)
     tile_size = int(tile_size)
     overlap = int(overlap)
-    if w < 1 or h < 1:
-        raise ValueError(f"image size must be positive, got {image_size}")
     if tile_size < 1:
         raise ValueError(f"tile size must be positive, got {tile_size}")
     if not 0 <= overlap < tile_size:

@@ -202,3 +202,45 @@ def test_package_leaves_the_environment_alone():
         if _changes_environment(node)
     ]
     assert changes == []
+
+
+def _is_raise_of(name):
+    # "raise E(...)" names E in its call, "raise E" directly.
+    return lambda node: isinstance(node, ast.Raise) and getattr(getattr(node.exc, "func", node.exc), "id", None) == name
+
+
+def _is_text(phrase):
+    return lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+
+
+def _is_call_of(attr):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+
+
+@pytest.mark.parametrize(
+    "rule, owner",
+    [
+        (_is_raise_of("MemoryError"), "equivalence._require_memory"),
+        (_is_text("points fall behind the camera"), "equivalence._require_in_front"),
+        (_is_call_of("from_residuals"), "equivalence.measure_equivalence_error"),
+        (_is_text("image size must be positive"), "raster._image_size"),
+    ],
+    ids=["memory-bound", "cheirality-refusal", "report", "image-size"],
+)
+def test_each_fit_path_rule_has_one_owner(rule, owner):
+    # A rule written out in two places drifts: each is one function that
+    # every caller goes through, and no inline copy is left.
+    package = Path(satpinhole.__file__).parent
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        if rule(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == [owner]

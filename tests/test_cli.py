@@ -622,6 +622,18 @@ def test_input_too_big_for_memory_is_invalid(tmp_path, scene_dir, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["1e-310", "5e-324"])
+def test_error_map_with_cells_past_the_float_range_is_invalid(tmp_path, scene_dir, capsys, cell):
+    # 128 px in cells this small is no finite count: taking it as an int
+    # overflowed, a traceback with no error line.
+    out = tmp_path / "field.asc"
+    rc = main(["error-map", str(scene_dir / "rpc.txt"), "--image-size", "128", "128", "--cell", cell, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_error_map_malformed_camera_size_is_a_parse_error(tmp_path, scene_dir, capsys):
     camera = tmp_path / "camera.txt"
     text = (scene_dir / "camera.txt").read_text()
@@ -923,3 +935,33 @@ def test_metrics_lattice_mismatch(tmp_path, scene_dir, capsys):
     rc = main(["metrics", str(other_path), str(scene_dir / "dsm.asc")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: lattice:")
+
+
+# Two 2 x 2 grids whose 1e-300 cells make ratios in cell units overflow.
+_TINY_GRID = "ncols 2\nnrows 2\nxllcorner {x}\nyllcorner 0\ncellsize 1e-300\nNODATA_value -9999\n1 2\n3 4\n"
+
+
+def test_fuse_radius_past_the_float_range_in_cells_is_the_whole_grid(tmp_path, capsys):
+    # 1e10 is an infinite radius in cells, whose floor overflowed as an int;
+    # any radius past the grid's diagonal counts every cell.
+    grid = tmp_path / "tiny.asc"
+    grid.write_text(_TINY_GRID.format(x=0), encoding="utf-8")
+    results = []
+    for i, radius in enumerate(["1e10", str(np.hypot(2e-300, 2e-300))]):
+        out = tmp_path / f"fused_{i}.asc"
+        rc = main(["fuse", str(grid), str(grid), "--radius", radius, "--out", str(out)])
+        results.append((rc, out.read_bytes(), capsys.readouterr()))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["fuse", "metrics"])
+def test_grids_too_far_apart_to_count_in_cells_are_a_lattice_error(tmp_path, capsys, command):
+    # 1e10 apart in 1e-300 cells: the union's extent in cells overflowed as an int.
+    near, far, out = tmp_path / "near.asc", tmp_path / "far.asc", tmp_path / "fused.asc"
+    near.write_text(_TINY_GRID.format(x=0), encoding="utf-8")
+    far.write_text(_TINY_GRID.format(x="1e10"), encoding="utf-8")
+    rc = main([command, str(near), str(far)] + (["--out", str(out)] if command == "fuse" else []))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lattice:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()

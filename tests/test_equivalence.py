@@ -611,6 +611,14 @@ def test_equate_report_comes_from_held_out_grid(pushbroom_bundle):
     assert report.n_points == val.n_points
 
 
+@pytest.mark.parametrize("size", [(np.inf, 256), (256.7, 256.2)], ids=["inf", "fractional"])
+def test_equate_refuses_an_image_size_that_is_not_whole_pixels(acceptance_512, size):
+    # An infinite width overflowed inside PinholeCamera, and a fractional
+    # size kept nodes up to 256.7 px for a camera of a 256 x 256 image.
+    with pytest.raises(ValueError, match="image size must be positive whole pixels"):
+        equate(acceptance_512.model, size)
+
+
 def test_camera_round_trip_is_byte_identical(pushbroom_bundle):
     text = format_camera(pushbroom_bundle.camera)
     again = format_camera(parse_camera(text))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satpinhole import rpc
+from satpinhole import equivalence, rpc
 from satpinhole.equivalence import (
     EquivalenceReport,
     build_virtual_grid,
@@ -21,6 +21,7 @@ from satpinhole.error_analysis import (
     write_field_preview,
 )
 from satpinhole.errors import DecompositionError, FormatError
+from satpinhole.geodesy import GeoPoint
 from satpinhole.refinement import build_refinement
 from satpinhole.tiling import crop_rpc
 
@@ -228,6 +229,34 @@ def test_error_field_rejects_non_positive_image_size(pushbroom_bundle, size, wit
         error_field(model, pushbroom_bundle.camera, size, 64.0, grid=grid)
 
 
+@pytest.mark.parametrize("size", [(np.inf, 256), (256.7, 256.2)], ids=["inf", "fractional"])
+@pytest.mark.parametrize("with_grid", [False, True], ids=["dense", "grid"])
+def test_error_field_refuses_an_image_size_that_is_not_whole_pixels(pushbroom_bundle, size, with_grid):
+    # An infinite width overflowed taking the cell count as an int, and a
+    # fractional size mapped a 256.7 x 256.2 image into 9 x 9 cells.
+    model = pushbroom_bundle.model
+    grid = build_virtual_grid(model, pushbroom_bundle.scene.image_size, dims=(6, 6, 3)) if with_grid else None
+    with pytest.raises(ValueError, match="image size must be positive whole pixels"):
+        error_field(model, pushbroom_bundle.camera, size, 32.0, grid=grid)
+
+
+def test_error_field_refuses_a_map_too_big_for_memory_before_allocating(acceptance_512, monkeypatch):
+    # 0.25 px cells over 128 px are 512 x 512 cells, whose sums and counts
+    # take 3 MB: on a machine of 1 MiB the map is refused before any of it,
+    # or any block of the lattice, is allocated.
+    model = crop_rpc(acceptance_512.model, (192, 192))
+    camera, _ = equate(model, (128, 128))
+    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="map of 0.25 px cells"):
+            error_field(model, camera, (128, 128), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
 def test_error_field_of_a_64_px_tile_needs_no_fit_minimum(acceptance_512):
     # The map lattice spans the parent scene's rated volume, so only a few
     # of its nodes land in a 64 px corner tile: fewer than the 6 a fit
@@ -273,6 +302,29 @@ def test_grid_scorers_refuse_nodes_behind_the_camera(pinhole_bundle, score):
     warp = build_refinement(model, pinhole_bundle.camera, grid)
     with pytest.raises(DecompositionError, match=r"cheirality unsatisfiable: (\d+) of \1 grid points fall behind"):
         score(model, _flipped(pinhole_bundle.camera), grid, warp)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda model, camera, grid, size: measure_equivalence_error(model, camera, grid),
+        lambda model, camera, grid, size: build_refinement(model, camera, grid),
+        lambda model, camera, grid, size: error_field(model, camera, size, 32.0, grid=grid),
+    ],
+    ids=["report", "warp", "map"],
+)
+def test_grid_scorers_refuse_a_grid_of_another_frame(acceptance_512, score):
+    # Nodes placed in the ENU frame of an anchor 0.01 deg north of the
+    # camera's, about 1.1 km away, gave a report, a warp and a map of that
+    # shift rather than of the camera: 15 px on the seed-21 256 px scene,
+    # against 0.03 px in the camera's own frame.
+    model, size = acceptance_512.model, acceptance_512.image_size
+    camera, _ = equate(model, size)
+    north = GeoPoint(camera.anchor.lat + 0.01, camera.anchor.lon, camera.anchor.alt)
+    grid = build_virtual_grid(model, size, dims=(6, 6, 3), anchor=north)
+    with pytest.raises(ValueError, match="ENU frame") as info:
+        score(model, camera, grid, size)
+    assert repr(north) in str(info.value) and repr(camera.anchor) in str(info.value)
 
 
 def test_size_sweep_shrinks_error(pushbroom_bundle):

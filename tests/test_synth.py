@@ -126,6 +126,12 @@ def test_volume_sample_grid_covers_corners():
     assert set(alt) == {0.0, 100.0}
 
 
+def test_scene_refuses_an_image_size_that_is_not_whole_pixels():
+    # A width of 64.5 passed the ">= 1" test and made a scene of that size.
+    with pytest.raises(ValueError, match="image size must be positive whole pixels"):
+        make_pushbroom_scene(21, (64.5, 64))
+
+
 def test_volume_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="min < max"):
         Volume(20.0, 10.0, 30.0, 50.0, 0.0, 100.0)

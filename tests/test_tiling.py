@@ -78,6 +78,12 @@ def test_plan_tiles_validation():
         plan_tiles((0, 100), 64, 8)
 
 
+def test_plan_tiles_refuses_an_image_size_that_is_not_whole_pixels():
+    # int() used to truncate the width to 100.
+    with pytest.raises(ValueError, match="image size must be positive whole pixels"):
+        plan_tiles((100.5, 64), 32, 4)
+
+
 # ---------------------------------------------------------------------------
 # Cropping
 
