@@ -26,7 +26,7 @@ from .equivalence import (
     equate,
     measure_equivalence_error,
 )
-from .raster import NODATA, Raster, _image_size
+from .raster import NODATA, Raster, _image_size, _whole
 from .rpc import RpcModel
 from .tiling import crop_rpc
 
@@ -146,19 +146,17 @@ def size_sweep(
     Args:
         model: rational polynomial model for the full image.
         image_size: (width, height) of the full image.
-        crop_sizes: iterable of square crop edge lengths in pixels; values
-            are clamped to the image dimensions.
+        crop_sizes: iterable of square crop edge lengths in whole pixels;
+            values are clamped to the image dimensions.
 
     Returns:
         List of (crop_size, EquivalenceReport), in input order.
     """
-    w, h = image_size
+    w, h = _image_size(image_size)
     results = []
     for size in crop_sizes:
-        cw = int(min(int(size), w))
-        ch = int(min(int(size), h))
-        if cw < 1 or ch < 1:
-            raise ValueError(f"crop size must be positive, got {size}")
+        edge = _whole(size, 1, f"crop size must be positive whole pixels, got {size}")
+        cw, ch = min(edge, w), min(edge, h)
         origin = ((w - cw) // 2, (h - ch) // 2)
         cropped = crop_rpc(model, origin)
         _, report = equate(cropped, (cw, ch))

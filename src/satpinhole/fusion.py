@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equivalence import _require_memory
 from .errors import LatticeError
 from .kvio import fmt
 from .raster import Raster, _row_blocks, valid_cells
@@ -54,23 +55,16 @@ class FusionConfig:
             raise ValueError(f"aggregator must be 'median' or 'mean', got {self.aggregator!r}")
 
 
-def _check_cells(rasters) -> float:
-    cell = rasters[0].cell_size
-    for r in rasters[1:]:
-        if abs(r.cell_size - cell) > 1e-9 * cell:
-            raise LatticeError(
-                f"cell sizes differ: {cell} vs {r.cell_size}"
-            )
-    return cell
-
-
 def _overlay(rasters):
     """Union grid for lattice-aligned rasters.
 
     Returns (origin, nrows, ncols, offsets) where offsets[v] is the (row, col)
     of raster v's top-left cell inside the union grid.
     """
-    cell = _check_cells(rasters)
+    cell = rasters[0].cell_size
+    for r in rasters[1:]:
+        if abs(r.cell_size - cell) > 1e-9 * cell:
+            raise LatticeError(f"cell sizes differ: {cell} vs {r.cell_size}")
     x0 = min(r.origin[0] for r in rasters)
     y0 = min(r.origin[1] for r in rasters)
     top = max(r.origin[1] + r.nrows * cell for r in rasters)
@@ -91,6 +85,27 @@ def _overlay(rasters):
             )
         offsets.append((row, col))
     return (x0, y0), nrows, ncols, offsets
+
+
+def _union_rows(rasters):
+    """(origin, nrows, ncols, blocks) of the rasters' union lattice as laid out
+    by :func:`_overlay`, where blocks yields (rows, stack) for each row block in
+    order: stack[v] holds raster v's values over those rows as float64, NaN
+    wherever :func:`valid_cells` is false or the raster does not reach."""
+    origin, nrows, ncols, offsets = _overlay(rasters)
+
+    def blocks():
+        for rows in _row_blocks(nrows, ncols):
+            stack = np.full((len(rasters), rows.stop - rows.start, ncols), np.nan)
+            for v, (r, (row, col)) in enumerate(zip(rasters, offsets)):
+                lo, hi = max(rows.start, row), min(rows.stop, row + r.nrows)  # its rows inside this block
+                if lo < hi:
+                    part = r.values[lo - row : hi - row]
+                    out = stack[v, lo - rows.start : hi - rows.start, col : col + r.ncols]
+                    np.copyto(out, part, where=valid_cells(part, r.nodata))
+            yield rows, stack
+
+    return origin, nrows, ncols, blocks()
 
 
 def _median_views(stack: np.ndarray) -> np.ndarray:
@@ -151,25 +166,22 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
     dsms = list(dsms)
     if not dsms:
         raise ValueError("need at least one DSM to fuse")
-    origin, nrows, ncols, offsets = _overlay(dsms)
+    origin, nrows, ncols, blocks = _union_rows(dsms)
     cell = dsms[0].cell_size
     nodata = dsms[0].nodata
+    radius = config.radius if config.radius is not None else 3.0 * cell
+    # The union frames held: fused and output (8 B a cell), the validity mask
+    # (1 B), and the isolation filter's int32 counts and running sums, whose
+    # rows and columns are padded by up to the radius on each side.
+    ry, rx = (min(radius / cell, n - 1) for n in (nrows, ncols))
+    nbytes = 21.0 * nrows * ncols + 4.0 * (nrows + 2 * ry) * (ncols + 2 * rx + 1)
+    _require_memory(nbytes, f"fusing onto a {nrows} x {ncols} union grid takes {nbytes:.3g} bytes")
 
     fused = np.empty((nrows, ncols))
     # Halving two samples above half the float range overflows to inf, as in
     # np.nanmedian, and a cell with no kept sample has the mean 0 / 0 = nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(nrows, ncols):
-            stack = np.full((len(dsms), rows.stop - rows.start, ncols), np.nan)
-            for i, (r, (row, col)) in enumerate(zip(dsms, offsets)):
-                # The raster's rows that fall inside this block.
-                lo = max(rows.start, row)
-                hi = min(rows.stop, row + r.nrows)
-                if lo < hi:
-                    part = r.values[lo - row : hi - row]
-                    stack[i, lo - rows.start : hi - rows.start, col : col + r.ncols] = np.where(
-                        valid_cells(part, r.nodata), part.astype(np.float64), np.nan
-                    )
+        for rows, stack in blocks:
             med = _median_views(stack)
             dev = np.abs(stack - med)
             mad = _median_views(dev)
@@ -182,7 +194,6 @@ def fuse_views(dsms, config: FusionConfig = FusionConfig()) -> Raster:
                 fused[rows] = np.where(kept, survivors, 0.0).sum(axis=0) / kept.sum(axis=0)
 
     valid = np.isfinite(fused)
-    radius = config.radius if config.radius is not None else 3.0 * cell
     counts = _neighbor_counts(valid, radius / cell)
     values = np.where(valid & (counts >= config.min_neighbors), fused, nodata)
     return Raster(values=values, cell_size=cell, origin=origin, nodata=nodata)
@@ -220,25 +231,16 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     thresholds = tuple(float(t) for t in thresholds)
     if not all(t > 0 for t in thresholds):
         raise ValueError(f"thresholds must be positive, got {thresholds}")
-    origin, nrows, ncols, offsets = _overlay([estimate, truth])
-
-    def lift(r: Raster, offset) -> np.ndarray:
-        row, col = offset
-        out = np.full((nrows, ncols), np.nan)
-        out[row : row + r.nrows, col : col + r.ncols] = np.where(
-            r.valid_mask(), r.values.astype(np.float64), np.nan
-        )
-        return out
-
-    est = lift(estimate, offsets[0])
-    tru = lift(truth, offsets[1])
-    both = np.isfinite(est) & np.isfinite(tru)
-    n_truth = int(np.isfinite(tru).sum())
-    n_overlap = int(both.sum())
-    if n_overlap == 0:
+    *_, blocks = _union_rows([estimate, truth])
+    parts, n_truth = [], 0
+    for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time
+        both = np.isfinite(est) & np.isfinite(tru)
+        n_truth += int(np.isfinite(tru).sum())
+        parts.append(est[both] - tru[both])
+    resid = np.concatenate(parts)
+    if resid.size == 0:
         raise LatticeError("estimate and truth share no valid cell")
 
-    resid = est[both] - tru[both]
     abs_resid = np.abs(resid)
     comp = tuple(
         (t, float((abs_resid < t).sum()) / n_truth) for t in thresholds
@@ -248,7 +250,7 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
         me=float(np.median(abs_resid)),
         mae=float(np.mean(abs_resid)),
         comp=comp,
-        n_overlap=n_overlap,
+        n_overlap=resid.size,
         n_truth=n_truth,
     )
 

@@ -438,12 +438,18 @@ def save_ascii_grid(raster: Raster, path) -> None:
         fh.writelines(_ascii_grid_chunks(raster))
 
 
+def _whole(value, least: int, message: str) -> int:
+    """*value* as an int if it is a float-finite whole number >= *least*, else ValueError(*message*)."""
+    if not (least <= value <= np.finfo(float).max and value % 1 == 0):
+        raise ValueError(message)
+    return int(value)
+
+
 def _image_size(image_size) -> tuple[int, int]:
-    """(width, height) as ints, by the package's one rule: whole pixels, positive, float-finite."""
+    """(width, height) as ints, each positive whole pixels by :func:`_whole`."""
     w, h = image_size
-    if not all(0 < v <= np.finfo(float).max and v % 1 == 0 for v in (w, h)):
-        raise ValueError(f"image size must be positive whole pixels, got {w} x {h}")
-    return int(w), int(h)
+    message = f"image size must be positive whole pixels, got {w} x {h}"
+    return _whole(w, 1, message), _whole(h, 1, message)
 
 
 def _row_blocks(nrows: int, ncols: int, cells: int | None = None) -> list[slice]:

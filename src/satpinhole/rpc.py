@@ -20,7 +20,8 @@ not batch-independent: a point's last bits (up to about 1e-13 px) can depend
 on its slot in its block. So a lattice is always evaluated in the same fixed
 blocks of its flat C-order nodes, whether :func:`project_forward` gets it as
 broadcast axes or :func:`project_lattice` streams it, taking each block's
-node indices from ``np.unravel_index`` and gathering the axis values.
+node indices from one division per (lat, lon) column and gathering the
+axis values.
 """
 
 from __future__ import annotations
@@ -293,12 +294,19 @@ def project_lattice(model: RpcModel, lats, lons, alts):
     the working memory is a few MB whatever the node count.
     """
     p, l, h = model.normalize_ground(lats, lons, alts)
-    shape = (p.size, l.size, h.size)
     n = p.size * l.size * h.size
     if n:
         _warn_beyond_rated_volume(p, l, h)
     for lo in range(0, n, _BLOCK):
-        index = np.unravel_index(np.arange(lo, min(lo + _BLOCK, n)), shape)
+        hi = min(lo + _BLOCK, n)
+        # The block's (lat, lon) columns, each split once and repeated over its nodes in the block.
+        cols = np.arange(lo // h.size, (hi - 1) // h.size + 1)
+        counts = np.full(cols.size, h.size)
+        counts[0] -= lo - cols[0] * h.size
+        counts[-1] -= (cols[-1] + 1) * h.size - hi
+        i_lat, i_lon = divmod(cols, l.size)
+        i_alt = np.arange(lo, hi) - np.repeat(cols * h.size, counts)
+        index = np.repeat(i_lat, counts), np.repeat(i_lon, counts), i_alt
         samp, line = _ratios(model, p[index[0]], l[index[1]], h[index[2]], check=True)
         yield index, samp * model.samp_scale + model.samp_off, line * model.line_scale + model.line_off
 

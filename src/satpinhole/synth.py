@@ -17,7 +17,7 @@ import numpy as np
 from .equivalence import PinholeCamera
 from .errors import DegenerateError
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
-from .raster import NODATA, Raster, _image_size, _row_blocks, sample_bilinear
+from .raster import NODATA, Raster, _image_size, _row_blocks, _whole, sample_bilinear
 from .rpc import RpcModel, cubic_basis
 
 # Rational fits sample the rated volume on this many (lat, lon, alt) nodes.
@@ -129,6 +129,11 @@ class SyntheticScene:
     image_size: tuple[int, int]
 
 
+def _check_relief(relief: float) -> None:
+    if not (np.isfinite(relief) and relief >= 0):
+        raise ValueError(f"relief must be finite and non-negative, got {relief}")
+
+
 def make_terrain(seed: int, size: int, relief: float) -> Raster:
     """Generate fractal terrain by midpoint displacement.
 
@@ -137,11 +142,8 @@ def make_terrain(seed: int, size: int, relief: float) -> Raster:
     heights span exactly [0, relief] (a relief of 0 gives a flat raster).
     Deterministic for a given seed.
     """
-    size = int(size)
-    if size < 1:
-        raise ValueError(f"terrain size must be >= 1, got {size}")
-    if relief < 0:
-        raise ValueError(f"relief must be >= 0, got {relief}")
+    size = _whole(size, 1, f"terrain size must be positive whole cells, got {size}")
+    _check_relief(relief)
     n = 1
     while n + 1 < size:
         n *= 2
@@ -369,8 +371,7 @@ def _check_staging(
     image_size: tuple[int, int], relief: float, sensor_height: float, extent_deg: float
 ) -> None:
     _image_size(image_size)
-    if not (np.isfinite(relief) and relief >= 0):
-        raise ValueError(f"relief must be finite and non-negative, got {relief}")
+    _check_relief(relief)
     if not (np.isfinite(sensor_height) and sensor_height > 0):
         raise ValueError(f"sensor height must be finite and positive, got {sensor_height}")
     if not (np.isfinite(extent_deg) and extent_deg > 0):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .raster import Raster, _image_size
+from .raster import Raster, _image_size, _whole
 from .rpc import RpcModel
 
 
@@ -49,20 +49,18 @@ def plan_tiles(image_size: tuple[int, int], tile_size: int, overlap: int) -> Til
 
     Args:
         image_size: (width, height) of the parent image.
-        tile_size: square tile edge length in pixels; clamped to the image
-            dimensions, so an oversized request yields a single tile.
-        overlap: minimum pixel overlap between adjacent tiles; must satisfy
-            0 <= overlap < tile_size.
+        tile_size: square tile edge length in whole pixels; clamped to the
+            image dimensions, so an oversized request yields a single tile.
+        overlap: minimum overlap between adjacent tiles in whole pixels;
+            must satisfy 0 <= overlap < tile_size.
 
     Returns:
         TilePlan with tiles ordered row-major (top-left first).
     """
     w, h = _image_size(image_size)
-    tile_size = int(tile_size)
-    overlap = int(overlap)
-    if tile_size < 1:
-        raise ValueError(f"tile size must be positive, got {tile_size}")
-    if not 0 <= overlap < tile_size:
+    tile_size = _whole(tile_size, 1, f"tile size must be positive whole pixels, got {tile_size}")
+    overlap = _whole(overlap, 0, f"overlap must be non-negative whole pixels, got {overlap}")
+    if not overlap < tile_size:
         raise ValueError(f"overlap must satisfy 0 <= overlap < tile_size, got {overlap}")
     tw = min(tile_size, w)
     th = min(tile_size, h)

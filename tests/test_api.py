@@ -217,6 +217,10 @@ def _is_call_of(attr):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
 
 
+def _is_call_to(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
 @pytest.mark.parametrize(
     "rule, owner",
     [
@@ -224,8 +228,9 @@ def _is_call_of(attr):
         (_is_text("points fall behind the camera"), "equivalence._require_in_front"),
         (_is_call_of("from_residuals"), "equivalence.measure_equivalence_error"),
         (_is_text("image size must be positive"), "raster._image_size"),
+        (_is_call_to("_overlay"), "fusion._union_rows"),
     ],
-    ids=["memory-bound", "cheirality-refusal", "report", "image-size"],
+    ids=["memory-bound", "cheirality-refusal", "report", "image-size", "union-walk"],
 )
 def test_each_fit_path_rule_has_one_owner(rule, owner):
     # A rule written out in two places drifts: each is one function that

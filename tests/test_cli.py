@@ -965,3 +965,19 @@ def test_grids_too_far_apart_to_count_in_cells_are_a_lattice_error(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith("error: lattice:") and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
+
+
+def test_fuse_of_a_union_past_memory_is_invalid(tmp_path, capsys, monkeypatch):
+    # Two 2 x 2 grids 600 cells apart on a machine of 1 MiB. Never run this
+    # at a real memory size: the allocation succeeds under overcommit and
+    # filling it is what runs out.
+    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    near, far, out = tmp_path / "near.asc", tmp_path / "far.asc", tmp_path / "fused.asc"
+    grid = "ncols 2\nnrows 2\nxllcorner {x}\nyllcorner {x}\ncellsize 1\nNODATA_value -9999\n1 2\n3 4\n"
+    near.write_text(grid.format(x=0), encoding="utf-8")
+    far.write_text(grid.format(x=600), encoding="utf-8")
+    assert main(["fuse", str(near), str(far), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid:") and captured.err.count("\n") == 1
+    assert "more than this machine's memory" in captured.err
+    assert captured.out == "" and not out.exists()

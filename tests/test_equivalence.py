@@ -191,6 +191,46 @@ def test_project_lattice_walks_a_billion_nodes_one_block_at_a_time(acceptance_51
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dims", [(9, 5, 3), (2, 3, 17), (1, 1, 20), (4, 5, 1), (3, 2, 7)])
+def test_project_lattice_indices_are_the_unraveled_flat_nodes(acceptance_512, monkeypatch, dims):
+    # Blocks of 7 nodes start and end mid-column, span several columns, or
+    # (n_alt past the block) sit inside one column.
+    monkeypatch.setattr(rpc, "_BLOCK", 7)
+    model = acceptance_512.model
+    axes = (
+        np.linspace(off - scale, off + scale, n)
+        for (off, scale), n in zip(((model.lat_off, model.lat_scale), (model.lon_off, model.lon_scale),
+                                    (model.alt_off, model.alt_scale)), dims)
+    )
+    blocks = [index for index, _, _ in project_lattice(model, *axes)]
+    n = int(np.prod(dims))
+    assert len(blocks) == -(-n // 7)
+    for lo, index in zip(range(0, n, 7), blocks):
+        want = np.unravel_index(np.arange(lo, min(lo + 7, n)), dims)
+        assert all(got.dtype == ref.dtype and np.array_equal(got, ref) for got, ref in zip(index, want))
+
+
+def test_project_lattice_holds_a_block_when_the_altitude_axis_outruns_it(acceptance_512):
+    # A million altitudes per (lat, lon) column: repeating the column's
+    # indices over all its nodes would take 8 MB per axis, not a block's.
+    model = acceptance_512.model
+    dims = (2, 2, 10**6)
+    alts = np.linspace(model.alt_off - model.alt_scale, model.alt_off + model.alt_scale, dims[2])
+    walk = project_lattice(model, np.full(2, model.lat_off), np.full(2, model.lon_off), alts)
+    next(walk)  # the normalized axes, which are not the walk's to bound
+    tracemalloc.start()
+    try:
+        # Blocks 1 to 124 cross the first column's end at node 10**6.
+        for b, (index, samp, _) in zip(range(1, 125), walk):
+            if b >= 121:
+                want = np.unravel_index(np.arange(b * 8192, (b + 1) * 8192), dims)
+                assert all(np.array_equal(got, ref) for got, ref in zip(index, want))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
 def test_fit_equivalence_holds_the_survivors_and_a_block(acceptance_512):
     # A 128 px tile keeps about 1 node in 7 of its 40 x 40 x 20 fit and
     # 80 x 80 x 40 validation lattices. Streamed, the fit holds the survivors

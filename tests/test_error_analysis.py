@@ -336,6 +336,14 @@ def test_size_sweep_shrinks_error(pushbroom_bundle):
     assert [s for s, _ in sweep] == [size[0], size[0] // 2, size[0] // 4]
 
 
+@pytest.mark.parametrize("size", [np.inf, np.nan, 100.7], ids=["inf", "nan", "fractional"])
+def test_size_sweep_refuses_a_crop_size_that_is_not_whole_pixels(pushbroom_bundle, size):
+    # int() overflowed on inf, failed bare on nan, and fitted a 100 px crop
+    # for 100.7 while reporting it as 100.7.
+    with pytest.raises(ValueError, match="crop size must be positive whole pixels"):
+        size_sweep(pushbroom_bundle.model, pushbroom_bundle.scene.image_size, [size])
+
+
 def test_field_preview_is_valid_ppm(tmp_path, pushbroom_bundle):
     model = pushbroom_bundle.model
     camera = pushbroom_bundle.camera

@@ -1,5 +1,6 @@
 """Tests for robust DSM fusion and accuracy metrics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from satpinhole import equivalence
 from satpinhole.errors import LatticeError
 from satpinhole.fusion import (
     MAD_CONSISTENCY,
@@ -334,6 +336,72 @@ def test_dsm_metrics_offset_grids():
     assert m.n_overlap == 2
     assert m.n_truth == 3
     assert m.mae == pytest.approx((abs(5.0 - 2.0) + abs(6.0 - 3.0)) / 2.0)
+
+
+def _whole_frame_metrics(est, truth, thresholds):
+    """dsm_metrics as it was written before the row-block walk: both grids
+    lifted onto whole union frames, the residuals taken in row-major order."""
+    x0 = min(est.origin[0], truth.origin[0])
+    top = max(r.origin[1] + r.nrows for r in (est, truth))
+    ncols = int(max(r.origin[0] + r.ncols for r in (est, truth)) - x0)
+    nrows = int(top - min(est.origin[1], truth.origin[1]))
+    frames = []
+    for r in (est, truth):
+        frame = np.full((nrows, ncols), np.nan)
+        row, col = int(top - r.origin[1] - r.nrows), int(r.origin[0] - x0)
+        frame[row : row + r.nrows, col : col + r.ncols] = np.where(r.valid_mask(), r.values, np.nan)
+        frames.append(frame)
+    both = np.isfinite(frames[0]) & np.isfinite(frames[1])
+    resid = frames[0][both] - frames[1][both]
+    n_truth = int(np.isfinite(frames[1]).sum())
+    return DsmMetrics(
+        rmse=float(np.sqrt(np.mean(resid**2))),
+        me=float(np.median(np.abs(resid))),
+        mae=float(np.mean(np.abs(resid))),
+        comp=tuple((t, float((np.abs(resid) < t).sum()) / n_truth) for t in thresholds),
+        n_overlap=int(both.sum()),
+        n_truth=n_truth,
+    )
+
+
+def test_dsm_metrics_walks_the_union_one_row_block_at_a_time():
+    # Two 512 x 512 grids 448 cells apart on both axes: a 960 x 960 union
+    # sharing 64 x 64 cells. Lifting both onto union frames took 2.60
+    # frames (18.3 MiB); the walk holds a row block and the residuals, and
+    # its figures are the whole-frame ones bit for bit.
+    rng = np.random.default_rng(3)
+    est, truth = (rng.normal(0.0, 2.0, (512, 512)) for _ in range(2))
+    est[rng.random(est.shape) < 0.1] = -9999.0
+    truth[rng.random(truth.shape) < 0.1] = np.nan
+    est = _raster(est, origin=(448.0, 0.0))
+    truth = _raster(truth, origin=(0.0, 448.0))
+    dsm_metrics(_raster([[1.0]]), _raster([[1.0]]), (1.0,))  # lazy imports and caches, outside the trace
+    thresholds = (0.5, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        m = dsm_metrics(est, truth, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 960 * 960 * 8 / 4, peak
+    assert m == _whole_frame_metrics(est, truth, thresholds)
+    assert m.n_truth == int(np.isfinite(truth.values).sum()) and 0 < m.n_overlap < 64 * 64
+
+
+def test_fuse_refuses_a_union_too_big_for_memory_before_allocating(monkeypatch):
+    # Two 2 x 2 grids 600 cells apart span a 602 x 602 union whose frames
+    # take 9 MB: on a machine of 1 MiB the fuse is refused before any of it
+    # is allocated.
+    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    near, far = _raster(np.ones((2, 2))), _raster(np.ones((2, 2)), origin=(600.0, 600.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="602 x 602 union grid"):
+            fuse_views([near, far])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
 
 
 def test_dsm_metrics_disjoint_masks():

@@ -107,6 +107,21 @@ def test_terrain_validation():
         make_terrain(1, 33, -1.0)
 
 
+@pytest.mark.parametrize("size", [64.5, np.inf], ids=["fractional", "inf"])
+def test_terrain_refuses_a_size_that_is_not_whole_cells(size):
+    # int() truncated 64.5 to 64 and overflowed on inf.
+    with pytest.raises(ValueError, match="terrain size must be positive whole cells"):
+        make_terrain(1, size, 10.0)
+
+
+@pytest.mark.parametrize("relief", [np.inf, np.nan], ids=["inf", "nan"])
+def test_terrain_refuses_a_relief_that_is_not_finite(relief):
+    # An inf relief gave an all-NaN terrain after a RuntimeWarning, a nan
+    # relief flat zeros; both now meet the scene builders' relief rule.
+    with pytest.raises(ValueError, match="relief must be finite and non-negative"):
+        make_terrain(0, 16, relief)
+
+
 # ---------------------------------------------------------------------------
 # Volume
 

@@ -84,6 +84,19 @@ def test_plan_tiles_refuses_an_image_size_that_is_not_whole_pixels():
         plan_tiles((100.5, 64), 32, 4)
 
 
+@pytest.mark.parametrize(
+    "tile_size, overlap, argument",
+    [(32.9, 4.5, "tile size"), (np.inf, 4, "tile size"), (np.nan, 4, "tile size"),
+     (32, np.inf, "overlap"), (32, np.nan, "overlap")],
+    ids=["fractional", "inf-tile", "nan-tile", "inf-overlap", "nan-overlap"],
+)
+def test_plan_tiles_refuses_a_tile_size_or_overlap_that_is_not_whole_pixels(tile_size, overlap, argument):
+    # int() laid out 32 px tiles with an overlap of 4 for (32.9, 4.5), and
+    # ended in OverflowError or a bare int() error for inf and nan.
+    with pytest.raises(ValueError, match=f"{argument} must be"):
+        plan_tiles((100, 64), tile_size, overlap)
+
+
 # ---------------------------------------------------------------------------
 # Cropping
 
