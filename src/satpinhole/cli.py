@@ -32,7 +32,7 @@ from .equivalence import (
 from .error_analysis import error_field, write_field_preview
 from .errors import DegenerateError
 from .fusion import FusionConfig, dsm_metrics, format_metrics_report, fuse_views
-from .kvio import fmt
+from .kvio import fmt, format_kv, write_file
 from .raster import load_ascii_grid, save_ascii_grid
 from .refinement import build_refinement, resample, save_warp
 from .rpc import load_rpc, save_rpc
@@ -44,11 +44,6 @@ from .tiling import crop_raster, crop_rpc, enhance_brightness, format_manifest, 
 # moves by about 1e-13 px either way; 1e-9 px is far above that and far
 # below any error a warp is fit to remove.
 _WARP_RMSE_TOLERANCE_PX = 1e-9
-
-
-def _write_text(path, text: str) -> None:
-    """Write a text output as the save functions do: UTF-8, LF line ends."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _category_for(exc: Exception) -> str | None:
@@ -85,8 +80,7 @@ def cmd_inspect(args) -> int:
     if args.json:
         print(json.dumps(info, indent=2))
     else:
-        for key, value in info.items():
-            print(f"{key}: {fmt(value)}")
+        print(format_kv(info.items()), end="")
     return 0
 
 
@@ -95,7 +89,7 @@ def cmd_equate(args) -> int:
     camera, report = equate(model, tuple(args.image_size), dims=tuple(args.grid))
     save_camera(camera, args.camera)
     if args.report:
-        _write_text(args.report, format_equivalence_report(report))
+        write_file(args.report, format_equivalence_report(report))
     print(
         f"equivalent camera: rmse_px={fmt(report.rmse)} "
         f"max_px={fmt(report.max_error)} points={report.n_points}"
@@ -133,9 +127,9 @@ def cmd_refine(args) -> int:
     if args.camera:
         save_camera(camera, args.camera)
     if args.report_before:
-        _write_text(args.report_before, format_equivalence_report(before))
+        write_file(args.report_before, format_equivalence_report(before))
     if args.report_after:
-        _write_text(args.report_after, format_equivalence_report(after))
+        write_file(args.report_after, format_equivalence_report(after))
     if image is not None:
         save_ascii_grid(resample(image, warp), args.corrected)
     print(f"refined (polynomial): rmse_px {fmt(before.rmse)} -> {fmt(after.rmse)}")
@@ -158,7 +152,7 @@ def cmd_partition(args) -> int:
         save_ascii_grid(sub, out_dir / image_name)
         save_rpc(crop_rpc(model, (tile.col, tile.row)), out_dir / rpc_name)
 
-    _write_text(out_dir / "tiles.txt", format_manifest(plan, image_names, rpc_names))
+    write_file(out_dir / "tiles.txt", format_manifest(plan, image_names, rpc_names))
     print(f"wrote {len(plan.tiles)} tiles and tiles.txt to {out_dir}")
     return 0
 
@@ -216,7 +210,7 @@ def cmd_metrics(args) -> int:
     result = dsm_metrics(estimate, truth, thresholds=tuple(args.thresholds))
     text = format_metrics_report(result)
     if args.report:
-        _write_text(args.report, text)
+        write_file(args.report, text)
     print(text, end="")
     return 0
 
@@ -246,10 +240,7 @@ def cmd_synth(args) -> int:
         save_camera(scene.camera, out_dir / "camera.txt")
     else:
         cam = scene.camera
-        lines = ["KIND: pushbroom"]
-        for key, vec in (("A", cam.a), ("B", cam.b), ("C", cam.c)):
-            lines.append(f"{key}: " + " ".join(fmt(v) for v in vec))
-        _write_text(out_dir / "camera.txt", "\n".join(lines) + "\n")
+        write_file(out_dir / "camera.txt", format_kv([("KIND", "pushbroom"), ("A", cam.a), ("B", cam.b), ("C", cam.c)]))
     print(f"synthetic {args.kind} scene (seed {args.seed}): rpc_fit_rms_px={fmt(fit_rms)}")
     return 0
 

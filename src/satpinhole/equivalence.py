@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, _lattice_converter
-from .kvio import fmt, get_distance, get_float, get_floats, get_ints, read_kv, require_finite
-from .raster import _image_size, _row_blocks
+from .kvio import format_kv, get_distance, get_float, get_floats, get_ints, read_file, read_kv, require_finite, write_file
+from .raster import _image_size, _row_blocks, _whole
 from .rpc import RpcModel, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
@@ -67,7 +67,7 @@ class PinholeCamera:
         object.__setattr__(self, "k", np.asarray(self.k, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
+        object.__setattr__(self, "image_size", _image_size(self.image_size))
 
     def _homogeneous(self, enu: np.ndarray) -> np.ndarray:
         enu = np.asarray(enu, dtype=np.float64)
@@ -127,7 +127,7 @@ def _grid_axes(model: RpcModel, dims, stagger: bool):
     """The (lat, lon, alt) node values of a *dims* grid over *model*'s rated
     volume: offset +- scale on each axis."""
     return tuple(
-        _axis_nodes(off - scale, off + scale, int(n), stagger)
+        _axis_nodes(off - scale, off + scale, n, stagger)
         for off, scale, n in zip(
             (model.lat_off, model.lon_off, model.alt_off),
             (model.lat_scale, model.lon_scale, model.alt_scale),
@@ -189,13 +189,13 @@ def build_virtual_grid(
     just off a plane, so the DLT would fit it, and badly.
 
     Raises:
-        ValueError: if the image size is not whole positive pixels.
+        ValueError: if the image size is not whole positive pixels, or a dim not a whole number.
         MemoryError: if the survivors, at 40 bytes a node, could outgrow
             physical memory: the grid is refused before it is walked.
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
             they all lie in one altitude layer.
     """
-    n_lat, n_lon, n_alt = (int(d) for d in dims)
+    n_lat, n_lon, n_alt = (_whole(d, -np.inf, f"grid dims must be whole numbers, got {dims}") for d in dims)
     if min(n_lat, n_lon, n_alt) < 2:
         raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
     image_size = _image_size(image_size)
@@ -395,15 +395,13 @@ class EquivalenceReport:
         )
 
 
+# The report's keys, in the order of EquivalenceReport's fields.
+_REPORT_KEYS = ("SAMP_RMSE_PX", "LINE_RMSE_PX", "RMSE_PX", "MAX_ERROR_PX", "N_POINTS")
+
+
 def format_equivalence_report(report: EquivalenceReport) -> str:
-    lines = [
-        f"SAMP_RMSE_PX: {fmt(report.samp_rmse)}",
-        f"LINE_RMSE_PX: {fmt(report.line_rmse)}",
-        f"RMSE_PX: {fmt(report.rmse)}",
-        f"MAX_ERROR_PX: {fmt(report.max_error)}",
-        f"N_POINTS: {report.n_points}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = (report.samp_rmse, report.line_rmse, report.rmse, report.max_error, report.n_points)
+    return format_kv(zip(_REPORT_KEYS, values))
 
 
 def parse_equivalence_report(text: str) -> EquivalenceReport:
@@ -412,9 +410,8 @@ def parse_equivalence_report(text: str) -> EquivalenceReport:
     The four pixel distances must be finite and non-negative.
     """
     kv = read_kv(text)
-    keys = ("SAMP_RMSE_PX", "LINE_RMSE_PX", "RMSE_PX", "MAX_ERROR_PX")
-    values = [get_distance(kv, key) for key in keys]
-    return EquivalenceReport(*values, n_points=get_ints(kv, "N_POINTS", 1)[0])
+    *distances, count = _REPORT_KEYS
+    return EquivalenceReport(*(get_distance(kv, key) for key in distances), get_ints(kv, count, 1)[0])
 
 
 def measure_equivalence_error(
@@ -548,17 +545,13 @@ def equate(
 
 def format_camera(cam: PinholeCamera) -> str:
     """Serialize a pinhole camera to key-value text."""
-    lines = [
-        f"IMAGE_SIZE: {cam.image_size[0]} {cam.image_size[1]}",
-        f"ANCHOR_LAT: {fmt(cam.anchor.lat)}",
-        f"ANCHOR_LON: {fmt(cam.anchor.lon)}",
-        f"ANCHOR_ALT: {fmt(cam.anchor.alt)}",
-        "K: " + " ".join(fmt(v) for v in cam.k.ravel()),
-        "R: " + " ".join(fmt(v) for v in cam.r.ravel()),
-        "T: " + " ".join(fmt(v) for v in cam.t.ravel()),
-        f"RESIDUAL_RMS_PX: {fmt(cam.residual_rms_px)}",
-    ]
-    return "\n".join(lines) + "\n"
+    anchor = cam.anchor
+    return format_kv([
+        ("IMAGE_SIZE", cam.image_size),
+        ("ANCHOR_LAT", anchor.lat), ("ANCHOR_LON", anchor.lon), ("ANCHOR_ALT", anchor.alt),
+        ("K", cam.k.ravel().tolist()), ("R", cam.r.ravel().tolist()), ("T", cam.t.tolist()),
+        ("RESIDUAL_RMS_PX", cam.residual_rms_px),
+    ])
 
 
 def parse_camera(text: str) -> PinholeCamera:
@@ -596,10 +589,8 @@ def parse_camera(text: str) -> PinholeCamera:
 
 
 def load_camera(path) -> PinholeCamera:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_camera(fh.read())
+    return parse_camera(read_file(path))
 
 
 def save_camera(cam: PinholeCamera, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_camera(cam))
+    write_file(path, format_camera(cam))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .equivalence import _require_memory
 from .errors import LatticeError
-from .kvio import fmt
-from .raster import Raster, _row_blocks, valid_cells
+from .kvio import fmt, format_kv
+from .raster import Raster, _row_blocks, _whole, valid_cells
 
 MAD_CONSISTENCY = 1.4826  # scales MAD to a Gaussian sigma estimate
 
@@ -49,8 +49,8 @@ class FusionConfig:
             raise ValueError(f"mad_floor must be non-negative, got {self.mad_floor}")
         if self.radius is not None and not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
-        if self.min_neighbors < 1:
-            raise ValueError(f"min_neighbors must be >= 1, got {self.min_neighbors}")
+        message = f"min_neighbors must be a whole number >= 1, got {self.min_neighbors}"
+        object.__setattr__(self, "min_neighbors", _whole(self.min_neighbors, 1, message))
         if self.aggregator not in ("median", "mean"):
             raise ValueError(f"aggregator must be 'median' or 'mean', got {self.aggregator!r}")
 
@@ -256,13 +256,8 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
 
 
 def format_metrics_report(metrics: DsmMetrics) -> str:
-    lines = [
-        f"RMSE_M: {fmt(metrics.rmse)}",
-        f"ME_M: {fmt(metrics.me)}",
-        f"MAE_M: {fmt(metrics.mae)}",
-        f"N_OVERLAP: {metrics.n_overlap}",
-        f"N_TRUTH: {metrics.n_truth}",
-    ]
-    for t, frac in metrics.comp:
-        lines.append(f"COMP_{fmt(t)}: {fmt(frac)}")
-    return "\n".join(lines) + "\n"
+    return format_kv([
+        ("RMSE_M", metrics.rmse), ("ME_M", metrics.me), ("MAE_M", metrics.mae),
+        ("N_OVERLAP", metrics.n_overlap), ("N_TRUTH", metrics.n_truth),
+        *((f"COMP_{fmt(t)}", frac) for t, frac in metrics.comp),
+    ])

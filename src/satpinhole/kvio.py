@@ -1,7 +1,7 @@
-"""Helpers for the plain-text ``KEY: value`` files used across the toolkit.
-
-All writers emit floats with 17 significant digits so that a written file,
-parsed and written again, is byte-identical.
+"""The plain-text ``KEY: value`` format, written by :func:`format_kv` and read
+by :func:`read_kv`, with floats in 17 significant digits so that a written
+file, parsed and written again, is byte-identical; and the UTF-8, LF rule of
+every text file, in :func:`write_file` and :func:`read_file`.
 """
 
 from __future__ import annotations
@@ -10,10 +10,45 @@ import numpy as np
 
 from .errors import FormatError
 
+_FLOAT = "%.17g"
+
 
 def fmt(x: float) -> str:
     """Format a float with enough digits to round-trip exactly."""
-    return "%.17g" % float(x)
+    return _FLOAT % float(x)
+
+
+def _text(value) -> str:
+    # For speed, fmt's rule is inlined for floats, and each isinstance takes
+    # one type (a tuple of types is 2-3x slower), commonest first.
+    if isinstance(value, float):
+        return _FLOAT % value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, np.generic):
+        return fmt(value) if isinstance(value, np.floating) else str(value)
+    return " ".join(map(_text, value))
+
+
+def format_kv(items) -> str:
+    """A ``KEY: value`` line, LF-ended, per (key, value) pair of *items*: a
+    string or int as is, a float by :func:`fmt`, and any other value as its
+    items by the same rule, joined by spaces."""
+    return "".join([f"{key}: {_text(value)}\n" for key, value in items])
+
+
+def read_file(path) -> str:
+    """The text of a UTF-8 file, CRLF line ends read as LF."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def write_file(path, text: str) -> None:
+    """Write *text* to *path* as UTF-8 with LF line ends, whatever the platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def read_kv(text: str) -> dict[str, str]:

@@ -438,7 +438,7 @@ def save_ascii_grid(raster: Raster, path) -> None:
         fh.writelines(_ascii_grid_chunks(raster))
 
 
-def _whole(value, least: int, message: str) -> int:
+def _whole(value, least: float, message: str) -> int:
     """*value* as an int if it is a float-finite whole number >= *least*, else ValueError(*message*)."""
     if not (least <= value <= np.finfo(float).max and value % 1 == 0):
         raise ValueError(message)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .equivalence import PinholeCamera, VirtualGrid, _normalized_dlt, _require_in_front, _require_same_frame, _score
 from .errors import DegenerateError, FormatError
-from .kvio import fmt, get_distance, get_floats, read_kv, require_finite
+from .kvio import format_kv, get_distance, get_floats, read_file, read_kv, require_finite, write_file
 from .raster import Raster, _row_blocks, interpolate
 from .rpc import RpcModel
 
@@ -227,12 +227,7 @@ def format_warp(warp: PolynomialWarp) -> str:
     """Serialize a polynomial warp to key-value text."""
     if not isinstance(warp, PolynomialWarp):
         raise TypeError(f"cannot serialize warp of type {type(warp).__name__}")
-    lines = [
-        "KIND: polynomial",
-        "M: " + " ".join(fmt(v) for v in warp.m),
-        f"FIT_RMS_PX: {fmt(warp.fit_rms_px)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_kv([("KIND", "polynomial"), ("M", warp.m.tolist()), ("FIT_RMS_PX", warp.fit_rms_px)])
 
 
 def parse_warp(text: str) -> PolynomialWarp:
@@ -250,10 +245,8 @@ def parse_warp(text: str) -> PolynomialWarp:
 
 
 def load_warp(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_warp(fh.read())
+    return parse_warp(read_file(path))
 
 
 def save_warp(warp, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_warp(warp))
+    write_file(path, format_warp(warp))

@@ -113,6 +113,8 @@ _COEFF_FIELDS = (
     ("samp_den", "SAMP_DEN_COEFF"),
 )
 
+_COEFF_KEYS = {name: [f"{prefix}_{i}" for i in range(1, 21)] for name, prefix in _COEFF_FIELDS}
+
 
 @dataclass(frozen=True)
 class RpcModel:
@@ -183,33 +185,25 @@ def parse_rpc(text: str) -> RpcModel:
         if tokens[1:] == [unit]:
             kv[key] = tokens[0]
         fields[name] = kvio.get_float(kv, key)
-    for name, prefix in _COEFF_FIELDS:
-        fields[name] = np.array(
-            [kvio.get_float(kv, f"{prefix}_{i}") for i in range(1, 21)]
-        )
+    for name, keys in _COEFF_KEYS.items():
+        fields[name] = np.array([kvio.get_float(kv, key) for key in keys])
     return RpcModel(**fields)  # type: ignore[arg-type]
 
 
 def format_rpc(model: RpcModel) -> str:
     """Serialize a model to sidecar text with 17 significant digits."""
-    lines = []
-    for name, key, unit in _NORMALIZER_FIELDS:
-        lines.append(f"{key}: {kvio.fmt(getattr(model, name))} {unit}")
-    for name, prefix in _COEFF_FIELDS:
-        arr = getattr(model, name)
-        for i in range(20):
-            lines.append(f"{prefix}_{i + 1}: {kvio.fmt(arr[i])}")
-    return "\n".join(lines) + "\n"
+    items = [(key, (getattr(model, name), unit)) for name, key, unit in _NORMALIZER_FIELDS]
+    for name, keys in _COEFF_KEYS.items():
+        items += zip(keys, getattr(model, name).tolist())
+    return kvio.format_kv(items)
 
 
 def load_rpc(path) -> RpcModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rpc(fh.read())
+    return parse_rpc(kvio.read_file(path))
 
 
 def save_rpc(model: RpcModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_rpc(model))
+    kvio.write_file(path, format_rpc(model))
 
 
 def _ratios(model: RpcModel, p, l, h, check: bool):

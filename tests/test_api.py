@@ -221,6 +221,10 @@ def _is_call_to(name):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
 
+def _is_keyword(name, value):
+    return lambda node: isinstance(node, ast.keyword) and node.arg == name and getattr(node.value, "value", None) == value
+
+
 @pytest.mark.parametrize(
     "rule, owner",
     [
@@ -229,8 +233,9 @@ def _is_call_to(name):
         (_is_call_of("from_residuals"), "equivalence.measure_equivalence_error"),
         (_is_text("image size must be positive"), "raster._image_size"),
         (_is_call_to("_overlay"), "fusion._union_rows"),
+        (_is_keyword("newline", "\n"), "kvio.write_file"),
     ],
-    ids=["memory-bound", "cheirality-refusal", "report", "image-size", "union-walk"],
+    ids=["memory-bound", "cheirality-refusal", "report", "image-size", "union-walk", "newline-rule"],
 )
 def test_each_fit_path_rule_has_one_owner(rule, owner):
     # A rule written out in two places drifts: each is one function that

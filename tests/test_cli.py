@@ -18,7 +18,7 @@ from satpinhole import cli, equivalence
 from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera, parse_equivalence_report
 from satpinhole.raster import load_ascii_grid, save_ascii_grid
-from satpinhole.rpc import format_rpc, load_rpc, project_forward, project_lattice
+from satpinhole.rpc import RpcModel, format_rpc, load_rpc, project_forward, project_lattice, save_rpc
 from satpinhole.tiling import parse_manifest
 
 
@@ -218,6 +218,35 @@ def test_inspect_plain_output(scene_dir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "samp_off: 48" in out
+
+
+def test_inspect_plain_text(tmp_path, capsys):
+    model = RpcModel(
+        line_off=20.0, samp_off=10.0, lat_off=30.0, lon_off=50.0, alt_off=100.0,
+        line_scale=1.0, samp_scale=1.0, lat_scale=0.1, lon_scale=0.1, alt_scale=200.0,
+        line_num=np.r_[0.0, 0.0, 4.0, -2.0, np.zeros(16)],
+        line_den=np.r_[1.0, np.zeros(19)],
+        samp_num=np.r_[0.0, -1 / 3, np.zeros(18)],
+        samp_den=np.r_[1.0, np.zeros(18), 0.5],
+    )
+    save_rpc(model, tmp_path / "rpc.txt")
+    assert main(["inspect", str(tmp_path / "rpc.txt")]) == 0
+    assert capsys.readouterr().out == (
+        "samp_off: 10\n"
+        "line_off: 20\n"
+        "samp_scale: 1\n"
+        "line_scale: 1\n"
+        "lat_off: 30\n"
+        "lon_off: 50\n"
+        "alt_off: 100\n"
+        "lat_scale: 0.10000000000000001\n"
+        "lon_scale: 0.10000000000000001\n"
+        "alt_scale: 200\n"
+        "samp_num_max: 0.33333333333333331\n"
+        "samp_den_max: 1\n"
+        "line_num_max: 4\n"
+        "line_den_max: 1\n"
+    )
 
 
 # ---------------------------------------------------------------------------

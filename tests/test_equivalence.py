@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpinhole.equivalence import (
+    EquivalenceReport,
     PinholeCamera,
     VirtualGrid,
     _axis_nodes,
@@ -17,6 +18,7 @@ from satpinhole.equivalence import (
     equate,
     fit_equivalence,
     format_camera,
+    format_equivalence_report,
     measure_equivalence_error,
     parse_camera,
     solve_projection,
@@ -735,3 +737,65 @@ def test_camera_parse_recovers_fields(pinhole_bundle):
     assert back.image_size == cam.image_size
     assert back.anchor == cam.anchor
     assert back.residual_rms_px == cam.residual_rms_px
+
+
+def test_format_camera_text():
+    k = np.array([[900.0, 0.0, 320.0], [0.0, 880.5, 240.0], [0.0, 0.0, 1.0]])
+    cam = PinholeCamera(
+        k=k, r=np.eye(3), t=[0.0, -0.0, 500.0], anchor=GeoPoint(30.5, 0.1, 100.0),
+        image_size=(640, 480), residual_rms_px=1 / 3,
+    )
+    assert format_camera(cam) == (
+        "IMAGE_SIZE: 640 480\n"
+        "ANCHOR_LAT: 30.5\n"
+        "ANCHOR_LON: 0.10000000000000001\n"
+        "ANCHOR_ALT: 100\n"
+        "K: 900 0 320 0 880.5 240 0 0 1\n"
+        "R: 1 0 0 0 1 0 0 0 1\n"
+        "T: 0 -0 500\n"
+        "RESIDUAL_RMS_PX: 0.33333333333333331\n"
+    )
+
+
+def test_format_equivalence_report_text():
+    report = EquivalenceReport(samp_rmse=0.3, line_rmse=0.4, rmse=0.5, max_error=1.25, n_points=2048)
+    assert format_equivalence_report(report) == (
+        "SAMP_RMSE_PX: 0.29999999999999999\n"
+        "LINE_RMSE_PX: 0.40000000000000002\n"
+        "RMSE_PX: 0.5\n"
+        "MAX_ERROR_PX: 1.25\n"
+        "N_POINTS: 2048\n"
+    )
+
+
+@pytest.mark.parametrize("size", [(256.7, 256.2), (float("inf"), 2), (float("nan"), 480), (0, 480)])
+def test_camera_image_size_must_be_whole_pixels(size):
+    # A camera truncated (256.7, 256.2) to (256, 256), and overflowed on inf.
+    with pytest.raises(ValueError, match="image size must be positive whole pixels"):
+        PinholeCamera(k=np.eye(3), r=np.eye(3), t=np.zeros(3), anchor=GeoPoint(0.0, 0.0), image_size=size)
+
+
+def test_camera_keeps_whole_float_image_size_as_ints():
+    cam = PinholeCamera(k=np.eye(3), r=np.eye(3), t=np.zeros(3), anchor=GeoPoint(0.0, 0.0), image_size=(640.0, 480))
+    assert cam.image_size == (640, 480)
+    assert all(type(n) is int for n in cam.image_size)
+
+
+@pytest.mark.parametrize("dims", [(10.7, 10, 5), (float("inf"), 10, 5), (float("nan"), 10, 5)])
+def test_grid_dims_that_are_not_whole_numbers_are_invalid(pushbroom_bundle, dims):
+    # (10.7, 10, 5) built the grid of (10, 10, 5); inf overflowed.
+    with pytest.raises(ValueError, match=re.escape(f"grid dims must be whole numbers, got {dims}")):
+        build_virtual_grid(pushbroom_bundle.model, (256, 256), dims)
+
+
+@pytest.mark.parametrize("dims", [(1, 10, 5), (0, 10, 5), (-3, 10, 5), (10, 10, 1.0)])
+def test_whole_grid_dims_below_two_are_degenerate(pushbroom_bundle, dims):
+    with pytest.raises(DegenerateError, match="grid dims must each be >= 2"):
+        build_virtual_grid(pushbroom_bundle.model, (256, 256), dims)
+
+
+def test_whole_float_grid_dims_build_the_int_grid(pushbroom_bundle):
+    grid = build_virtual_grid(pushbroom_bundle.model, (256, 256), (10.0, 10, 5.0))
+    same = build_virtual_grid(pushbroom_bundle.model, (256, 256), (10, 10, 5))
+    np.testing.assert_array_equal(grid.enu, same.enu)
+    np.testing.assert_array_equal(grid.pixels, same.pixels)

@@ -443,3 +443,16 @@ def test_format_metrics_report_lines():
         "COMP_1.5: 0.5",
         "COMP_5: 0.75",
     ]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5])
+def test_min_neighbors_must_be_a_whole_number(value):
+    # nan and inf were accepted, and nan then cleared every fused cell; 2.5
+    # acted as 3.
+    with pytest.raises(ValueError, match="min_neighbors"):
+        FusionConfig(min_neighbors=value)
+
+
+def test_whole_float_min_neighbors_is_kept_as_an_int():
+    config = FusionConfig(min_neighbors=3.0)
+    assert config.min_neighbors == 3 and type(config.min_neighbors) is int

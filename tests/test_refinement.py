@@ -357,6 +357,15 @@ def test_warp_round_trip_bytes(tmp_path):
     assert again.fit_rms_px == warp.fit_rms_px
 
 
+def test_format_warp_text():
+    m = [0.5, 1.0, 0.0, 0.0, 1e-7, 0.0, -0.25, 0.0, 1.0, 1 / 3, 0.0, -0.0]
+    assert format_warp(PolynomialWarp(m, fit_rms_px=0.1)) == (
+        "KIND: polynomial\n"
+        "M: 0.5 1 0 0 9.9999999999999995e-08 0 -0.25 0 1 0.33333333333333331 0 -0\n"
+        "FIT_RMS_PX: 0.10000000000000001\n"
+    )
+
+
 def test_homography_is_not_a_warp_file():
     # The homography is a library comparator; warp files hold the polynomial
     # warp only.

@@ -330,6 +330,31 @@ def test_format_parse_round_trip_is_byte_identical(pushbroom_bundle):
     assert text == again
 
 
+def test_format_rpc_text():
+    coeffs = {"LINE_NUM_COEFF_3": "4", "LINE_NUM_COEFF_4": "-2", "LINE_DEN_COEFF_1": "1",
+              "SAMP_NUM_COEFF_2": "3", "SAMP_DEN_COEFF_1": "1"}
+    assert format_rpc(_affine_model()) == "".join(
+        f"{line}\n"
+        for line in [
+            "LINE_OFF: 20 pixels",
+            "SAMP_OFF: 10 pixels",
+            "LAT_OFF: 30 degrees",
+            "LONG_OFF: 50 degrees",
+            "HEIGHT_OFF: 100 meters",
+            "LINE_SCALE: 1 pixels",
+            "SAMP_SCALE: 1 pixels",
+            "LAT_SCALE: 0.10000000000000001 degrees",
+            "LONG_SCALE: 0.10000000000000001 degrees",
+            "HEIGHT_SCALE: 200 meters",
+            *(
+                f"{prefix}_{i}: {coeffs.get(f'{prefix}_{i}', '0')}"
+                for prefix in ("LINE_NUM_COEFF", "LINE_DEN_COEFF", "SAMP_NUM_COEFF", "SAMP_DEN_COEFF")
+                for i in range(1, 21)
+            ),
+        ]
+    )
+
+
 def test_parse_missing_normalizer_names_key(pushbroom_bundle):
     text = format_rpc(pushbroom_bundle.model)
     broken = "\n".join(
