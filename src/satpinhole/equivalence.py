@@ -12,7 +12,7 @@ Euclidean pixel distance between the rational and pinhole projections.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .geodesy import GeoPoint, _lattice_converter
 from .kvio import format_kv, get_distance, get_float, get_floats, get_ints, read_file, read_kv, require_finite, write_file
 from .raster import _image_size, _row_blocks, _whole
 from .rpc import RpcModel, project_lattice
+from .tiling import _crop_offsets
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
 # The most a grid node can take once it survives: pixels (2) and ENU (3) float64.
@@ -136,26 +137,79 @@ def _grid_axes(model: RpcModel, dims, stagger: bool):
     )
 
 
-def _survivors(model: RpcModel, image_size, axes, anchor: GeoPoint):
-    """The nodes of the lattice on *axes* that project into the image, one
-    lattice block at a time.
+def _survivors(model: RpcModel, crops, axes, anchor: GeoPoint):
+    """The nodes of the lattice on *axes* that project into each crop, one
+    lattice block at a time, from one walk of the lattice.
 
-    For each block of :func:`~satpinhole.rpc.project_lattice` it yields its
-    survivors' (pixels (k, 2), ENU (k, 3), altitude indices (k,)) in lattice
-    order. It only samples: how many survivors there must be, and in how
-    many layers, is the caller's rule.
+    *crops* is a sequence of (origin, (width, height)) crops of *model*'s
+    image, origin its (col, row) pixel. For each block of
+    :func:`~satpinhole.rpc.project_lattice` it yields a tuple with, per crop,
+    the survivors' (pixels (k, 2) on the crop, ENU (k, 3), altitude indices
+    (k,)) in lattice order. It only samples: how many survivors there must
+    be, and in how many layers, is the caller's rule.
+
+    The lattice is walked on *model* with both pixel offsets -0.0, and
+    ``x + -0.0`` is ``x`` for every float: the walk gives each node's scaled
+    ratio. A crop's pixels are that plus the offsets of
+    ``crop_rpc(model, origin)``, the two float steps ``project_lattice``
+    takes on the cropped model, so each crop's survivors carry the bits a
+    walk of that model gives.
     """
     lats, lons, alts = axes
-    w, h = image_size
+    crops = [(_crop_offsets(model, origin), size) for origin, size in crops]
     to_enu = _lattice_converter(lats, lons, anchor)
-    for index, samp, line in project_lattice(model, lats, lons, alts):
-        idx = np.flatnonzero((samp >= 0.0) & (samp < w) & (line >= 0.0) & (line < h))
-        i_lat, i_lon, i_alt = (i[idx] for i in index)
-        pixels = np.column_stack([samp[idx], line[idx]])
-        enu = to_enu(i_lat, i_lon, alts[i_alt])
+    walk = project_lattice(replace(model, samp_off=-0.0, line_off=-0.0), lats, lons, alts)
+    for index, samp, line in walk:
+        block = []
+        for (samp_off, line_off), (w, h) in crops:
+            s, l = samp + samp_off, line + line_off
+            idx = np.flatnonzero((s >= 0.0) & (s < w) & (l >= 0.0) & (l < h))
+            i_lat, i_lon, i_alt = (i[idx] for i in index)
+            block.append((np.column_stack([s[idx], l[idx]]), to_enu(i_lat, i_lon, alts[i_alt]), i_alt))
         # The caller works on the block while this frame is suspended.
-        del index, samp, line, idx, i_lat, i_lon
-        yield pixels, enu, i_alt
+        del index, samp, line, s, l, idx, i_lat, i_lon
+        yield tuple(block)
+
+
+def _virtual_grids(model: RpcModel, crops, dims, stagger: bool = False, anchor: GeoPoint | None = None):
+    """:func:`build_virtual_grid` of each (origin, image size) crop of
+    *model*'s image, from one walk of the lattice: a list of grids, each
+    with the bits of ``build_virtual_grid(crop_rpc(model, origin), size,
+    dims, stagger, anchor)``.
+
+    The rules are checked as there: the dims, then every crop's size, then
+    the memory of all crops' survivors together, before the walk; each
+    crop's survivor count and layers, in crop order, after it.
+    """
+    n_lat, n_lon, n_alt = (_whole(d, -np.inf, f"grid dims must be whole numbers, got {dims}") for d in dims)
+    if min(n_lat, n_lon, n_alt) < 2:
+        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
+    crops = [(origin, _image_size(size)) for origin, size in crops]
+    worst = len(crops) * n_lat * n_lon * n_alt * _SURVIVOR_BYTES
+    grids = f"{len(crops)} crops of " if len(crops) > 1 else ""
+    _require_memory(worst, f"{grids}a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of survivors")
+    if anchor is None:
+        anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
+    axes = _grid_axes(model, (n_lat, n_lon, n_alt), stagger)
+    parts = [([], [], np.zeros(n_alt, dtype=bool)) for _ in crops]
+    for block in _survivors(model, crops, axes, anchor):
+        for (pixels, enu, layers), (block_pixels, block_enu, i_alt) in zip(parts, block):
+            pixels.append(block_pixels)
+            enu.append(block_enu)
+            layers[i_alt] = True
+    return [_kept_grid(pixels, enu, axes[2][layers], anchor) for pixels, enu, layers in parts]
+
+
+def _kept_grid(pixels, enu, layers, anchor: GeoPoint) -> VirtualGrid:
+    """The grid of a crop's survivor blocks, refused if they cannot fit a
+    camera: fewer than 6 nodes, or all in one of the altitude *layers*
+    they reach."""
+    size = sum(block.shape[0] for block in pixels)
+    if size < 6:
+        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
+    if np.unique(layers).size < 2:
+        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
+    return VirtualGrid(enu=np.concatenate(enu), pixels=np.concatenate(pixels), anchor=anchor)
 
 
 def build_virtual_grid(
@@ -195,28 +249,7 @@ def build_virtual_grid(
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
             they all lie in one altitude layer.
     """
-    n_lat, n_lon, n_alt = (_whole(d, -np.inf, f"grid dims must be whole numbers, got {dims}") for d in dims)
-    if min(n_lat, n_lon, n_alt) < 2:
-        raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
-    image_size = _image_size(image_size)
-    worst = n_lat * n_lon * n_alt * _SURVIVOR_BYTES
-    _require_memory(worst, f"a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of survivors")
-    if anchor is None:
-        anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
-    axes = _grid_axes(model, (n_lat, n_lon, n_alt), stagger)
-    pixels, enu, layers = [], [], np.zeros(n_alt, dtype=bool)
-    for block_pixels, block_enu, i_alt in _survivors(model, image_size, axes, anchor):
-        pixels.append(block_pixels)
-        enu.append(block_enu)
-        layers[i_alt] = True
-    size = sum(block.shape[0] for block in pixels)
-    if size < 6:
-        raise DegenerateError(f"only {size} grid points project inside the image; need >= 6")
-    if np.unique(axes[2][layers]).size < 2:
-        raise DegenerateError("all surviving grid points lie in one altitude layer; need >= 2")
-    enu = np.concatenate(enu)
-    pixels = np.concatenate(pixels)
-    return VirtualGrid(enu=enu, pixels=pixels, anchor=anchor)
+    return _virtual_grids(model, [((0, 0), image_size)], dims, stagger, anchor)[0]
 
 
 def _condition(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,9 +423,30 @@ class EquivalenceReport:
             samp_rmse=samp_rmse,
             line_rmse=line_rmse,
             rmse=float(np.hypot(samp_rmse, line_rmse)),
-            max_error=float(np.max(np.hypot(dsamp, dline))),
+            max_error=float(_max_hypot(dsamp, dline)),
             n_points=int(dsamp.size),
         )
+
+
+def _max_hypot(dx: np.ndarray, dy: np.ndarray):
+    """``np.max(np.hypot(dx, dy))`` of two non-empty 1-D float64 arrays, bit
+    for bit, with hypot taken only where the max can be.
+
+    hypot is within an ulp of the exact norm, and a squared norm within a
+    few ulps of its exact value, so a node whose squared norm is more than
+    1e-12 (relative) below the largest cannot hold the max. Where the
+    largest is not finite or not a normal float (overflow, NaN, inf,
+    underflow), the squares cannot rank the nodes, and every node takes
+    its hypot.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.square(dx)
+        sq += np.square(dy)
+    top = sq.max()
+    if not (np.isfinite(top) and top >= np.finfo(np.float64).tiny):
+        return np.max(np.hypot(dx, dy))
+    near = np.flatnonzero(sq >= top * (1.0 - 1e-12))
+    return np.max(np.hypot(dx[near], dy[near]))
 
 
 # The report's keys, in the order of EquivalenceReport's fields.
@@ -519,12 +573,20 @@ def fit_equivalence(
             report would score mirrored projections.
     """
     fit_grid = build_virtual_grid(model, image_size, dims)
-    p = solve_projection(fit_grid)
-    camera = decompose_projection(p, fit_grid, image_size)
-    val_dims = (2 * dims[0], 2 * dims[1], 2 * dims[2])
-    val_grid = build_virtual_grid(model, image_size, val_dims, stagger=True)
+    camera = _fit_camera(fit_grid, image_size)
+    val_grid = build_virtual_grid(model, image_size, _validation_dims(dims), stagger=True)
     report = measure_equivalence_error(model, camera, val_grid)
     return Equivalence(camera=camera, report=report, fit_grid=fit_grid, val_grid=val_grid)
+
+
+def _validation_dims(dims):
+    """The dims of the validation grid of a fit on a *dims* grid: twice the density."""
+    return (2 * dims[0], 2 * dims[1], 2 * dims[2])
+
+
+def _fit_camera(fit_grid: VirtualGrid, image_size) -> PinholeCamera:
+    """The pinhole camera of a fit grid: the DLT, then its factorization."""
+    return decompose_projection(solve_projection(fit_grid), fit_grid, image_size)
 
 
 def equate(

@@ -15,15 +15,18 @@ import numpy as np
 # measure_equivalence_error lives with the fit in equivalence; the name is
 # bound here too for the bench, which imports and traces it from this module.
 from .equivalence import (
+    DEFAULT_GRID_DIMS,
     PinholeCamera,
     VirtualGrid,
+    _fit_camera,
     _grid_axes,
     _require_in_front,
     _require_memory,
     _require_same_frame,
     _score,
     _survivors,
-    equate,
+    _validation_dims,
+    _virtual_grids,
     measure_equivalence_error,
 )
 from .raster import NODATA, Raster, _image_size, _whole
@@ -102,7 +105,7 @@ def error_field(
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         axes = _grid_axes(model, (n_side, n_side, 5), True)
-        blocks = _survivors(model, image_size, axes, camera.anchor)
+        blocks = (block for (block,) in _survivors(model, [((0, 0), (w, h))], axes, camera.anchor))
         points = n_side * n_side * 5
     else:
         _require_same_frame(camera, grid)
@@ -141,7 +144,15 @@ def size_sweep(
 
     Each crop re-anchors the rational model to the crop origin and reruns the
     full estimation, so the sequence shows how the pinhole approximation
-    improves as image extent shrinks.
+    improves as image extent shrinks. Each row is bit for bit the report of
+    ``equate(crop_rpc(model, origin), (cw, ch))``, but the crops share two
+    lattice walks, one of the fit grid and one of the validation grid: a
+    crop only moves the pixel offsets, so every crop projects the same nodes
+    to the same ratios.
+
+    All crop sizes are checked, and all crops' grids built, before the first
+    fit: a grid refusal of a later crop comes before a fit refusal of an
+    earlier one.
 
     Args:
         model: rational polynomial model for the full image.
@@ -153,14 +164,20 @@ def size_sweep(
         List of (crop_size, EquivalenceReport), in input order.
     """
     w, h = _image_size(image_size)
-    results = []
+    sizes, crops = [], []
     for size in crop_sizes:
         edge = _whole(size, 1, f"crop size must be positive whole pixels, got {size}")
         cw, ch = min(edge, w), min(edge, h)
-        origin = ((w - cw) // 2, (h - ch) // 2)
-        cropped = crop_rpc(model, origin)
-        _, report = equate(cropped, (cw, ch))
-        results.append((size, report))
+        sizes.append(size)
+        crops.append((((w - cw) // 2, (h - ch) // 2), (cw, ch)))
+    if not crops:
+        return []
+    fit_grids = _virtual_grids(model, crops, DEFAULT_GRID_DIMS)
+    val_grids = _virtual_grids(model, crops, _validation_dims(DEFAULT_GRID_DIMS), stagger=True)
+    results = []
+    for size, (origin, crop_size), fit_grid, val_grid in zip(sizes, crops, fit_grids, val_grids):
+        camera = _fit_camera(fit_grid, crop_size)
+        results.append((size, measure_equivalence_error(crop_rpc(model, origin), camera, val_grid)))
     return results
 
 

@@ -351,11 +351,15 @@ def project_inverse(model: RpcModel, samp, line, alt):
     p = np.zeros_like(u)
     l = np.zeros_like(u)
 
-    def residual(pp, ll):
-        """Normalized misfit (samp, line) at (pp, ll) and its size in pixels."""
+    def misfit(pp, ll):
+        """Normalized misfit (samp, line) at (pp, ll)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             fs, fl = _ratios(model, pp, ll, h, check=False)
-        fs, fl = fs - u, fl - v
+        return fs - u, fl - v
+
+    def residual(pp, ll):
+        """The misfit at (pp, ll) and its size in pixels."""
+        fs, fl = misfit(pp, ll)
         return fs, fl, np.hypot(fs * model.samp_scale, fl * model.line_scale)
 
     eps = 1e-6
@@ -364,11 +368,12 @@ def project_inverse(model: RpcModel, samp, line, alt):
         active = err > _INVERSE_TOL_PX
         if not np.any(active):
             break
-        # Central-difference Jacobian of (samp_n, line_n) wrt (p, l).
-        fs_pp, fl_pp, _ = residual(p + eps, l)
-        fs_pm, fl_pm, _ = residual(p - eps, l)
-        fs_lp, fl_lp, _ = residual(p, l + eps)
-        fs_lm, fl_lm, _ = residual(p, l - eps)
+        # Central-difference Jacobian of (samp_n, line_n) wrt (p, l): the
+        # misfits only, whose sizes no step needs.
+        fs_pp, fl_pp = misfit(p + eps, l)
+        fs_pm, fl_pm = misfit(p - eps, l)
+        fs_lp, fl_lp = misfit(p, l + eps)
+        fs_lm, fl_lm = misfit(p, l - eps)
         j11 = (fs_pp - fs_pm) / (2 * eps)
         j12 = (fs_lp - fs_lm) / (2 * eps)
         j21 = (fl_pp - fl_pm) / (2 * eps)

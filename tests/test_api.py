@@ -234,8 +234,9 @@ def _is_keyword(name, value):
         (_is_text("image size must be positive"), "raster._image_size"),
         (_is_call_to("_overlay"), "fusion._union_rows"),
         (_is_keyword("newline", "\n"), "kvio.write_file"),
+        (_is_call_to("project_lattice"), "equivalence._survivors"),
     ],
-    ids=["memory-bound", "cheirality-refusal", "report", "image-size", "union-walk", "newline-rule"],
+    ids=["memory-bound", "cheirality-refusal", "report", "image-size", "union-walk", "newline-rule", "lattice-walk"],
 )
 def test_each_fit_path_rule_has_one_owner(rule, owner):
     # A rule written out in two places drifts: each is one function that

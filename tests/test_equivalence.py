@@ -12,6 +12,7 @@ from satpinhole.equivalence import (
     PinholeCamera,
     VirtualGrid,
     _axis_nodes,
+    _max_hypot,
     _rq,
     build_virtual_grid,
     decompose_projection,
@@ -799,3 +800,35 @@ def test_whole_float_grid_dims_build_the_int_grid(pushbroom_bundle):
     same = build_virtual_grid(pushbroom_bundle.model, (256, 256), (10, 10, 5))
     np.testing.assert_array_equal(grid.enu, same.enu)
     np.testing.assert_array_equal(grid.pixels, same.pixels)
+
+
+def _max_hypot_cases():
+    rng = np.random.default_rng(32)
+    for scale in (1e-160, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150):
+        for n in (1, 2, 7, 1000, 100_000):
+            yield f"scale{scale:g}-n{n}", rng.standard_normal(n) * scale, rng.standard_normal(n) * scale
+    # Exact ties, some mirrored or swapped between the axes.
+    dx = np.array([3.0, -3.0, 4.0, 0.0, 1e-3, 3.0])
+    dy = np.array([4.0, 4.0, -3.0, 5.0, 2.0, -4.0])
+    yield "ties", dx, dy
+    yield "zeros", np.array([0.0, -0.0]), np.array([-0.0, 0.0])
+    yield "one-huge-axis", np.array([1e300, 1.0]), np.array([0.0, 1e300])
+    yield "squares-overflow", np.array([1e200, -3e200, 1.0]), np.array([2e200, 1e-200, 1.0])
+    yield "sum-overflows", np.array([1.3e154, 1.0]), np.array([1.3e154, 2.0])
+    yield "inf", np.array([1.0, np.inf, 2.0]), np.array([np.nan, 0.0, 3.0])
+    yield "inf-with-nan", np.array([np.inf, 1.0]), np.array([np.nan, 1.0])
+    yield "nan", np.array([1.0, np.nan, 2.0]), np.array([1.0, 0.0, 3.0])
+    yield "subnormal", np.array([3e-320, 5e-324, 1e-310]), np.array([4e-320, 0.0, 2e-310])
+    yield "subnormal-beside-normal", np.array([1e-300, 1e-320]), np.array([2e-300, 1e-310])
+
+
+@pytest.mark.parametrize("dx, dy", [c[1:] for c in _max_hypot_cases()], ids=[c[0] for c in _max_hypot_cases()])
+def test_max_hypot_keeps_the_bits_of_every_nodes_hypot(dx, dy):
+    # hypot is taken only near the largest squared norm, which must change no
+    # bit: NaN, inf and overflow included, and without a numpy warning.
+    expected = np.max(np.hypot(dx, dy))
+    got = _max_hypot(dx, dy)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    if np.all(np.abs(np.r_[dx, dy]) < 1e150):  # the report's RMSE squares may not overflow
+        report = EquivalenceReport.from_residuals(dx, dy)
+        assert np.float64(report.max_error).tobytes() == np.float64(expected).tobytes()

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -334,6 +335,46 @@ def test_size_sweep_shrinks_error(pushbroom_bundle):
     rmses = [rep.rmse for _, rep in sweep]
     assert rmses[0] > rmses[1] > rmses[2]
     assert [s for s, _ in sweep] == [size[0], size[0] // 2, size[0] // 4]
+
+
+@pytest.mark.parametrize("bundle", ["pushbroom_bundle", "pinhole_bundle"])
+def test_size_sweep_rows_are_each_crops_equate(request, bundle):
+    # The crops share their lattice walks; each row keeps the bits of a fit
+    # on its own re-anchored model. 2 * w is clamped to the image, and a
+    # repeated size gives a repeated row.
+    item = request.getfixturevalue(bundle)
+    w, h = item.scene.image_size
+    sizes = [w // 2, 2 * w, w // 4, w // 2, w]
+    sweep = size_sweep(item.model, (w, h), sizes)
+    assert [s for s, _ in sweep] == sizes
+    for size, report in sweep:
+        cw, ch = min(size, w), min(size, h)
+        cropped = crop_rpc(item.model, ((w - cw) // 2, (h - ch) // 2))
+        assert report == equate(cropped, (cw, ch))[1]
+
+
+@pytest.mark.parametrize("n_crops", [1, 3, 5])
+def test_size_sweep_walks_each_lattice_once(pushbroom_bundle, monkeypatch, n_crops):
+    # One walk of the fit lattice and one of the validation lattice,
+    # whatever the number of crops.
+    walks = [0]
+    walk = rpc.project_lattice
+
+    def counted(*args, **kwargs):
+        walks[0] += 1
+        return walk(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("satpinhole") and getattr(module, "project_lattice", None) is walk:
+            monkeypatch.setattr(module, "project_lattice", counted)
+    w = pushbroom_bundle.scene.image_size[0]
+    sweep = size_sweep(pushbroom_bundle.model, (w, w), [w * k // 8 for k in (8, 6, 4, 2, 1)][:n_crops])
+    assert len(sweep) == n_crops
+    assert walks[0] == 2
+
+
+def test_size_sweep_of_no_crops_is_empty(pushbroom_bundle):
+    assert size_sweep(pushbroom_bundle.model, pushbroom_bundle.scene.image_size, []) == []
 
 
 @pytest.mark.parametrize("size", [np.inf, np.nan, 100.7], ids=["inf", "nan", "fractional"])

@@ -540,6 +540,30 @@ def test_inverse_evaluates_the_model_once_per_trial(monkeypatch):
     assert np.max(np.abs(lon2 - lon)) < 1e-10
 
 
+def test_inverse_takes_a_norm_only_of_its_start_and_trials(monkeypatch):
+    # The four Jacobian evaluations of an iteration need the misfit, not its
+    # size in pixels: three iterations, none halved, take 1 + 3 norms.
+    model, _ = fit_scene_rpc(make_pushbroom_scene(1, (2048, 2048)))
+    g = np.random.default_rng(5).uniform(-1.0, 1.0, (10_000, 3))
+    lat = model.lat_off + g[:, 0] * model.lat_scale
+    lon = model.lon_off + g[:, 1] * model.lon_scale
+    alt = model.alt_off + g[:, 2] * model.alt_scale
+    samp, line = project_forward(model, lat, lon, alt)
+    calls = [0]
+    hypot = np.hypot
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return hypot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counting)
+    lat2, lon2 = project_inverse(model, samp, line, alt)
+    monkeypatch.undo()
+    assert calls[0] == 4
+    assert np.max(np.abs(lat2 - lat)) < 1e-10
+    assert np.max(np.abs(lon2 - lon)) < 1e-10
+
+
 def test_inverse_rejects_out_of_volume_altitude(pushbroom_bundle):
     model = pushbroom_bundle.model
     bad_alt = model.alt_off + 2.0 * model.alt_scale
