@@ -109,15 +109,35 @@ def _union_rows(rasters):
 
 
 def _median_views(stack: np.ndarray) -> np.ndarray:
-    """``np.nanmedian(stack, axis=0)``, bit for bit, from one sort.
+    """``np.nanmedian(stack, axis=0)``, bit for bit, from a sorting network.
 
-    NaN sorts last, so the n non-NaN samples of a cell are its first n
-    entries; an all-NaN cell picks a NaN and stays NaN. Like numpy, halve
-    the middle pair (the middle value twice for an odd n) summed onto +0.0:
-    that keeps numpy's sign of zero and its overflow above half the float
-    range.
+    Batcher's odd-even merge network (Knuth, TAOCP vol. 3, 5.3.4, algorithm
+    M) sorts the views of every cell at once, one comparator a pair of view
+    planes: np.fmin to the low slot, np.maximum to the high one. Either
+    sends NaN high, as np.sort does, so the n non-NaN samples of a cell are
+    its first n entries; an all-NaN cell picks a NaN and stays NaN. Like
+    numpy, halve the middle pair (the middle value twice for an odd n)
+    summed onto +0.0: that keeps numpy's sign of zero, whichever slot a
+    comparator gives a tie of +0 and -0, and its overflow above half the
+    float range.
     """
-    ordered = np.sort(stack, axis=0)
+    ordered = stack.copy()
+    views = len(ordered)
+    top = (1 << (views - 1).bit_length()) >> 1
+    p = top
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            for i in range(views - d):
+                if i & p == r:
+                    a, b = ordered[i], ordered[i + d]
+                    low = np.fmin(a, b)
+                    np.maximum(a, b, out=b)
+                    a[...] = low
+            if q == p:
+                break
+            q, r, d = q // 2, p, q - p
+        p //= 2
     n = np.count_nonzero(~np.isnan(stack), axis=0)
     lo = np.take_along_axis(ordered, np.maximum((n - 1) // 2, 0)[None], axis=0)[0]
     hi = np.take_along_axis(ordered, (n // 2)[None], axis=0)[0]
@@ -224,15 +244,19 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     estimate exists and errs by less than t.
 
     Raises:
-        ValueError: a threshold that is not positive (NaN included).
+        ValueError: a threshold that is not positive (NaN included), or one
+            that repeats, as its completeness key would.
         LatticeError: grids are not lattice-aligned, or no cell is valid in
             both inputs.
     """
     thresholds = tuple(float(t) for t in thresholds)
     if not all(t > 0 for t in thresholds):
         raise ValueError(f"thresholds must be positive, got {thresholds}")
+    for t in thresholds:
+        if thresholds.count(t) > 1:
+            raise ValueError(f"thresholds must not repeat: {fmt(t)} is given {thresholds.count(t)} times")
     *_, blocks = _union_rows([estimate, truth])
-    parts, n_truth = [], 0
+    parts, n_truth = [np.empty(0)], 0  # one empty part, as a union of no cells has no block
     for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time
         both = np.isfinite(est) & np.isfinite(tru)
         n_truth += int(np.isfinite(tru).sum())

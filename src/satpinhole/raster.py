@@ -22,10 +22,16 @@ from .kvio import fmt
 # input's sentinel.
 NODATA = -9999.0
 
-# Characters of grid body read at a time. A block pays the two dozen array
-# calls of ``_fixed_values`` once (about 1700 cells of writer output at
-# 32 KiB), and its text and temporaries, about 13 bytes a character, are all
-# the reader holds beyond the grid.
+# The text-grid rule: a block is 1/64 of its grid, and never less than the
+# fixed block below it, so its memory is a fixed share of the grid and a
+# small grid keeps the fixed block.
+_BLOCKS_PER_GRID = 64
+
+# Characters of grid body read at a time, at least: the reader reads
+# max(_BLOCK, size // 64). A block pays the two dozen array calls of
+# ``_fixed_values`` once (about 1700 cells of writer output at 32 KiB), and
+# its text and temporaries, about 13 bytes a character (half the grid's bytes
+# at 1/64 of the text), are all the reader holds beyond the grid.
 _BLOCK = 1 << 15
 
 # Cells per row block of the full-frame kernels (``synth.render_image``,
@@ -33,8 +39,9 @@ _BLOCK = 1 << 15
 # few MB whatever the frame size.
 _BLOCK_CELLS = 1 << 14
 
-# Cells per row block of the ASCII writer, which keeps about 120 B of
-# temporaries per cell.
+# Cells per row block of the ASCII writer, at least: it formats
+# max(_WRITE_CELLS, cells // 64) cells at a time and keeps about 120 B of
+# temporaries per cell of a block (about 2 B per cell of the grid at 1/64).
 _WRITE_CELLS = 1 << 11
 
 
@@ -251,7 +258,7 @@ def _format_block(block: np.ndarray, row_format: str) -> bytes:
 
 def _ascii_grid_chunks(raster: Raster):
     """Yield the Arc/Info ASCII grid bytes: the header, then row blocks of
-    about ``_WRITE_CELLS`` cells (top row first)."""
+    about max(``_WRITE_CELLS``, 1/64 of the grid) cells (top row first)."""
     yield (
         f"ncols {raster.ncols}\n"
         f"nrows {raster.nrows}\n"
@@ -261,7 +268,8 @@ def _ascii_grid_chunks(raster: Raster):
         f"NODATA_value {fmt(raster.nodata)}\n"
     ).encode("ascii")
     row_format = " ".join(["%.17g"] * raster.ncols) + "\n"
-    for rows in _row_blocks(raster.nrows, raster.ncols, _WRITE_CELLS):
+    cells = max(_WRITE_CELLS, raster.nrows * raster.ncols // _BLOCKS_PER_GRID)
+    for rows in _row_blocks(raster.nrows, raster.ncols, cells):
         yield _format_block(np.asarray(raster.values[rows], dtype=np.float64), row_format)
 
 
@@ -343,10 +351,10 @@ def _parse_values(text: str) -> np.ndarray:
 def _read_ascii_grid(fh, size: int) -> Raster:
     """Read an ASCII grid from a text stream of *size* characters or fewer.
 
-    The body is parsed in blocks of ``_BLOCK`` characters, each cut after its
-    last space, tab or newline, into an array allocated from the header, so
-    memory is bounded by the grid plus one block. Any other whitespace still
-    separates values; it just ends no block.
+    The body is parsed in blocks of max(``_BLOCK``, size // 64) characters,
+    each cut after its last space, tab or newline, into an array allocated
+    from the header, so memory is bounded by the grid plus one block. Any
+    other whitespace still separates values; it just ends no block.
     """
     header: dict[str, float] = {}
     expected = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -392,8 +400,9 @@ def _read_ascii_grid(fh, size: int) -> Raster:
     data = np.empty(total)
     count = 0
     tail = line  # the first body line, read while looking for the header
+    chars = max(_BLOCK, size // _BLOCKS_PER_GRID)
     while True:
-        block = fh.read(_BLOCK)
+        block = fh.read(chars)
         text = tail + block
         if block:
             cut = max(text.rfind(" "), text.rfind("\t"), text.rfind("\n")) + 1

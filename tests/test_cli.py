@@ -955,6 +955,26 @@ def test_metrics_rejects_nan_threshold(scene_dir, capsys):
     assert captured.out == ""
 
 
+def test_metrics_rejects_a_repeated_threshold(tmp_path, scene_dir, capsys):
+    # Three thresholds that are one float would write COMP_1 three times.
+    dsm, report = str(scene_dir / "dsm.asc"), tmp_path / "report.txt"
+    rc = main(["metrics", dsm, dsm, "--thresholds", "1", "1", "1.0", "--report", str(report)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid: thresholds must not repeat: 1 is given 3 times\n"
+    assert captured.out == "" and not report.exists()
+
+
+def test_metrics_of_grids_with_no_cells_is_a_lattice_error(tmp_path, capsys):
+    empty = tmp_path / "z.asc"
+    empty.write_text("ncols 0\nnrows 0\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n", encoding="utf-8")
+    rc = main(["metrics", str(empty), str(empty)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: lattice: estimate and truth share no valid cell\n"
+    assert captured.out == ""
+
+
 def test_metrics_lattice_mismatch(tmp_path, scene_dir, capsys):
     truth = load_ascii_grid(scene_dir / "dsm.asc")
     other = truth.like(truth.values)

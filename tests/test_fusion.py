@@ -83,6 +83,47 @@ def test_median_views_matches_nanmedian(stack):
     )
 
 
+# Specials and magnitudes for the sorting network: NaN, signed zeros,
+# infinities, the ends of the range and subnormals, among ordinary values.
+_VIEW_SAMPLES = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(allow_nan=False),
+    st.floats(-4.0, 4.0),
+)
+
+
+def _assert_nanmedian_bits(stack):
+    """The same cells are NaN as in np.nanmedian, and every other cell
+    carries its bits, down to the sign of zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = np.nanmedian(stack, axis=0)
+        got = _median_views(stack)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(got[finite].view(np.uint64), expected[finite].view(np.uint64))
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(np.float64, st.tuples(st.integers(8, 48), st.integers(1, 3), st.integers(1, 3)), elements=_VIEW_SAMPLES))
+def test_median_views_keeps_nanmedian_bits_at_many_views(stack):
+    # The merge network has more stages past 8 views.
+    _assert_nanmedian_bits(stack)
+
+
+@pytest.mark.parametrize("views", [8, 9, 16, 17, 31, 48])
+def test_median_views_keeps_nanmedian_bits_on_ties_and_holes(views):
+    # Many ties of +0 and -0 and of equal values, all-NaN and one-sample
+    # cells, over a 16 x 64 block of each view count.
+    rng = np.random.default_rng(views)
+    pool = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308])
+    stack = rng.choice(pool, size=(views, 16, 64))
+    stack[:, 0, 0] = np.nan
+    stack[1:, 0, 1] = np.nan
+    stack[:, 1, : views // 2] = rng.normal(size=(views, views // 2))
+    _assert_nanmedian_bits(stack)
+
+
 @pytest.mark.parametrize("radius_cells", [0.5, 2.5, 3.0])
 def test_neighbor_counts_match_brute_force(radius_cells):
     valid = np.random.default_rng(6).random((9, 11)) < 0.6
@@ -302,6 +343,22 @@ def test_dsm_metrics_rejects_threshold_not_positive(threshold):
     est = _raster([[1.0, 2.0]])
     with pytest.raises(ValueError, match="thresholds must be positive"):
         dsm_metrics(est, est, thresholds=(1.0, threshold))
+
+
+@pytest.mark.parametrize("thresholds", [(1, 1, 1.0), (0.5, 2.0, 0.5), (3, 3.0)])
+def test_dsm_metrics_rejects_a_repeated_threshold(thresholds):
+    # Each threshold is one COMP_ key of the report, so a repeat would write
+    # a report that kvio.read_kv refuses; thresholds compare as floats.
+    est = _raster([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="thresholds must not repeat"):
+        dsm_metrics(est, est, thresholds=thresholds)
+
+
+def test_dsm_metrics_of_no_cells_is_a_lattice_error():
+    # A union of no cells has no row block to take residuals from.
+    empty = _raster(np.zeros((0, 0)))
+    with pytest.raises(LatticeError, match="share no valid cell"):
+        dsm_metrics(empty, empty, thresholds=(1.0,))
 
 
 def test_dsm_metrics_matches_brute_force():

@@ -254,6 +254,73 @@ def test_load_streams_blocks(tmp_path):
     np.testing.assert_array_equal(_bits(again.values), _bits(r.values))
 
 
+def test_blocks_of_a_512_grid_keep_memory_a_share_of_it(tmp_path):
+    # At 512 x 512 a block is 1/64 of the grid, more than the fixed blocks:
+    # the writer still holds well under a quarter of the file, and the reader
+    # the grid and one block.
+    r = Raster(values=np.random.default_rng(5).normal(scale=100.0, size=(512, 512)))
+    path = tmp_path / "grid.asc"
+    tracemalloc.start()
+    try:
+        save_ascii_grid(r, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        again = load_ascii_grid(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert save_peak < size / 4, (save_peak, size)
+    assert load_peak < 2.5 * r.values.nbytes, (load_peak, r.values.nbytes)
+    np.testing.assert_array_equal(_bits(again.values), _bits(r.values))
+
+
+class _ReadSpy:
+    """A text file whose ``read`` calls record their sizes."""
+
+    def __init__(self, fh, sizes):
+        self._fh, self._sizes = fh, sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, n):
+        self._sizes.append(n)
+        return self._fh.read(n)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _read_sizes(monkeypatch, path):
+    """The sizes of the ``read`` calls of one ``load_ascii_grid(path)``."""
+    sizes = []
+    monkeypatch.setattr(raster_module, "open", lambda *a, **k: _ReadSpy(open(*a, **k), sizes), raising=False)
+    load_ascii_grid(path)
+    monkeypatch.delattr(raster_module, "open")
+    return sizes
+
+
+def test_reader_block_is_a_64th_of_a_512_grid(tmp_path, monkeypatch):
+    path = tmp_path / "grid.asc"
+    save_ascii_grid(Raster(values=np.random.default_rng(6).normal(size=(512, 512))), path)
+    size = path.stat().st_size
+    assert size // 64 > raster_module._BLOCK
+    assert set(_read_sizes(monkeypatch, path)) == {size // 64}
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_reader_block_of_a_small_grid_is_at_least_the_fixed_block(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(raster_module, "_BLOCK", block)
+    path = tmp_path / "grid.asc"
+    path.write_bytes(_layouts()[1]["one_line"].encode("utf-8"))
+    sizes = _read_sizes(monkeypatch, path)
+    assert set(sizes) == {max(block, path.stat().st_size // 64)} and len(sizes) > 10
+
+
 def _one_row(tokens):
     """A one-row grid text holding *tokens* as its cells."""
     return (

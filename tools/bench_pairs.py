@@ -2,7 +2,7 @@
 
 Usage:
     python tools/bench_pairs.py PARENT CHANGE [--workloads W ...] [--pairs N]
-        [--seconds S] [--seed0 K] --out PATH
+        [--seconds S] [--seed0 K] [--claim WORKLOAD/METRIC] --out PATH
 
 PARENT and CHANGE are checkouts of this repository. For each workload
 (default: every workload of CHANGE's ``BENCHMARK.json``), pair i runs
@@ -18,6 +18,12 @@ number of pairs in which the change is better (in the direction
 attempted and failed on each side, whether every run was correct, and
 whether ``residual_rel`` read the same on both sides of every pair (each
 pair has its own seed). It prints one table.
+
+With ``--claim WORKLOAD/METRIC`` it also records and prints whether a gain
+in that metric may be claimed: the change reads better in at least nine
+tenths of the pairs (ties count for neither), and its median is better than
+the parent's by more than the parent's quartile spread, q3 - q1. A claim
+that is not met is reported, not an error.
 It exits 1 if a run could not report, 0 otherwise.
 """
 
@@ -61,13 +67,18 @@ def summary(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
+def gain(better: str, parent: float, change: float) -> float:
+    """How much better *change* reads than *parent* in a metric whose
+    ``better`` direction is "lower" or "higher"; negative when worse."""
+    return parent - change if better == "lower" else change - parent
+
+
 def compare(results: dict, metrics: dict) -> dict:
     """The JSON section of one workload from its runs, ``results[side]`` in pair order."""
     out = {}
     for name, better in metrics.items():
         parent, change = ([r["metrics"][name]["value"] for r in results[side]] for side in SIDES)
-        sign = -1.0 if better == "lower" else 1.0
-        gains = [sign * (c - p) for p, c in zip(parent, change)]
+        gains = [gain(better, p, c) for p, c in zip(parent, change)]
         out[name] = {
             "parent": summary(parent),
             "change": summary(change),
@@ -80,6 +91,23 @@ def compare(results: dict, metrics: dict) -> dict:
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "correct": all(r["correct"] for side in SIDES for r in results[side]),
         "residual_rel_identical_in_every_pair": out["residual_rel"]["tied_pairs"] == len(results["parent"]),
+    }
+
+
+def verdict(metric: dict, better: str) -> dict:
+    """The claim rule on one metric's section of :func:`compare`: met when
+    the change is better in at least nine tenths of the pairs and the gain of
+    its median exceeds the parent's q3 - q1."""
+    parent, change = metric["parent"], metric["change"]
+    pairs = len(parent["runs"])
+    median_gain = gain(better, parent["median"], change["median"])
+    spread = parent["q3"] - parent["q1"]
+    return {
+        "better_pairs": metric["change_better_pairs"],
+        "pairs": pairs,
+        "median_gain": median_gain,
+        "parent_spread": spread,
+        "met": 10 * metric["change_better_pairs"] >= 9 * pairs and median_gain > spread,
     }
 
 
@@ -109,6 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed0", type=int, default=1)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -118,6 +147,9 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    claim = args.claim.partition("/")[::2] if args.claim is not None else None
+    if claim is not None and (claim[0] not in workloads or claim[1] not in metrics):
+        parser.error(f"--claim {args.claim}: want WORKLOAD/METRIC of a workload run and an end-to-end metric")
     trees = dict(zip(SIDES, (args.parent, args.change)))
 
     report = {
@@ -142,8 +174,19 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
+    if claim is not None:
+        workload, metric = claim
+        result = verdict(report["end_to_end"][workload]["metrics"][metric], metrics[metric])
+        report["claim"] = {"workload": workload, "metric": metric, **result}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(table(report))
+    if claim is not None:
+        c = report["claim"]
+        print(
+            f"claim {args.claim}: {'met' if c['met'] else 'NOT MET'}: better in {c['better_pairs']}/{c['pairs']} "
+            f"pairs (nine tenths needed), median gain {c['median_gain']:.4g} against the parent's q3 - q1 "
+            f"of {c['parent_spread']:.4g}"
+        )
     return 0
 
 
