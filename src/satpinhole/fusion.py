@@ -9,6 +9,7 @@ charged against all truth-valid cells.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,9 +253,9 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     thresholds = tuple(float(t) for t in thresholds)
     if not all(t > 0 for t in thresholds):
         raise ValueError(f"thresholds must be positive, got {thresholds}")
-    for t in thresholds:
-        if thresholds.count(t) > 1:
-            raise ValueError(f"thresholds must not repeat: {fmt(t)} is given {thresholds.count(t)} times")
+    for t, times in Counter(thresholds).items():
+        if times > 1:
+            raise ValueError(f"thresholds must not repeat: {fmt(t)} is given {times} times")
     *_, blocks = _union_rows([estimate, truth])
     parts, n_truth = [np.empty(0)], 0  # one empty part, as a union of no cells has no block
     for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time

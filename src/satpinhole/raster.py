@@ -22,27 +22,35 @@ from .kvio import fmt
 # input's sentinel.
 NODATA = -9999.0
 
-# The text-grid rule: a block is 1/64 of its grid, and never less than the
-# fixed block below it, so its memory is a fixed share of the grid and a
-# small grid keeps the fixed block.
+# The text-grid rule: a block is 1/64 of its grid, clamped between a fixed
+# least and most block of its kind (:func:`_share`). The least keeps a small
+# grid's blocks as they were; the most bounds a block's memory, as a larger
+# one measures no faster. On a 512 x 512 grid a block lies between the two.
 _BLOCKS_PER_GRID = 64
 
-# Characters of grid body read at a time, at least: the reader reads
-# max(_BLOCK, size // 64). A block pays the two dozen array calls of
-# ``_fixed_values`` once (about 1700 cells of writer output at 32 KiB), and
-# its text and temporaries, about 13 bytes a character (half the grid's bytes
-# at 1/64 of the text), are all the reader holds beyond the grid.
+# Characters of grid body read at a time: between 32 KiB and 128 KiB. A
+# block pays the two dozen array calls of ``_fixed_values`` once (about 1700
+# cells of writer output at 32 KiB), and its text and temporaries, about
+# 13 bytes a character (about 1.8 MB at most), are all the reader holds
+# beyond the grid.
 _BLOCK = 1 << 15
+_MAX_BLOCK = 1 << 17
 
 # Cells per row block of the full-frame kernels (``synth.render_image``,
 # ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
 # few MB whatever the frame size.
 _BLOCK_CELLS = 1 << 14
 
-# Cells per row block of the ASCII writer, at least: it formats
-# max(_WRITE_CELLS, cells // 64) cells at a time and keeps about 120 B of
-# temporaries per cell of a block (about 2 B per cell of the grid at 1/64).
+# Cells per row block of the ASCII writer: between 2048 and 8192. It keeps
+# about 120 B of temporaries per cell of a block (about 1 MB at most).
 _WRITE_CELLS = 1 << 11
+_MAX_WRITE_CELLS = 1 << 13
+
+
+def _share(total: int, least: int, most: int) -> int:
+    """The block of a grid of *total* characters or cells: 1/64 of it, but
+    no less than *least* and no more than *most*."""
+    return min(max(least, total // _BLOCKS_PER_GRID), most)
 
 
 def valid_cells(values: np.ndarray, nodata: float) -> np.ndarray:
@@ -258,7 +266,7 @@ def _format_block(block: np.ndarray, row_format: str) -> bytes:
 
 def _ascii_grid_chunks(raster: Raster):
     """Yield the Arc/Info ASCII grid bytes: the header, then row blocks of
-    about max(``_WRITE_CELLS``, 1/64 of the grid) cells (top row first)."""
+    :func:`_share` of the grid's cells (top row first)."""
     yield (
         f"ncols {raster.ncols}\n"
         f"nrows {raster.nrows}\n"
@@ -268,7 +276,7 @@ def _ascii_grid_chunks(raster: Raster):
         f"NODATA_value {fmt(raster.nodata)}\n"
     ).encode("ascii")
     row_format = " ".join(["%.17g"] * raster.ncols) + "\n"
-    cells = max(_WRITE_CELLS, raster.nrows * raster.ncols // _BLOCKS_PER_GRID)
+    cells = _share(raster.nrows * raster.ncols, _WRITE_CELLS, _MAX_WRITE_CELLS)
     for rows in _row_blocks(raster.nrows, raster.ncols, cells):
         yield _format_block(np.asarray(raster.values[rows], dtype=np.float64), row_format)
 
@@ -351,7 +359,7 @@ def _parse_values(text: str) -> np.ndarray:
 def _read_ascii_grid(fh, size: int) -> Raster:
     """Read an ASCII grid from a text stream of *size* characters or fewer.
 
-    The body is parsed in blocks of max(``_BLOCK``, size // 64) characters,
+    The body is parsed in blocks of :func:`_share` of *size* characters,
     each cut after its last space, tab or newline, into an array allocated
     from the header, so memory is bounded by the grid plus one block. Any
     other whitespace still separates values; it just ends no block.
@@ -400,7 +408,7 @@ def _read_ascii_grid(fh, size: int) -> Raster:
     data = np.empty(total)
     count = 0
     tail = line  # the first body line, read while looking for the header
-    chars = max(_BLOCK, size // _BLOCKS_PER_GRID)
+    chars = _share(size, _BLOCK, _MAX_BLOCK)
     while True:
         block = fh.read(chars)
         text = tail + block
@@ -441,8 +449,9 @@ def load_ascii_grid(path) -> Raster:
 
 
 def save_ascii_grid(raster: Raster, path) -> None:
-    """Write the grid one row block at a time, so memory is bounded by a
-    block."""
+    """Write the grid one row block at a time, of :func:`_share` of its
+    cells, so memory is bounded by one block of at most ``_MAX_WRITE_CELLS``
+    cells (about 1 MB)."""
     with open(path, "wb") as fh:
         fh.writelines(_ascii_grid_chunks(raster))
 

@@ -321,6 +321,45 @@ def test_reader_block_of_a_small_grid_is_at_least_the_fixed_block(tmp_path, monk
     assert set(sizes) == {max(block, path.stat().st_size // 64)} and len(sizes) > 10
 
 
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_reader_cuts_inside_tokens_with_tiny_blocks(tmp_path, monkeypatch, block):
+    # With the 1/64 share out of reach the reader reads *block* characters at
+    # a time, so boundaries fall inside tokens and between lines; the grid,
+    # and the refusal of a bad body, are the same.
+    monkeypatch.setattr(raster_module, "_BLOCK", block)
+    monkeypatch.setattr(raster_module, "_BLOCKS_PER_GRID", 1 << 40)
+    values, texts = _layouts()
+    path = tmp_path / "grid.asc"
+    for layout, text in texts.items():
+        path.write_bytes(text.encode("utf-8"))
+        sizes = _read_sizes(monkeypatch, path)
+        assert set(sizes) == {block}, layout
+        np.testing.assert_array_equal(_bits(load_ascii_grid(path).values), _bits(values))
+    head, body = format_ascii_grid(Raster(values=np.random.default_rng(4).normal(size=(6, 5)))).split(
+        "NODATA_value -9999\n"
+    )
+    tokens = body.split()
+    bodies = [(tokens[:17] + ["x"] + tokens[18:], "non-numeric"), (tokens + ["1.5"], "values"), (tokens[:-1], "values")]
+    for bad, match in bodies:
+        with pytest.raises(FormatError, match=match):
+            parse_ascii_grid(head + "NODATA_value -9999\n" + " ".join(bad) + "\n")
+
+
+def test_reader_and_writer_blocks_stop_at_their_most(tmp_path, monkeypatch):
+    # A share of the whole grid, cut down to 10 cells (two rows) a write and
+    # 7 characters a read.
+    monkeypatch.setattr(raster_module, "_BLOCKS_PER_GRID", 1)
+    monkeypatch.setattr(raster_module, "_MAX_WRITE_CELLS", 10)
+    monkeypatch.setattr(raster_module, "_MAX_BLOCK", 7)
+    r = Raster(values=np.random.default_rng(8).normal(size=(6, 5)))
+    assert [chunk.count(b"\n") for chunk in raster_module._ascii_grid_chunks(r)][1:] == [2, 2, 2]
+    path = tmp_path / "grid.asc"
+    save_ascii_grid(r, path)
+    assert set(_read_sizes(monkeypatch, path)) == {7}
+    np.testing.assert_array_equal(_bits(load_ascii_grid(path).values), _bits(r.values))
+
+
 def _one_row(tokens):
     """A one-row grid text holding *tokens* as its cells."""
     return (

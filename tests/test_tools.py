@@ -42,43 +42,33 @@ def test_bench_pairs_summarizes_each_side_and_counts_pairs_by_direction():
     assert single == {"median": 0.25, "q1": 0.25, "q3": 0.25, "runs": [0.25]}
 
 
-def _metric(parent, change, better_pairs):
-    bench_pairs = _load("bench_pairs")
-    return {
-        "parent": bench_pairs.summary(parent),
-        "change": bench_pairs.summary(change),
-        "change_better_pairs": better_pairs,
-    }
+
+def _claim(parent, change, better="lower"):
+    """The wall_s section of :func:`compare` on pairs of the given wall times."""
+    results = {"parent": [_run(w, 50.0) for w in parent], "change": [_run(w, 50.0) for w in change]}
+    metrics = {"wall_s": better, "peak_rss_mb": "lower", "residual_rel": "lower"}
+    return _load("bench_pairs").compare(results, metrics)["metrics"]["wall_s"]
 
 
 def test_bench_pairs_claim_needs_nine_tenths_of_pairs_and_a_gap_past_the_parent_spread():
-    bench_pairs = _load("bench_pairs")
     parent = [0.40, 0.38, 0.39, 0.41, 0.40, 0.39, 0.38, 0.40, 0.42, 0.39]
+    faster = [p - 0.06 for p in parent]
     # Better in all ten pairs by 0.06 s; the parent's q3 - q1 is 0.01 s.
-    met = bench_pairs.verdict(_metric(parent, [p - 0.06 for p in parent], 10), "lower")
-    assert met["met"] and (met["better_pairs"], met["pairs"]) == (10, 10)
+    met = _claim(parent, faster)
+    assert met["claim_met"] and met["change_better_pairs"] == 10
     assert abs(met["median_gain"] - 0.06) < 1e-12 and abs(met["parent_spread"] - 0.01) < 1e-12
     # Nine of ten pairs is enough, eight is not.
-    assert bench_pairs.verdict(_metric(parent, [p - 0.06 for p in parent], 9), "lower")["met"]
-    assert not bench_pairs.verdict(_metric(parent, [p - 0.06 for p in parent], 8), "lower")["met"]
+    assert _claim(parent, faster[:9] + [0.5])["claim_met"]
+    assert not _claim(parent, faster[:8] + [0.5, 0.5])["claim_met"]
     # Better in every pair, but by less than the parent's own spread.
-    assert not bench_pairs.verdict(_metric(parent, [p - 0.005 for p in parent], 10), "lower")["met"]
+    assert not _claim(parent, [p - 0.005 for p in parent])["claim_met"]
     # The direction comes from the metric: lower runs are worse when higher is better.
-    assert not bench_pairs.verdict(_metric(parent, [p - 0.06 for p in parent], 10), "higher")["met"]
-    assert bench_pairs.verdict(_metric(parent, [p + 0.06 for p in parent], 10), "higher")["met"]
+    assert not _claim(parent, faster, "higher")["claim_met"]
+    assert _claim(parent, [p + 0.06 for p in parent], "higher")["claim_met"]
 
 
 def test_bench_pairs_claim_counts_a_tied_pair_for_neither_side():
-    bench_pairs = _load("bench_pairs")
-    results = {
-        "parent": [_run(1.0, 50.0)] * 10,
-        "change": [_run(0.5, 50.0)] * 9 + [_run(1.0, 50.0)],
-    }
-    better = {"wall_s": "lower", "peak_rss_mb": "lower", "residual_rel": "lower"}
-    section = bench_pairs.compare(results, better)
-    assert section["metrics"]["wall_s"]["tied_pairs"] == 1
-    assert bench_pairs.verdict(section["metrics"]["wall_s"], "lower")["better_pairs"] == 9
-    assert bench_pairs.verdict(section["metrics"]["wall_s"], "lower")["met"]
-    results["change"][0] = _run(1.0, 50.0)
-    section = bench_pairs.compare(results, better)
-    assert not bench_pairs.verdict(section["metrics"]["wall_s"], "lower")["met"]
+    wall = _claim([1.0] * 10, [0.5] * 9 + [1.0])
+    assert (wall["change_better_pairs"], wall["tied_pairs"], wall["claim_met"]) == (9, 1, True)
+    wall = _claim([1.0] * 10, [1.0] + [0.5] * 8 + [1.0])
+    assert (wall["change_better_pairs"], wall["tied_pairs"], wall["claim_met"]) == (8, 2, False)

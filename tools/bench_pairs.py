@@ -2,7 +2,7 @@
 
 Usage:
     python tools/bench_pairs.py PARENT CHANGE [--workloads W ...] [--pairs N]
-        [--seconds S] [--seed0 K] [--claim WORKLOAD/METRIC] --out PATH
+        [--seconds S] [--seed0 K] --out PATH
 
 PARENT and CHANGE are checkouts of this repository. For each workload
 (default: every workload of CHANGE's ``BENCHMARK.json``), pair i runs
@@ -14,17 +14,14 @@ the parent first, odd pairs the change first.
 The script writes PATH as JSON: per workload and end-to-end metric, each
 side's median, quartiles (inclusive method) and runs in pair order, the
 number of pairs in which the change is better (in the direction
-``BENCHMARK.json`` gives) and the number of tied pairs; then the operations
+``BENCHMARK.json`` gives) and the number of tied pairs, and whether a gain
+may be claimed: the change reads better in at least nine tenths of the pairs
+(ties count for neither), and its median is better than the parent's by
+more than the parent's quartile spread, q3 - q1. Then the operations
 attempted and failed on each side, whether every run was correct, and
 whether ``residual_rel`` read the same on both sides of every pair (each
-pair has its own seed). It prints one table.
-
-With ``--claim WORKLOAD/METRIC`` it also records and prints whether a gain
-in that metric may be claimed: the change reads better in at least nine
-tenths of the pairs (ties count for neither), and its median is better than
-the parent's by more than the parent's quartile spread, q3 - q1. A claim
-that is not met is reported, not an error.
-It exits 1 if a run could not report, 0 otherwise.
+pair has its own seed). It prints one table. A claim not met is reported,
+not an error. It exits 1 if a run could not report, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,11 +76,17 @@ def compare(results: dict, metrics: dict) -> dict:
     for name, better in metrics.items():
         parent, change = ([r["metrics"][name]["value"] for r in results[side]] for side in SIDES)
         gains = [gain(better, p, c) for p, c in zip(parent, change)]
+        p, c = summary(parent), summary(change)
+        better_pairs = sum(g > 0 for g in gains)
+        median_gain, spread = gain(better, p["median"], c["median"]), p["q3"] - p["q1"]
         out[name] = {
-            "parent": summary(parent),
-            "change": summary(change),
-            "change_better_pairs": sum(g > 0 for g in gains),
+            "parent": p,
+            "change": c,
+            "change_better_pairs": better_pairs,
             "tied_pairs": sum(g == 0 for g in gains),
+            "median_gain": median_gain,
+            "parent_spread": spread,
+            "claim_met": 10 * better_pairs >= 9 * len(gains) and median_gain > spread,
         }
     return {
         "metrics": out,
@@ -94,25 +97,8 @@ def compare(results: dict, metrics: dict) -> dict:
     }
 
 
-def verdict(metric: dict, better: str) -> dict:
-    """The claim rule on one metric's section of :func:`compare`: met when
-    the change is better in at least nine tenths of the pairs and the gain of
-    its median exceeds the parent's q3 - q1."""
-    parent, change = metric["parent"], metric["change"]
-    pairs = len(parent["runs"])
-    median_gain = gain(better, parent["median"], change["median"])
-    spread = parent["q3"] - parent["q1"]
-    return {
-        "better_pairs": metric["change_better_pairs"],
-        "pairs": pairs,
-        "median_gain": median_gain,
-        "parent_spread": spread,
-        "met": 10 * metric["change_better_pairs"] >= 9 * pairs and median_gain > spread,
-    }
-
-
 def table(report: dict) -> str:
-    rows = [("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "better")]
+    rows = [("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "better", "claim")]
     for workload, section in report["end_to_end"].items():
         for name, m in section["metrics"].items():
             p, c = m["parent"], m["change"]
@@ -122,9 +108,10 @@ def table(report: dict) -> str:
                 f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]",
                 f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]",
                 delta, f"{m['change_better_pairs']}/{section['pairs']}",
+                "met" if m["claim_met"] else "not met",
             ))
         state = "correct" if section["correct"] else "NOT CORRECT"
-        rows.append((workload, "runs", state, f"failed {section['failed']['parent']} / {section['failed']['change']}", "", ""))
+        rows.append((workload, "runs", state, f"failed {section['failed']['parent']} / {section['failed']['change']}", "", "", ""))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
 
@@ -137,7 +124,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed0", type=int, default=1)
-    parser.add_argument("--claim", metavar="WORKLOAD/METRIC")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -147,9 +133,6 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    claim = args.claim.partition("/")[::2] if args.claim is not None else None
-    if claim is not None and (claim[0] not in workloads or claim[1] not in metrics):
-        parser.error(f"--claim {args.claim}: want WORKLOAD/METRIC of a workload run and an end-to-end metric")
     trees = dict(zip(SIDES, (args.parent, args.change)))
 
     report = {
@@ -174,19 +157,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
-    if claim is not None:
-        workload, metric = claim
-        result = verdict(report["end_to_end"][workload]["metrics"][metric], metrics[metric])
-        report["claim"] = {"workload": workload, "metric": metric, **result}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(table(report))
-    if claim is not None:
-        c = report["claim"]
-        print(
-            f"claim {args.claim}: {'met' if c['met'] else 'NOT MET'}: better in {c['better_pairs']}/{c['pairs']} "
-            f"pairs (nine tenths needed), median gain {c['median_gain']:.4g} against the parent's q3 - q1 "
-            f"of {c['parent_spread']:.4g}"
-        )
     return 0
 
 
