@@ -22,6 +22,8 @@ import numpy as np
 
 from .equivalence import (
     DEFAULT_GRID_DIMS,
+    _fit_camera,
+    build_virtual_grid,
     equate,
     fit_equivalence,
     format_equivalence_report,
@@ -175,7 +177,7 @@ def cmd_error_map(args) -> int:
                 "is rated in the camera's pixels"
             )
     else:
-        camera, _ = equate(model, image_size, dims=tuple(args.grid))
+        camera = _fit_camera(build_virtual_grid(model, image_size, tuple(args.grid)), image_size)
     field = error_field(model, camera, image_size, args.cell)
     save_ascii_grid(field, args.out)
     if args.preview:

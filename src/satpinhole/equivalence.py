@@ -21,12 +21,10 @@ from .geodesy import GeoPoint, _lattice_converter
 from .kvio import format_kv, get_distance, get_float, get_floats, get_ints, read_file, read_kv, require_finite, write_file
 from .raster import _image_size, _row_blocks, _whole
 from .rpc import RpcModel, project_lattice
-from .tiling import _crop_offsets
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
 # The most a grid node can take once it survives: pixels (2) and ENU (3) float64.
 _SURVIVOR_BYTES = 40
-_ROWS = 1 << 13  # ENU rows per block of a pinhole projection: about 1 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -137,32 +135,33 @@ def _grid_axes(model: RpcModel, dims, stagger: bool):
     )
 
 
-def _survivors(model: RpcModel, crops, axes, anchor: GeoPoint):
+def _survivors(crops, axes, anchor: GeoPoint):
     """The nodes of the lattice on *axes* that project into each crop, one
     lattice block at a time, from one walk of the lattice.
 
-    *crops* is a sequence of (origin, (width, height)) crops of *model*'s
-    image, origin its (col, row) pixel. For each block of
+    *crops* is a sequence of (model, (width, height)) crops of one image.
+    The models must differ only in their pixel offsets, as the
+    :func:`~satpinhole.tiling.crop_rpc` models of one model do: the walk
+    reads every other term from the first crop's model. For each block of
     :func:`~satpinhole.rpc.project_lattice` it yields a tuple with, per crop,
     the survivors' (pixels (k, 2) on the crop, ENU (k, 3), altitude indices
     (k,)) in lattice order. It only samples: how many survivors there must
     be, and in how many layers, is the caller's rule.
 
-    The lattice is walked on *model* with both pixel offsets -0.0, and
-    ``x + -0.0`` is ``x`` for every float: the walk gives each node's scaled
-    ratio. A crop's pixels are that plus the offsets of
-    ``crop_rpc(model, origin)``, the two float steps ``project_lattice``
-    takes on the cropped model, so each crop's survivors carry the bits a
-    walk of that model gives.
+    The lattice is walked on the first crop's model with both pixel offsets
+    -0.0, and ``x + -0.0`` is ``x`` for every float: the walk gives each
+    node's scaled ratio. A crop's pixels are that plus its model's
+    ``samp_off`` and ``line_off``, the two float steps ``project_lattice``
+    takes on that model, so each crop's survivors carry the bits a walk of
+    its model gives.
     """
     lats, lons, alts = axes
-    crops = [(_crop_offsets(model, origin), size) for origin, size in crops]
     to_enu = _lattice_converter(lats, lons, anchor)
-    walk = project_lattice(replace(model, samp_off=-0.0, line_off=-0.0), lats, lons, alts)
+    walk = project_lattice(replace(crops[0][0], samp_off=-0.0, line_off=-0.0), lats, lons, alts)
     for index, samp, line in walk:
         block = []
-        for (samp_off, line_off), (w, h) in crops:
-            s, l = samp + samp_off, line + line_off
+        for model, (w, h) in crops:
+            s, l = samp + model.samp_off, line + model.line_off
             idx = np.flatnonzero((s >= 0.0) & (s < w) & (l >= 0.0) & (l < h))
             i_lat, i_lon, i_alt = (i[idx] for i in index)
             block.append((np.column_stack([s[idx], l[idx]]), to_enu(i_lat, i_lon, alts[i_alt]), i_alt))
@@ -171,11 +170,11 @@ def _survivors(model: RpcModel, crops, axes, anchor: GeoPoint):
         yield tuple(block)
 
 
-def _virtual_grids(model: RpcModel, crops, dims, stagger: bool = False, anchor: GeoPoint | None = None):
-    """:func:`build_virtual_grid` of each (origin, image size) crop of
-    *model*'s image, from one walk of the lattice: a list of grids, each
-    with the bits of ``build_virtual_grid(crop_rpc(model, origin), size,
-    dims, stagger, anchor)``.
+def _virtual_grids(crops, dims, stagger: bool = False, anchor: GeoPoint | None = None):
+    """:func:`build_virtual_grid` of each (model, image size) crop, from one
+    walk of the lattice: a list of grids, each with the bits of
+    ``build_virtual_grid(model, size, dims, stagger, anchor)``. The models
+    are crops of one image, as :func:`_survivors` takes them.
 
     The rules are checked as there: the dims, then every crop's size, then
     the memory of all crops' survivors together, before the walk; each
@@ -184,15 +183,16 @@ def _virtual_grids(model: RpcModel, crops, dims, stagger: bool = False, anchor: 
     n_lat, n_lon, n_alt = (_whole(d, -np.inf, f"grid dims must be whole numbers, got {dims}") for d in dims)
     if min(n_lat, n_lon, n_alt) < 2:
         raise DegenerateError(f"grid dims must each be >= 2, got {dims}")
-    crops = [(origin, _image_size(size)) for origin, size in crops]
+    crops = [(model, _image_size(size)) for model, size in crops]
     worst = len(crops) * n_lat * n_lon * n_alt * _SURVIVOR_BYTES
     grids = f"{len(crops)} crops of " if len(crops) > 1 else ""
     _require_memory(worst, f"{grids}a {n_lat} x {n_lon} x {n_alt} grid can keep {worst} bytes of survivors")
+    model = crops[0][0]
     if anchor is None:
         anchor = GeoPoint(model.lat_off, model.lon_off, model.alt_off)
     axes = _grid_axes(model, (n_lat, n_lon, n_alt), stagger)
     parts = [([], [], np.zeros(n_alt, dtype=bool)) for _ in crops]
-    for block in _survivors(model, crops, axes, anchor):
+    for block in _survivors(crops, axes, anchor):
         for (pixels, enu, layers), (block_pixels, block_enu, i_alt) in zip(parts, block):
             pixels.append(block_pixels)
             enu.append(block_enu)
@@ -249,16 +249,19 @@ def build_virtual_grid(
         DegenerateError: if any dim < 2, fewer than 6 points survive, or
             they all lie in one altitude layer.
     """
-    return _virtual_grids(model, [((0, 0), image_size)], dims, stagger, anchor)[0]
+    return _virtual_grids([(model, image_size)], dims, stagger, anchor)[0]
 
 
 def _condition(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hartley's similarity T taking (N, d) points to their centroid at RMS
     radius sqrt(d), and the points it gives."""
     d = points.shape[1]
-    c = points.mean(axis=0)
-    dp = points - c
-    rms = np.sqrt(np.mean(np.sum(dp ** 2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = points.mean(axis=0)
+        dp = points - c
+        rms = np.sqrt(np.mean(np.sum(dp ** 2, axis=1)))
+    if not np.isfinite(rms):
+        raise IllConditionedError("correspondences spread past the float range")
     if rms <= 0.0:
         raise IllConditionedError("correspondences collapse to a single point")
     s = np.sqrt(d) / rms
@@ -276,8 +279,9 @@ def _normalized_dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     sigma[-2] of the conditioned system near 1e-17 sigma1, cameras above 1e-4.
 
     Raises:
-        IllConditionedError: if either point set collapses to a single point,
-            or sigma[-2] < 1e-8 sigma1 (about sqrt(eps)): M is not unique.
+        IllConditionedError: if either point set collapses to a single point
+            or spreads past the float range (its RMS radius overflows), or
+            sigma[-2] < 1e-8 sigma1 (about sqrt(eps)): M is not unique.
     """
     t_src, xn = _condition(src)
     t_dst, un = _condition(dst)
@@ -496,7 +500,9 @@ def measure_equivalence_error(
 
 def _score(camera: PinholeCamera, enu: np.ndarray, warp=None):
     """Project (N, 3) *enu* through *camera* (then *warp*, if given) in one
-    pass of ``_ROWS``-row blocks: the package's only pinhole divide.
+    pass of row blocks, each of ``_BLOCK_CELLS`` rows, the budget
+    :func:`~satpinhole.raster._row_blocks` gives every frame kernel: the
+    package's only pinhole divide.
 
     Returns (behind, pixels): the count of nodes at or behind the camera
     (w <= 0 for (u w, v w, w) = K (R X + t)), and the nodes' pinhole
@@ -507,7 +513,7 @@ def _score(camera: PinholeCamera, enu: np.ndarray, warp=None):
     enu = np.asarray(enu, dtype=np.float64)
     pixels = np.empty((2, enu.shape[0]))
     behind = 0
-    for rows in _row_blocks(enu.shape[0], 1, _ROWS):
+    for rows in _row_blocks(enu.shape[0], 1):
         x = camera._homogeneous(enu[rows])
         behind += int(np.count_nonzero(x[:, 2] <= 0))
         with np.errstate(divide="ignore", invalid="ignore"):

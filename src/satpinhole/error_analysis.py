@@ -105,7 +105,7 @@ def error_field(
     if grid is None:
         n_side = int(np.clip(2 * int(np.ceil(max(w, h) / cell_px)), 8, 256))
         axes = _grid_axes(model, (n_side, n_side, 5), True)
-        blocks = (block for (block,) in _survivors(model, [((0, 0), (w, h))], axes, camera.anchor))
+        blocks = (block for (block,) in _survivors([(model, (w, h))], axes, camera.anchor))
         points = n_side * n_side * 5
     else:
         _require_same_frame(camera, grid)
@@ -150,9 +150,10 @@ def size_sweep(
     crop only moves the pixel offsets, so every crop projects the same nodes
     to the same ratios.
 
-    All crop sizes are checked, and all crops' grids built, before the first
-    fit: a grid refusal of a later crop comes before a fit refusal of an
-    earlier one.
+    All crop sizes are checked, and each crop's ``crop_rpc`` model and grids
+    built, before the first fit: a grid refusal of a later crop comes before
+    a fit refusal of an earlier one. The walks and the crop's report read
+    that one model.
 
     Args:
         model: rational polynomial model for the full image.
@@ -169,15 +170,15 @@ def size_sweep(
         edge = _whole(size, 1, f"crop size must be positive whole pixels, got {size}")
         cw, ch = min(edge, w), min(edge, h)
         sizes.append(size)
-        crops.append((((w - cw) // 2, (h - ch) // 2), (cw, ch)))
+        crops.append((crop_rpc(model, ((w - cw) // 2, (h - ch) // 2)), (cw, ch)))
     if not crops:
         return []
-    fit_grids = _virtual_grids(model, crops, DEFAULT_GRID_DIMS)
-    val_grids = _virtual_grids(model, crops, _validation_dims(DEFAULT_GRID_DIMS), stagger=True)
+    fit_grids = _virtual_grids(crops, DEFAULT_GRID_DIMS)
+    val_grids = _virtual_grids(crops, _validation_dims(DEFAULT_GRID_DIMS), stagger=True)
     results = []
-    for size, (origin, crop_size), fit_grid, val_grid in zip(sizes, crops, fit_grids, val_grids):
+    for size, (crop, crop_size), fit_grid, val_grid in zip(sizes, crops, fit_grids, val_grids):
         camera = _fit_camera(fit_grid, crop_size)
-        results.append((size, measure_equivalence_error(crop_rpc(model, origin), camera, val_grid)))
+        results.append((size, measure_equivalence_error(crop, camera, val_grid)))
     return results
 
 

@@ -246,7 +246,9 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
 
     Raises:
         ValueError: a threshold that is not positive (NaN included), or one
-            that repeats, as its completeness key would.
+            that repeats, as its completeness key would; or a statistic past
+            the float range: residuals of about 1.3e154 m square past it,
+            and smaller ones where many squares are summed.
         LatticeError: grids are not lattice-aligned, or no cell is valid in
             both inputs.
     """
@@ -258,22 +260,34 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
             raise ValueError(f"thresholds must not repeat: {fmt(t)} is given {times} times")
     *_, blocks = _union_rows([estimate, truth])
     parts, n_truth = [np.empty(0)], 0  # one empty part, as a union of no cells has no block
-    for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time
-        both = np.isfinite(est) & np.isfinite(tru)
-        n_truth += int(np.isfinite(tru).sum())
-        parts.append(est[both] - tru[both])
-    resid = np.concatenate(parts)
-    if resid.size == 0:
-        raise LatticeError("estimate and truth share no valid cell")
+    with np.errstate(over="ignore"):  # a statistic past the float range is refused below
+        for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time
+            both = np.isfinite(est) & np.isfinite(tru)
+            n_truth += int(np.isfinite(tru).sum())
+            parts.append(est[both] - tru[both])
+        resid = np.concatenate(parts)
+        if resid.size == 0:
+            raise LatticeError("estimate and truth share no valid cell")
+        abs_resid = np.abs(resid)
+        stats = {
+            "RMSE_M": float(np.sqrt(np.mean(resid**2))),
+            "ME_M": float(np.median(abs_resid)),
+            "MAE_M": float(np.mean(abs_resid)),
+        }
+    past = [name for name, value in stats.items() if not np.isfinite(value)]
+    if past:
+        raise ValueError(
+            f"cannot report {', '.join(past)}: past the float range, with residuals up to "
+            f"{fmt(float(abs_resid.max()))} m"
+        )
 
-    abs_resid = np.abs(resid)
     comp = tuple(
         (t, float((abs_resid < t).sum()) / n_truth) for t in thresholds
     )
     return DsmMetrics(
-        rmse=float(np.sqrt(np.mean(resid**2))),
-        me=float(np.median(abs_resid)),
-        mae=float(np.mean(abs_resid)),
+        rmse=stats["RMSE_M"],
+        me=stats["ME_M"],
+        mae=stats["MAE_M"],
         comp=comp,
         n_overlap=resid.size,
         n_truth=n_truth,

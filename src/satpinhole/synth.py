@@ -450,7 +450,7 @@ def make_pinhole_scene(
     center = np.array([offset[0], offset[1], sensor_height])
     with np.errstate(over="ignore"):
         distance = np.linalg.norm(center)
-    if not np.isfinite(distance):
+    if not (np.isfinite(distance) and distance > 0):
         raise ValueError(f"sensor height {sensor_height:g} m puts the camera out of floating-point range")
     z = -center / distance
     up = np.array([0.0, 1.0, 0.0])

@@ -77,13 +77,7 @@ def crop_rpc(model: RpcModel, origin: tuple[float, float]) -> RpcModel:
     so that projecting a ground point through the result yields coordinates in
     the cropped image. Ground normalizers and coefficients are untouched.
     """
-    samp_off, line_off = _crop_offsets(model, origin)
-    return replace(model, samp_off=samp_off, line_off=line_off)
-
-
-def _crop_offsets(model: RpcModel, origin) -> tuple[float, float]:
-    """The (samp, line) pixel offsets of :func:`crop_rpc` ``(model, origin)``."""
-    return model.samp_off - float(origin[0]), model.line_off - float(origin[1])
+    return replace(model, samp_off=model.samp_off - float(origin[0]), line_off=model.line_off - float(origin[1]))
 
 
 def crop_raster(image: Raster, tile: Tile) -> Raster:

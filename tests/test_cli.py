@@ -176,6 +176,7 @@ def test_synth_pushbroom_camera_file(tmp_path):
         ("pushbroom", ["--extent-deg", "1e300"]),
         ("pinhole", ["--sensor-height", "1e200"]),
         ("pinhole", ["--sensor-height", "1e300"]),
+        ("pinhole", ["--sensor-height", "1e-300"]),
     ],
 )
 def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
@@ -487,6 +488,45 @@ def test_error_map_projects_only_its_dense_grid(tmp_path, scene_dir, monkeypatch
     assert rc == 0
     # n_side = 2 * ceil(96 / 16) = 12 nodes per ground axis, 5 altitude layers.
     assert calls == {"project_forward": 0, "project_lattice": 12 * 12 * 5}
+
+
+def test_error_map_without_a_camera_fits_one_grid(tmp_path, scene_dir, monkeypatch, capsys):
+    rpc = str(scene_dir / "rpc.txt")
+    size = ["--image-size", "96", "96"]
+    camera = tmp_path / "cam.txt"
+    assert main(["equate", rpc, *size, "--grid", "8", "8", "4", "--camera", str(camera)]) == 0
+
+    calls = {"build_virtual_grid": 0, "project_lattice": 0}
+    _tally_calls(monkeypatch, equivalence.build_virtual_grid, calls)
+    _tally_calls(monkeypatch, project_lattice, calls, amount=_n_nodes)
+    fitted = tmp_path / "fitted.asc"
+    rc = main(["error-map", rpc, *size, "--grid", "8", "8", "4", "--cell", "16", "--out", str(fitted)])
+    assert rc == 0
+    # The camera is fit on its 8 x 8 x 4 grid, and no validation grid is
+    # built for a report the map has no use for; then the 12 x 12 x 5 map.
+    assert calls == {"build_virtual_grid": 1, "project_lattice": 256 + 12 * 12 * 5}
+
+    saved = tmp_path / "saved.asc"
+    rc = main(["error-map", rpc, *size, "--camera", str(camera), "--cell", "16", "--out", str(saved)])
+    assert rc == 0
+    assert fitted.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["equate", "refine", "error-map"])
+@pytest.mark.parametrize("scale", ["1e155", "1e307"])
+def test_fit_refuses_heights_spread_past_the_float_range(tmp_path, scene_dir, capsys, command, scale):
+    # ENU heights of 1e155 m or more square past the float range where the
+    # DLT conditions its points.
+    text = (scene_dir / "rpc.txt").read_text()
+    rpc = tmp_path / "far.rpc"
+    rpc.write_text(re.sub(r"(?m)^HEIGHT_SCALE: .*$", f"HEIGHT_SCALE: {scale}", text), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    flag = {"equate": "--camera", "refine": "--warp", "error-map": "--out"}[command]
+    rc = main([command, str(rpc), "--image-size", "96", "96", flag, str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: ill-conditioned: correspondences spread past the float range\n"
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +1002,20 @@ def test_metrics_rejects_a_repeated_threshold(tmp_path, scene_dir, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == "error: invalid: thresholds must not repeat: 1 is given 3 times\n"
+    assert captured.out == "" and not report.exists()
+
+
+def test_metrics_refuses_a_statistic_past_the_float_range(tmp_path, capsys):
+    # Residuals of 2e154 m square past the float range: RMSE_M would read inf.
+    head = "ncols 8\nnrows 8\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+    far, zero, report = tmp_path / "far.asc", tmp_path / "zero.asc", tmp_path / "report.txt"
+    far.write_text(head + "2e154 " * 64, encoding="utf-8")
+    zero.write_text(head + "0 " * 64, encoding="utf-8")
+    rc = main(["metrics", str(far), str(zero), "--report", str(report)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid: cannot report RMSE_M: past the float range")
+    assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.out == "" and not report.exists()
 
 

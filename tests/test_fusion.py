@@ -354,6 +354,22 @@ def test_dsm_metrics_rejects_a_repeated_threshold(thresholds):
         dsm_metrics(est, est, thresholds=thresholds)
 
 
+@pytest.mark.parametrize(
+    "estimate, truth, past",
+    [(2e154, 0.0, "RMSE_M"), (1e308, 5e-324, "RMSE_M, ME_M, MAE_M"), (1e308, -1e308, "RMSE_M, ME_M, MAE_M")],
+)
+def test_dsm_metrics_refuses_a_statistic_past_the_float_range(estimate, truth, past):
+    # Sums of squares overflow from residuals of about 1.3e154 m, means of
+    # residuals near the top of the float range, and a residual itself where
+    # the two grids straddle it.
+    est, tru = _raster(np.full((8, 8), estimate)), _raster(np.full((8, 8), truth))
+    with pytest.raises(ValueError, match=f"cannot report {past}: past the float range"):
+        dsm_metrics(est, tru, thresholds=(1.0,))
+    # Well below, every statistic is finite.
+    m = dsm_metrics(_raster(np.full((8, 8), 1e150)), _raster(np.zeros((8, 8))), thresholds=(1.0,))
+    assert m.me == m.mae == 1e150 and m.rmse == pytest.approx(1e150)
+
+
 def test_dsm_metrics_of_no_cells_is_a_lattice_error():
     # A union of no cells has no row block to take residuals from.
     empty = _raster(np.zeros((0, 0)))

@@ -72,3 +72,24 @@ def test_bench_pairs_claim_counts_a_tied_pair_for_neither_side():
     assert (wall["change_better_pairs"], wall["tied_pairs"], wall["claim_met"]) == (9, 1, True)
     wall = _claim([1.0] * 10, [1.0] + [0.5] * 8 + [1.0])
     assert (wall["change_better_pairs"], wall["tied_pairs"], wall["claim_met"]) == (8, 2, False)
+
+
+def test_bench_pairs_verdict_holds_the_median_to_the_bound_unless_the_parent_spread_is_wider():
+    verdict = _load("bench_pairs").verdict
+    parent = [0.40, 0.38, 0.39, 0.41, 0.40, 0.39, 0.38, 0.40, 0.42, 0.39]
+    # The parent's q3 - q1 is 0.01 s, 2.5% of its 0.395 s median.
+    within = verdict(_claim(parent, [p * 1.2 for p in parent]), "lower", 0.25)
+    assert within["verdict"] == "within" and abs(within["worse_rel"] - 0.2) < 1e-12
+    assert abs(within["parent_spread_rel"] - 0.01 / 0.395) < 1e-12
+    assert verdict(_claim(parent, [p * 1.3 for p in parent]), "lower", 0.25)["verdict"] == "worse"
+    # Slower by 30% reads better, by the same share, where higher is better.
+    higher = verdict(_claim(parent, [p * 1.3 for p in parent], "higher"), "higher", 0.25)
+    assert higher["verdict"] == "within" and abs(higher["worse_rel"] + 0.3) < 1e-12
+    # A parent spread wider than the bound leaves any median unresolved...
+    noisy = [0.2, 0.4, 0.2, 0.4, 0.2, 0.4, 0.2, 0.4, 0.2, 0.4]
+    assert verdict(_claim(noisy, noisy), "lower", 0.25)["verdict"] == "unresolved"
+    # ... unless every change run reads better than every parent run.
+    assert verdict(_claim(noisy, [0.19] * 10), "lower", 0.25)["verdict"] == "within"
+    # A zero parent median takes no share: equal medians are within, a worse one is not.
+    assert verdict(_claim([0.0] * 10, [0.0] * 10), "lower", 0.05)["verdict"] == "within"
+    assert verdict(_claim([0.0] * 10, [1e-9] * 10), "lower", 0.05)["verdict"] == "worse"

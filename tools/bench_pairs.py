@@ -20,7 +20,12 @@ may be claimed: the change reads better in at least nine tenths of the pairs
 more than the parent's quartile spread, q3 - q1. Then the operations
 attempted and failed on each side, whether every run was correct, and
 whether ``residual_rel`` read the same on both sides of every pair (each
-pair has its own seed). It prints one table. A claim not met is reported,
+pair has its own seed). Each metric also carries its no-regression verdict:
+how much worse the change's median reads than the parent's, relative to the
+parent's, and whether that stays within the metric's ``bound`` in
+``BENCHMARK.json``; "unresolved" where the parent's relative quartile spread
+is wider than the bound, unless every change run reads better than every
+parent run. It prints one table. A claim not met is reported,
 not an error. It exits 1 if a run could not report, 0 otherwise.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import shutil
 import statistics
@@ -97,8 +103,40 @@ def compare(results: dict, metrics: dict) -> dict:
     }
 
 
+def _share(x: float, of: float) -> float:
+    """*x* as a share of |*of*|; 0 or an infinity of *x*'s sign where *of* is 0."""
+    if of:
+        return x / abs(of)
+    return math.copysign(math.inf, x) if x else 0.0
+
+
+def verdict(metric: dict, better: str, bound: float) -> dict:
+    """The no-regression verdict on one metric of a :func:`compare` section.
+
+    ``worse_rel`` is how much worse the change's median reads than the
+    parent's, as a share of the parent's (negative when better), and
+    ``parent_spread_rel`` the parent's q3 - q1 as a share of its median.
+    The verdict is "within" or "worse" of *bound*, or "unresolved" where
+    the parent's spread is wider than *bound*, unless every change run
+    reads better than every parent run.
+    """
+    p, c = metric["parent"], metric["change"]
+    worse_rel = _share(gain(better, c["median"], p["median"]), p["median"])  # the parent's gain over the change
+    spread_rel = _share(p["q3"] - p["q1"], p["median"])
+    if all(gain(better, pr, cr) > 0 for pr in p["runs"] for cr in c["runs"]):
+        state = "within"
+    elif spread_rel > bound:
+        state = "unresolved"
+    else:
+        state = "within" if worse_rel <= bound else "worse"
+    return {"worse_rel": worse_rel, "parent_spread_rel": spread_rel, "bound": bound, "verdict": state}
+
+
 def table(report: dict) -> str:
-    rows = [("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "better", "claim")]
+    rows = [(
+        "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "better", "claim",
+        "no regression",
+    )]
     for workload, section in report["end_to_end"].items():
         for name, m in section["metrics"].items():
             p, c = m["parent"], m["change"]
@@ -109,9 +147,10 @@ def table(report: dict) -> str:
                 f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]",
                 delta, f"{m['change_better_pairs']}/{section['pairs']}",
                 "met" if m["claim_met"] else "not met",
+                f"{m['regression']['verdict']} ({100.0 * m['regression']['bound']:g}%)",
             ))
         state = "correct" if section["correct"] else "NOT CORRECT"
-        rows.append((workload, "runs", state, f"failed {section['failed']['parent']} / {section['failed']['change']}", "", "", ""))
+        rows.append((workload, "runs", state, f"failed {section['failed']['parent']} / {section['failed']['change']}", "", "", "", ""))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
 
@@ -133,6 +172,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = dict(zip(SIDES, (args.parent, args.change)))
 
     report = {
@@ -152,8 +192,10 @@ def main(argv=None) -> int:
                 for side in order:
                     results[side].append(run_once(trees[side], workload, args.seed0 + i, seconds))
                 print(f"bench_pairs: {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-            section = {"pairs": args.pairs, "seed0": args.seed0, "seconds": seconds}
-            report["end_to_end"][workload] = {**section, **compare(results, metrics)}
+            section = {"pairs": args.pairs, "seed0": args.seed0, "seconds": seconds, **compare(results, metrics)}
+            for name, metric in section["metrics"].items():
+                metric["regression"] = verdict(metric, metrics[name], bounds[name])
+            report["end_to_end"][workload] = section
     except RuntimeError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,11 @@ directory (outside both trees) and with relative paths only:
 - equate, refine and error-map on four of its tiles;
 - a pinhole synth, inspect with and without --json, fuse of four tile
   images (one pixel frame each, so they stack as four views) with both
-  aggregators, and metrics of the fused grid against the scene image.
+  aggregators, and metrics of the fused grid against the scene image;
+- a 512 x 512 pushbroom scene through synth, refine --image --corrected,
+  fuse of its image and corrected image, and metrics of the fused grid
+  against the image: grids of about 4.9 MB, large enough that the text-grid
+  reader and writer work in blocks grown with the grid, past their floor.
 
 Each command's stdout, stderr and exit status are compared, then every file
 the pipeline left. The script prints each difference and exits 1 if there
@@ -31,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 SIZE = ["--image-size", "256", "256"]
+LARGE = ["--image-size", "512", "512"]
 TILE_SIZE = ["--image-size", "64", "64"]
 TILES = ("000", "005", "010", "020")
 FUSED = ["tiles/tile_000.asc", "tiles/tile_001.asc", "tiles/tile_005.asc", "tiles/tile_006.asc"]
@@ -64,6 +69,12 @@ PIPELINE = [
     ["fuse", *FUSED, "--out", "fused_median.asc", "--min-neighbors", "1"],
     ["fuse", *FUSED, "--out", "fused_mean.asc", "--min-neighbors", "1", "--aggregator", "mean"],
     ["metrics", "fused_median.asc", "scene/image.asc", "--report", "metrics.txt"],
+    ["synth", "--kind", "pushbroom", "--seed", "21", "--out-dir", "large", *LARGE,
+     "--extent-deg", "0.16", "--relief", "60"],
+    ["refine", "large/rpc.txt", *LARGE, "--warp", "large_warp.txt", "--image", "large/image.asc",
+     "--corrected", "large_corrected.asc"],
+    ["fuse", "large/image.asc", "large_corrected.asc", "--out", "large_fused.asc", "--min-neighbors", "1"],
+    ["metrics", "large_fused.asc", "large/image.asc", "--report", "large_metrics.txt"],
 ]
 
 
