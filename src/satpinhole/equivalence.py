@@ -502,7 +502,7 @@ def _score(camera: PinholeCamera, enu: np.ndarray, warp=None):
     """Project (N, 3) *enu* through *camera* (then *warp*, if given) in one
     pass of row blocks, each of ``_BLOCK_CELLS`` rows, the budget
     :func:`~satpinhole.raster._row_blocks` gives every frame kernel: the
-    package's only pinhole divide.
+    package's only pinhole divide past the fit.
 
     Returns (behind, pixels): the count of nodes at or behind the camera
     (w <= 0 for (u w, v w, w) = K (R X + t)), and the nodes' pinhole

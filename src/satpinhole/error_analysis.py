@@ -204,13 +204,8 @@ def write_field_preview(field: Raster, path) -> None:
         top = 1.0
     norm = np.clip(np.where(valid, values / top, 0.0), 0.0, 1.0)
 
-    rgb = np.zeros(values.shape + (3,), dtype=np.float64)
-    for (p0, r0, g0, b0), (p1, r1, g1, b1) in zip(_RAMP[:-1], _RAMP[1:]):
-        span = max(p1 - p0, 1e-12)
-        w = np.clip((norm - p0) / span, 0.0, 1.0)
-        seg = (norm >= p0) if p0 > 0 else np.ones_like(norm, dtype=bool)
-        for ch, (c0, c1) in enumerate(((r0, r1), (g0, g1), (b0, b1))):
-            rgb[..., ch] = np.where(seg, c0 + w * (c1 - c0), rgb[..., ch])
+    positions, *channels = zip(*_RAMP)
+    rgb = np.stack([np.interp(norm, positions, channel) for channel in channels], axis=-1)
     rgb[~valid] = 0.0
     data = np.floor(rgb + 0.5).astype(np.uint8)
 

@@ -37,8 +37,9 @@ _BLOCK = 1 << 15
 _MAX_BLOCK = 1 << 17
 
 # Cells per row block of the full-frame kernels (``synth.render_image``,
-# ``refinement.resample``, ``fusion.fuse_views``): their temporaries stay a
-# few MB whatever the frame size.
+# ``refinement.resample``, ``fusion.fuse_views``, ``fusion.dsm_metrics``) and
+# of ``equivalence._score``: their temporaries stay a few MB whatever the
+# frame size.
 _BLOCK_CELLS = 1 << 14
 
 # Cells per row block of the ASCII writer: between 2048 and 8192. It keeps
@@ -78,9 +79,11 @@ class Raster:
         self.values = np.asarray(self.values)
         if self.values.ndim != 2:
             raise ValueError(f"raster values must be 2D, got shape {self.values.shape}")
-        if not self.cell_size > 0.0:
-            raise ValueError(f"cell size must be strictly positive, got {self.cell_size}")
+        if not 0.0 < self.cell_size < np.inf:
+            raise ValueError(f"cell size must be finite and positive, got {self.cell_size}")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def nrows(self) -> int:

@@ -99,10 +99,9 @@ def enhance_brightness(image: Raster) -> Raster:
     if not valid.any():
         return image
     sample = image.values[valid].astype(np.float64)
-    if np.percentile(sample, 95.0) > 200.0:
+    p2, p95, p98 = np.percentile(sample, [2.0, 95.0, 98.0])
+    if p95 > 200.0:
         return image
-
-    p2, p98 = np.percentile(sample, [2.0, 98.0])
     if p98 <= p2:
         return image
     integral = np.issubdtype(image.values.dtype, np.integer)

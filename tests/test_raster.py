@@ -561,6 +561,18 @@ def test_validation():
         Raster(values=np.zeros((2, 2)), cell_size=0.0)
 
 
+@pytest.mark.parametrize(
+    "georeference",
+    [{"cell_size": np.inf}, {"origin": (np.nan, 0.0)}, {"origin": (0.0, np.inf)}],
+    ids=["inf-cell-size", "nan-x-origin", "inf-y-origin"],
+)
+def test_raster_refuses_a_georeference_no_grid_file_can_hold(georeference):
+    # The text-grid reader refuses a header that is not finite, so a raster
+    # must not hold one that its writer would put there.
+    with pytest.raises(ValueError, match="finite"):
+        Raster(values=np.zeros((2, 2)), **georeference)
+
+
 def test_bilinear_at_cell_centers():
     r = _demo()
     # Top-left cell center: x = 100 + 0.5*10, y = 200 + 1.5*10 (row 0 is top).

@@ -9,8 +9,8 @@ with that tree's ``src`` first on the import path, in a fresh temporary
 directory (outside both trees) and with relative paths only:
 
 - a 256 x 256 pushbroom scene (seed 21) through synth, equate, refine,
-  error-map (with a saved camera, and with 4 px cells) and partition into
-  64 px tiles with 8 px overlap;
+  error-map (with a saved camera, and with 4 px cells and a PPM preview)
+  and partition into 64 px tiles with 8 px overlap;
 - equate, refine and error-map on four of its tiles;
 - a pinhole synth, inspect with and without --json, fuse of four tile
   images (one pixel frame each, so they stack as four views) with both
@@ -48,7 +48,8 @@ PIPELINE = [
      "--corrected", "corrected.asc", "--camera", "refine_camera.txt",
      "--report-before", "before.txt", "--report-after", "after.txt"],
     ["error-map", "scene/rpc.txt", *SIZE, "--camera", "camera.txt", "--out", "error_camera.asc"],
-    ["error-map", "scene/rpc.txt", *SIZE, "--cell", "4", "--out", "error_cell4.asc"],
+    ["error-map", "scene/rpc.txt", *SIZE, "--cell", "4", "--out", "error_cell4.asc",
+     "--preview", "error_cell4.ppm"],
     ["partition", "scene/image.asc", "scene/rpc.txt", "--out-dir", "tiles",
      "--tile-size", "64", "--overlap", "8"],
     *(
