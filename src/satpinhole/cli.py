@@ -22,8 +22,6 @@ import numpy as np
 
 from .equivalence import (
     DEFAULT_GRID_DIMS,
-    _fit_camera,
-    build_virtual_grid,
     equate,
     fit_equivalence,
     format_equivalence_report,
@@ -160,25 +158,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_error_map(args) -> int:
-    # argparse keeps the default object itself unless --grid is given.
-    if args.camera and args.grid is not DEFAULT_GRID_DIMS:
-        raise ValueError(
-            "--grid sets the nodes a camera is derived on, and --camera gives "
-            "the camera: pass one or the other"
-        )
     model = load_rpc(args.rpc)
-    image_size = tuple(args.image_size)
-    if args.camera:
-        camera = load_camera(args.camera)
-        if camera.image_size != image_size:
-            raise ValueError(
-                f"--camera is for {camera.image_size[0]} x {camera.image_size[1]} pixels "
-                f"but --image-size is {image_size[0]} x {image_size[1]}; the error map "
-                "is rated in the camera's pixels"
-            )
-    else:
-        camera = _fit_camera(build_virtual_grid(model, image_size, tuple(args.grid)), image_size)
-    field = error_field(model, camera, image_size, args.cell)
+    camera = load_camera(args.camera)
+    field = error_field(model, camera, tuple(args.image_size), args.cell)
     save_ascii_grid(field, args.out)
     if args.preview:
         write_field_preview(field, args.preview)
@@ -303,10 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rpc")
     p.add_argument("--image-size", nargs=2, type=int, metavar=("W", "H"), required=True)
     p.add_argument("--out", required=True, help="output grid of per-cell mean error")
-    p.add_argument("--camera", help="reuse a saved camera instead of re-deriving")
+    p.add_argument("--camera", required=True, help="camera to rate, as equate writes it")
     p.add_argument("--cell", type=float, default=32.0, help="cell size in pixels")
     p.add_argument("--preview", help="also write a color preview image (PPM)")
-    _add_grid(p)
     p.set_defaults(func=cmd_error_map)
 
     p = subs.add_parser("fuse", help="fuse height maps from multiple views")

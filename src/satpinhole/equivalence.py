@@ -11,7 +11,6 @@ Euclidean pixel distance between the rational and pinhole projections.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateError, FormatError, IllConditionedError
 from .geodesy import GeoPoint, _lattice_converter
 from .kvio import format_kv, get_distance, get_float, get_floats, get_ints, read_file, read_kv, require_finite, write_file
-from .raster import _image_size, _row_blocks, _whole
+from .raster import _image_size, _require_memory, _row_blocks, _whole
 from .rpc import RpcModel, project_lattice
 
 DEFAULT_GRID_DIMS = (20, 20, 10)
@@ -106,20 +105,6 @@ def _axis_nodes(lo: float, hi: float, n: int, stagger: bool) -> np.ndarray:
         step = (hi - lo) / n
         return lo + (np.arange(n) + 0.5) * step
     return np.linspace(lo, hi, n)
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory, or 2**63 where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return 2**63
-
-
-def _require_memory(nbytes: float, what: str) -> None:
-    """Refuse *what*, of *nbytes* (maybe inf), before it can outgrow physical memory."""
-    if nbytes > _physical_memory():
-        raise MemoryError(f"{what}, more than this machine's memory")
 
 
 def _grid_axes(model: RpcModel, dims, stagger: bool):

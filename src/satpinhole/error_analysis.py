@@ -21,7 +21,6 @@ from .equivalence import (
     _fit_camera,
     _grid_axes,
     _require_in_front,
-    _require_memory,
     _require_same_frame,
     _score,
     _survivors,
@@ -29,7 +28,7 @@ from .equivalence import (
     _virtual_grids,
     measure_equivalence_error,
 )
-from .raster import NODATA, Raster, _image_size, _whole
+from .raster import NODATA, Raster, _image_size, _require_memory, _whole
 from .rpc import RpcModel
 from .tiling import crop_rpc
 
@@ -79,7 +78,7 @@ def error_field(
         model: rational polynomial model (the model *grid* was sampled
             from, when *grid* is given).
         camera: its pinhole stand-in.
-        image_size: (width, height) in pixels.
+        image_size: (width, height) in pixels; the camera's own.
         cell_px: edge length of the square aggregation cells, pixels;
             finite and positive.
         grid: optional explicit correspondence grid to aggregate instead. Its
@@ -91,7 +90,8 @@ def error_field(
 
     Raises:
         ValueError: if *cell_px* is not finite and positive, *image_size* is
-            not whole positive pixels, or *grid* is in another ENU frame.
+            not whole positive pixels or not *camera*'s image size, or *grid*
+            is in another ENU frame.
         MemoryError: if the map's sums and counts (16 bytes a cell) could
             outgrow physical memory.
         DecompositionError: if any node lies at or behind the camera, where
@@ -100,6 +100,12 @@ def error_field(
     if not (np.isfinite(cell_px) and cell_px > 0):
         raise ValueError(f"cell size must be finite and positive, got {cell_px}")
     w, h = _image_size(image_size)
+    if camera.image_size != (w, h):
+        cw, ch = camera.image_size
+        raise ValueError(
+            f"the camera is for {cw} x {ch} pixels but the image size is {w} x {h}; "
+            "the error map is rated in the camera's pixels"
+        )
     nbytes = 16 * (w / float(cell_px) + 1) * (h / float(cell_px) + 1)  # floats: inf past their range
     _require_memory(nbytes, f"a {w} x {h} px map of {cell_px:g} px cells holds up to {nbytes:.3g} bytes")
     if grid is None:

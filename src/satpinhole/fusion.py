@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import _require_memory
 from .errors import LatticeError
 from .kvio import fmt, format_kv
-from .raster import Raster, _row_blocks, _whole, valid_cells
+from .raster import Raster, _require_memory, _row_blocks, _whole, valid_cells
 
 MAD_CONSISTENCY = 1.4826  # scales MAD to a Gaussian sigma estimate
 
@@ -242,13 +241,17 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
     RMSE and MAE are the usual quadratic/absolute means of the residuals over
     cells valid in both rasters; ME is the median absolute residual.
     Completeness at threshold t is the fraction of truth-valid cells whose
-    estimate exists and errs by less than t.
+    estimate exists and errs by less than t. A statistic whose usual formula
+    overflows (squares from residuals of about 1.3e154 m, sums and the
+    median's two middle values near the top of the float range) is taken
+    again in units of the largest residual, and the median as the midpoint
+    of its middle values, so every statistic a float can hold is reported.
 
     Raises:
         ValueError: a threshold that is not positive (NaN included), or one
-            that repeats, as its completeness key would; or a statistic past
-            the float range: residuals of about 1.3e154 m square past it,
-            and smaller ones where many squares are summed.
+            that repeats, as its completeness key would; or a statistic
+            that is not a float, as only a residual past the float range
+            makes one (grids that straddle it, such as 1e308 against -1e308).
         LatticeError: grids are not lattice-aligned, or no cell is valid in
             both inputs.
     """
@@ -260,7 +263,7 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
             raise ValueError(f"thresholds must not repeat: {fmt(t)} is given {times} times")
     *_, blocks = _union_rows([estimate, truth])
     parts, n_truth = [np.empty(0)], 0  # one empty part, as a union of no cells has no block
-    with np.errstate(over="ignore"):  # a statistic past the float range is refused below
+    with np.errstate(over="ignore"):  # a statistic past the float range is taken again below
         for _, (est, tru) in blocks:  # the residuals in row-major order, one row block at a time
             both = np.isfinite(est) & np.isfinite(tru)
             n_truth += int(np.isfinite(tru).sum())
@@ -274,11 +277,21 @@ def dsm_metrics(estimate: Raster, truth: Raster, thresholds) -> DsmMetrics:
             "ME_M": float(np.median(abs_resid)),
             "MAE_M": float(np.mean(abs_resid)),
         }
+    top = float(abs_resid.max())
+    if np.isfinite(top):  # every residual is a float, so every statistic is one too
+        if not np.isfinite(stats["RMSE_M"]):
+            stats["RMSE_M"] = top * float(np.sqrt(np.mean((abs_resid / top) ** 2)))
+        if not np.isfinite(stats["ME_M"]):
+            middle = [(abs_resid.size - 1) // 2, abs_resid.size // 2]
+            lo, hi = np.partition(abs_resid, middle)[middle]
+            stats["ME_M"] = float(lo + (hi - lo) / 2)
+        if not np.isfinite(stats["MAE_M"]):
+            stats["MAE_M"] = top * float(np.mean(abs_resid / top))
     past = [name for name, value in stats.items() if not np.isfinite(value)]
     if past:
         raise ValueError(
             f"cannot report {', '.join(past)}: past the float range, with residuals up to "
-            f"{fmt(float(abs_resid.max()))} m"
+            f"{fmt(top)} m"
         )
 
     comp = tuple(

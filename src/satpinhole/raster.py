@@ -473,6 +473,20 @@ def _image_size(image_size) -> tuple[int, int]:
     return _whole(w, 1, message), _whole(h, 1, message)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 2**63 where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 2**63
+
+
+def _require_memory(nbytes: float, what: str) -> None:
+    """Refuse *what*, of *nbytes* (maybe inf), before it can outgrow physical memory."""
+    if nbytes > _physical_memory():
+        raise MemoryError(f"{what}, more than this machine's memory")
+
+
 def _row_blocks(nrows: int, ncols: int, cells: int | None = None) -> list[slice]:
     """Split a frame into slices of whole rows, each about *cells* cells
     (``_BLOCK_CELLS`` by default) and at least one row."""

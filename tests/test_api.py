@@ -84,6 +84,21 @@ def test_module_imports_form_no_cycle():
         pytest.fail("import cycle: " + " -> ".join(err.args[1]))
 
 
+def test_cli_imports_no_private_name():
+    # The command line is a client of the library: each command goes through
+    # the functions a library caller has, so a rule kept in a private helper
+    # holds for both.
+    tree = ast.parse((Path(satpinhole.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def _text_io_calls(tree):
     """(names an encoding, source) of each text-mode ``open``, ``read_text``
     and ``write_text`` call in a module's AST."""
@@ -228,7 +243,7 @@ def _is_keyword(name, value):
 @pytest.mark.parametrize(
     "rule, owner",
     [
-        (_is_raise_of("MemoryError"), "equivalence._require_memory"),
+        (_is_raise_of("MemoryError"), "raster._require_memory"),
         (_is_text("points fall behind the camera"), "equivalence._require_in_front"),
         (_is_call_of("from_residuals"), "equivalence.measure_equivalence_error"),
         (_is_text("image size must be positive"), "raster._image_size"),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import satpinhole
-from satpinhole import cli, equivalence
+from satpinhole import cli, equivalence, raster
 from satpinhole.cli import build_parser, main
 from satpinhole.equivalence import load_camera, parse_equivalence_report
 from satpinhole.raster import load_ascii_grid, save_ascii_grid
@@ -113,8 +113,11 @@ def test_degenerate_grid_reports_category(tmp_path, scene_dir, capsys):
     "command, out_flag", [("equate", "--camera"), ("refine", "--warp"), ("error-map", "--out")]
 )
 def test_non_positive_image_size_is_invalid(tmp_path, scene_dir, capsys, command, out_flag, size):
+    # The size rule comes before error-map's rule that a map is rated in its
+    # camera's pixels.
+    camera = ["--camera", str(scene_dir / "camera.txt")] if command == "error-map" else []
     rc = main(
-        [command, str(scene_dir / "rpc.txt"), "--image-size", *size, out_flag, str(tmp_path / "out.txt")]
+        [command, str(scene_dir / "rpc.txt"), "--image-size", *size, out_flag, str(tmp_path / "out.txt"), *camera]
     )
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: invalid: image size must be positive")
@@ -490,29 +493,7 @@ def test_error_map_projects_only_its_dense_grid(tmp_path, scene_dir, monkeypatch
     assert calls == {"project_forward": 0, "project_lattice": 12 * 12 * 5}
 
 
-def test_error_map_without_a_camera_fits_one_grid(tmp_path, scene_dir, monkeypatch, capsys):
-    rpc = str(scene_dir / "rpc.txt")
-    size = ["--image-size", "96", "96"]
-    camera = tmp_path / "cam.txt"
-    assert main(["equate", rpc, *size, "--grid", "8", "8", "4", "--camera", str(camera)]) == 0
-
-    calls = {"build_virtual_grid": 0, "project_lattice": 0}
-    _tally_calls(monkeypatch, equivalence.build_virtual_grid, calls)
-    _tally_calls(monkeypatch, project_lattice, calls, amount=_n_nodes)
-    fitted = tmp_path / "fitted.asc"
-    rc = main(["error-map", rpc, *size, "--grid", "8", "8", "4", "--cell", "16", "--out", str(fitted)])
-    assert rc == 0
-    # The camera is fit on its 8 x 8 x 4 grid, and no validation grid is
-    # built for a report the map has no use for; then the 12 x 12 x 5 map.
-    assert calls == {"build_virtual_grid": 1, "project_lattice": 256 + 12 * 12 * 5}
-
-    saved = tmp_path / "saved.asc"
-    rc = main(["error-map", rpc, *size, "--camera", str(camera), "--cell", "16", "--out", str(saved)])
-    assert rc == 0
-    assert fitted.read_bytes() == saved.read_bytes()
-
-
-@pytest.mark.parametrize("command", ["equate", "refine", "error-map"])
+@pytest.mark.parametrize("command", ["equate", "refine"])
 @pytest.mark.parametrize("scale", ["1e155", "1e307"])
 def test_fit_refuses_heights_spread_past_the_float_range(tmp_path, scene_dir, capsys, command, scale):
     # ENU heights of 1e155 m or more square past the float range where the
@@ -521,7 +502,7 @@ def test_fit_refuses_heights_spread_past_the_float_range(tmp_path, scene_dir, ca
     rpc = tmp_path / "far.rpc"
     rpc.write_text(re.sub(r"(?m)^HEIGHT_SCALE: .*$", f"HEIGHT_SCALE: {scale}", text), encoding="utf-8")
     out = tmp_path / "out.txt"
-    flag = {"equate": "--camera", "refine": "--warp", "error-map": "--out"}[command]
+    flag = {"equate": "--camera", "refine": "--warp"}[command]
     rc = main([command, str(rpc), "--image-size", "96", "96", flag, str(out)])
     assert rc == 1
     captured = capsys.readouterr()
@@ -641,6 +622,7 @@ def test_error_map_outputs(tmp_path, scene_dir, capsys):
             str(scene_dir / "rpc.txt"),
             "--image-size", "96", "96",
             "--out", str(out),
+            "--camera", str(scene_dir / "camera.txt"),
             "--preview", str(ppm),
         ]
     )
@@ -659,6 +641,7 @@ def test_error_map_rejects_infinite_cell(tmp_path, scene_dir, capsys):
             str(scene_dir / "rpc.txt"),
             "--image-size", "96", "96",
             "--out", str(out),
+            "--camera", str(scene_dir / "camera.txt"),
             "--cell", "inf",
         ]
     )
@@ -693,10 +676,13 @@ def test_input_too_big_for_memory_is_invalid(tmp_path, scene_dir, capsys, comman
 
 @pytest.mark.parametrize("cell", ["1e-310", "5e-324"])
 def test_error_map_with_cells_past_the_float_range_is_invalid(tmp_path, scene_dir, capsys, cell):
-    # 128 px in cells this small is no finite count: taking it as an int
+    # 96 px in cells this small is no finite count: taking it as an int
     # overflowed, a traceback with no error line.
     out = tmp_path / "field.asc"
-    rc = main(["error-map", str(scene_dir / "rpc.txt"), "--image-size", "128", "128", "--cell", cell, "--out", str(out)])
+    rc = main(
+        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--cell", cell, "--out", str(out),
+         "--camera", str(scene_dir / "camera.txt")]
+    )
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid:") and err.count("\n") == 1
@@ -782,25 +768,24 @@ def test_error_map_camera_of_another_image_size_is_invalid(tmp_path, scene_dir, 
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid: --camera is for 96 x 96 pixels")
-    assert "--image-size is 64 x 48" in err
+    assert err.startswith("error: invalid: the camera is for 96 x 96 pixels but the image size is 64 x 48")
     assert err.count("\n") == 1
     assert not out.exists()
 
 
-def test_error_map_grid_with_camera_is_invalid(tmp_path, scene_dir, capsys):
-    # --grid only sets the nodes a camera is derived on; with --camera it
-    # was ignored, and the map exited 0.
+@pytest.mark.parametrize(
+    "flags", [[], ["--camera", "{camera}", "--grid", "8", "8", "4"]], ids=["no-camera", "grid"]
+)
+def test_error_map_rates_only_a_camera_it_is_given(tmp_path, scene_dir, capsys, flags):
+    # error-map fits no camera: --camera is required, and --grid, which sets
+    # the nodes a camera is fit on, is equate's and refine's only.
     out = tmp_path / "field.asc"
-    rc = main(
-        ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--out", str(out),
-         "--camera", str(scene_dir / "camera.txt"), "--grid", "1", "1", "1"]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid:") and "--grid" in err and "--camera" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
+    argv = ["error-map", str(scene_dir / "rpc.txt"), "--image-size", "96", "96", "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag.format(camera=scene_dir / "camera.txt") for flag in flags])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_map_camera_looking_away_is_a_decomposition_error(tmp_path, scene_dir, capsys):
@@ -1005,18 +990,41 @@ def test_metrics_rejects_a_repeated_threshold(tmp_path, scene_dir, capsys):
     assert captured.out == "" and not report.exists()
 
 
+_METRICS_HEAD = "ncols 8\nnrows 8\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+
 def test_metrics_refuses_a_statistic_past_the_float_range(tmp_path, capsys):
-    # Residuals of 2e154 m square past the float range: RMSE_M would read inf.
-    head = "ncols 8\nnrows 8\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
-    far, zero, report = tmp_path / "far.asc", tmp_path / "zero.asc", tmp_path / "report.txt"
-    far.write_text(head + "2e154 " * 64, encoding="utf-8")
-    zero.write_text(head + "0 " * 64, encoding="utf-8")
-    rc = main(["metrics", str(far), str(zero), "--report", str(report)])
+    # Grids that straddle the float range: each residual is inf.
+    far, near, report = tmp_path / "far.asc", tmp_path / "near.asc", tmp_path / "report.txt"
+    far.write_text(_METRICS_HEAD + "1e308 " * 64, encoding="utf-8")
+    near.write_text(_METRICS_HEAD + "-1e308 " * 64, encoding="utf-8")
+    rc = main(["metrics", str(far), str(near), "--report", str(report)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: invalid: cannot report RMSE_M: past the float range")
+    assert captured.err == (
+        "error: invalid: cannot report RMSE_M, ME_M, MAE_M: past the float range, with residuals up to inf m\n"
+    )
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize(
+    "estimate, truth, stat", [("2e154", "0", "2.0000000000000001e+154"), ("1e308", "5e-324", "1e+308")]
+)
+def test_metrics_reports_statistics_a_float_can_hold(tmp_path, capsys, estimate, truth, stat):
+    # Their squares, sums and the median's two middle values pass the float
+    # range, but no statistic does: each is reported.
+    est, tru, report = tmp_path / "est.asc", tmp_path / "tru.asc", tmp_path / "report.txt"
+    est.write_text(_METRICS_HEAD + f"{estimate} " * 64, encoding="utf-8")
+    tru.write_text(_METRICS_HEAD + f"{truth} " * 64, encoding="utf-8")
+    rc = main(["metrics", str(est), str(tru), "--report", str(report)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == report.read_text(encoding="utf-8") == (
+        f"RMSE_M: {stat}\nME_M: {stat}\nMAE_M: {stat}\nN_OVERLAP: 64\nN_TRUTH: 64\n"
+        "COMP_1: 0\nCOMP_2: 0\nCOMP_5: 0\n"
+    )
 
 
 def test_metrics_of_grids_with_no_cells_is_a_lattice_error(tmp_path, capsys):
@@ -1074,7 +1082,7 @@ def test_fuse_of_a_union_past_memory_is_invalid(tmp_path, capsys, monkeypatch):
     # Two 2 x 2 grids 600 cells apart on a machine of 1 MiB. Never run this
     # at a real memory size: the allocation succeeds under overcommit and
     # filling it is what runs out.
-    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(raster, "_physical_memory", lambda: 1 << 20)
     near, far, out = tmp_path / "near.asc", tmp_path / "far.asc", tmp_path / "fused.asc"
     grid = "ncols 2\nnrows 2\nxllcorner {x}\nyllcorner {x}\ncellsize 1\nNODATA_value -9999\n1 2\n3 4\n"
     near.write_text(grid.format(x=0), encoding="utf-8")

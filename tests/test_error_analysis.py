@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satpinhole import equivalence, rpc
+from satpinhole import equivalence, raster, rpc
 from satpinhole.equivalence import (
     EquivalenceReport,
     build_virtual_grid,
@@ -230,6 +230,19 @@ def test_error_field_rejects_non_positive_image_size(pushbroom_bundle, size, wit
         error_field(model, pushbroom_bundle.camera, size, 64.0, grid=grid)
 
 
+@pytest.mark.parametrize("with_grid", [False, True], ids=["dense", "grid"])
+def test_error_field_refuses_a_camera_of_another_image_size(pushbroom_bundle, with_grid):
+    # A map is rated in its camera's pixels; a 0 x 0 size still fails the
+    # size rule first.
+    model, camera = pushbroom_bundle.model, pushbroom_bundle.camera
+    w, h = camera.image_size
+    grid = build_virtual_grid(model, camera.image_size, dims=(6, 6, 3)) if with_grid else None
+    with pytest.raises(ValueError, match=f"the camera is for {w} x {h} pixels but the image size is {w} x {h - 1}"):
+        error_field(model, camera, (w, h - 1), 32.0, grid=grid)
+    with pytest.raises(ValueError, match="image size must be positive"):
+        error_field(model, camera, (0, 0), 32.0, grid=grid)
+
+
 @pytest.mark.parametrize("size", [(np.inf, 256), (256.7, 256.2)], ids=["inf", "fractional"])
 @pytest.mark.parametrize("with_grid", [False, True], ids=["dense", "grid"])
 def test_error_field_refuses_an_image_size_that_is_not_whole_pixels(pushbroom_bundle, size, with_grid):
@@ -247,7 +260,7 @@ def test_error_field_refuses_a_map_too_big_for_memory_before_allocating(acceptan
     # or any block of the lattice, is allocated.
     model = crop_rpc(acceptance_512.model, (192, 192))
     camera, _ = equate(model, (128, 128))
-    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(raster, "_physical_memory", lambda: 1 << 20)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="map of 0.25 px cells"):

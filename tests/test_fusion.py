@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satpinhole import equivalence
+from satpinhole import raster
 from satpinhole.errors import LatticeError
 from satpinhole.fusion import (
     MAD_CONSISTENCY,
@@ -354,20 +354,38 @@ def test_dsm_metrics_rejects_a_repeated_threshold(thresholds):
         dsm_metrics(est, est, thresholds=thresholds)
 
 
-@pytest.mark.parametrize(
-    "estimate, truth, past",
-    [(2e154, 0.0, "RMSE_M"), (1e308, 5e-324, "RMSE_M, ME_M, MAE_M"), (1e308, -1e308, "RMSE_M, ME_M, MAE_M")],
-)
+@pytest.mark.parametrize("estimate, truth, past", [(1e308, -1e308, "RMSE_M, ME_M, MAE_M")])
 def test_dsm_metrics_refuses_a_statistic_past_the_float_range(estimate, truth, past):
-    # Sums of squares overflow from residuals of about 1.3e154 m, means of
-    # residuals near the top of the float range, and a residual itself where
-    # the two grids straddle it.
+    # Where the two grids straddle the float range, a residual itself is
+    # past it, and so is every statistic.
     est, tru = _raster(np.full((8, 8), estimate)), _raster(np.full((8, 8), truth))
     with pytest.raises(ValueError, match=f"cannot report {past}: past the float range"):
         dsm_metrics(est, tru, thresholds=(1.0,))
     # Well below, every statistic is finite.
     m = dsm_metrics(_raster(np.full((8, 8), 1e150)), _raster(np.zeros((8, 8))), thresholds=(1.0,))
     assert m.me == m.mae == 1e150 and m.rmse == pytest.approx(1e150)
+
+
+@pytest.mark.parametrize(
+    "estimate, truth, expected",
+    [(1e154, 0.0, 1e154), (2e154, 0.0, 2e154), (1e308, 0.0, 1e308), (1e308, 5e-324, 1e308)],
+)
+def test_dsm_metrics_reports_statistics_a_float_can_hold(estimate, truth, expected):
+    # The squares pass the float range from residuals of about 1.3e154 m,
+    # the sums of 64 of them sooner, and the sums of residuals and of the
+    # median's two middle values near its top; no statistic does.
+    est, tru = _raster(np.full((8, 8), estimate)), _raster(np.full((8, 8), truth))
+    m = dsm_metrics(est, tru, thresholds=(1.0,))
+    assert (m.rmse, m.me, m.mae) == (expected, expected, expected)
+
+
+def test_dsm_metrics_takes_a_median_of_middle_values_past_the_float_range_as_their_midpoint():
+    # The middle values 1e308 and 1.5e308 sum past the float range, as do
+    # the residuals and their squares.
+    m = dsm_metrics(_raster(np.array([[0.0, 1e308, 1.5e308, 1.7e308]])), _raster(np.zeros((1, 4))), thresholds=(1.0,))
+    assert m.me == 1.25e308
+    assert m.mae == pytest.approx((1 + 1.5 + 1.7) / 4 * 1e308, rel=1e-15)
+    assert m.rmse == pytest.approx(np.sqrt((1 + 1.5**2 + 1.7**2) / 4) * 1e308, rel=1e-15)
 
 
 def test_dsm_metrics_of_no_cells_is_a_lattice_error():
@@ -465,7 +483,7 @@ def test_fuse_refuses_a_union_too_big_for_memory_before_allocating(monkeypatch):
     # Two 2 x 2 grids 600 cells apart span a 602 x 602 union whose frames
     # take 9 MB: on a machine of 1 MiB the fuse is refused before any of it
     # is allocated.
-    monkeypatch.setattr(equivalence, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(raster, "_physical_memory", lambda: 1 << 20)
     near, far = _raster(np.ones((2, 2))), _raster(np.ones((2, 2)), origin=(600.0, 600.0))
     tracemalloc.start()
     try:

@@ -9,9 +9,9 @@ with that tree's ``src`` first on the import path, in a fresh temporary
 directory (outside both trees) and with relative paths only:
 
 - a 256 x 256 pushbroom scene (seed 21) through synth, equate, refine,
-  error-map (with a saved camera, and with 4 px cells and a PPM preview)
-  and partition into 64 px tiles with 8 px overlap;
-- equate, refine and error-map on four of its tiles;
+  error-map of equate's camera (at the default cells, and at 4 px cells
+  with a PPM preview) and partition into 64 px tiles with 8 px overlap;
+- equate, refine and error-map of the tile's camera on four of its tiles;
 - a pinhole synth, inspect with and without --json, fuse of four tile
   images (one pixel frame each, so they stack as four views) with both
   aggregators, and metrics of the fused grid against the scene image;
@@ -48,8 +48,8 @@ PIPELINE = [
      "--corrected", "corrected.asc", "--camera", "refine_camera.txt",
      "--report-before", "before.txt", "--report-after", "after.txt"],
     ["error-map", "scene/rpc.txt", *SIZE, "--camera", "camera.txt", "--out", "error_camera.asc"],
-    ["error-map", "scene/rpc.txt", *SIZE, "--cell", "4", "--out", "error_cell4.asc",
-     "--preview", "error_cell4.ppm"],
+    ["error-map", "scene/rpc.txt", *SIZE, "--camera", "camera.txt", "--cell", "4",
+     "--out", "error_cell4.asc", "--preview", "error_cell4.ppm"],
     ["partition", "scene/image.asc", "scene/rpc.txt", "--out-dir", "tiles",
      "--tile-size", "64", "--overlap", "8"],
     *(
@@ -60,8 +60,8 @@ PIPELINE = [
              "--report", f"tile_{tile}_report.txt"],
             ["refine", f"tiles/tile_{tile}.rpc", *TILE_SIZE, "--warp", f"tile_{tile}_warp.txt",
              "--report-before", f"tile_{tile}_before.txt", "--report-after", f"tile_{tile}_after.txt"],
-            ["error-map", f"tiles/tile_{tile}.rpc", *TILE_SIZE, "--cell", "8",
-             "--out", f"tile_{tile}_error.asc"],
+            ["error-map", f"tiles/tile_{tile}.rpc", *TILE_SIZE, "--camera", f"tile_{tile}_camera.txt",
+             "--cell", "8", "--out", f"tile_{tile}_error.asc"],
         )
     ),
     ["synth", "--kind", "pinhole", "--seed", "21", "--out-dir", "pinhole", "--image-size", "128", "128"],
