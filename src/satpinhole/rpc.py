@@ -12,11 +12,15 @@ with latitude/longitude/altitude denoted P/L/H:
     1, L, P, H, LP, LH, PH, L2, P2, H2,
     PLH, L3, LP2, LH2, L2P, P3, PH2, L2H, P2H, H3
 
-Every evaluation goes through one monomial basis, built from shared products
-a block of 8192 points at a time; all four cubics (samp/line numerator and
-denominator) of a block come from one (4, 20) @ (20, block) product, so the
-working memory is a few MB whatever the number of points. That product is
-not batch-independent: a point's last bits (up to about 1e-13 px) can depend
+Every evaluation goes through one evaluator of coefficient rows: it builds
+the monomial basis from shared products a block of 8192 points at a time,
+in one buffer, and multiplies each block by the rows it is given, so the
+working memory is a few MB whatever the number of points. Projection gives
+it the four cubics (samp/line numerator and denominator), one
+(4, 20) @ (20, block) product per block; the inverse gives it those four
+and their latitude and longitude derivatives, whose rows come from a table
+built once from CUBIC_POWERS. The four cubics' product is not
+batch-independent: a point's last bits (up to about 1e-13 px) can depend
 on its slot in its block. So a lattice is always evaluated in the same fixed
 blocks of its flat C-order nodes, whether :func:`project_forward` gets it as
 broadcast axes or :func:`project_lattice` streams it, taking each block's
@@ -93,6 +97,14 @@ def cubic_basis(lat, lon, alt) -> np.ndarray:
     return _monomials(out).T
 
 
+# A cubic's coefficient row @ _DERIVATIVES[axis] is, exactly, the row of its derivative
+# along lat (0) or lon (1): each term falls one power on that axis, times its exponent.
+_DERIVATIVES = np.array([
+    [[k[axis] * (np.add(j, np.eye(3)[axis]) == k).all() for j in CUBIC_POWERS] for k in CUBIC_POWERS]
+    for axis in (0, 1)
+], dtype=np.float64)
+
+
 _NORMALIZER_FIELDS = (
     ("line_off", "LINE_OFF", "pixels"),
     ("samp_off", "SAMP_OFF", "pixels"),
@@ -115,6 +127,13 @@ _COEFF_FIELDS = (
 
 _COEFF_KEYS = {name: [f"{prefix}_{i}" for i in range(1, 21)] for name, prefix in _COEFF_FIELDS}
 
+# The NITF RPC00B field ranges (NGA STDI-0002, Appendix E) of the ground
+# normalizers and the coefficients; the pixel offsets stay signed and free,
+# since a crop's model can have negative ones.
+GROUND_LIMITS = {"lat_off": 90.0, "lon_off": 180.0, "alt_off": 9999.0,
+                 "lat_scale": 90.0, "lon_scale": 180.0, "alt_scale": 9999.0}
+COEFF_LIMIT = 9.999999e9
+
 
 @dataclass(frozen=True)
 class RpcModel:
@@ -122,8 +141,11 @@ class RpcModel:
 
     Offsets and scales translate between physical and normalized coordinates;
     the coefficient arrays each hold 20 values in sidecar order. Every value
-    must be finite, and both denominators must have a leading coefficient of
-    exactly 1.
+    must be finite, the scales positive, and the ground normalizers and the
+    coefficients within the NITF RPC00B field ranges: offsets within 90 deg
+    of latitude, 180 deg of longitude and 9999 m of height, scales at most
+    those, coefficients within 9.999999e9. Both denominators must have a
+    leading coefficient of exactly 1.
     """
 
     line_off: float
@@ -142,20 +164,26 @@ class RpcModel:
     samp_den: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, key, _ in _NORMALIZER_FIELDS:
+        for name, key, unit in _NORMALIZER_FIELDS:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
             if not np.isfinite(value):
                 raise FormatError(f"{key}: normalizer must be finite, got {value}")
             if name.endswith("_scale") and not value > 0.0:
                 raise FormatError(f"{key}: scale must be strictly positive, got {value}")
+            limit = GROUND_LIMITS.get(name, np.inf)
+            if not abs(value) <= limit:
+                raise FormatError(f"{key}: magnitude must be at most {limit:g} {unit}, got {value}")
         for name, key in _COEFF_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (20,):
                 raise FormatError(f"{key}: expected 20 coefficients, got shape {arr.shape}")
-            bad = np.flatnonzero(~np.isfinite(arr))
+            bad = np.flatnonzero(~(np.abs(arr) <= COEFF_LIMIT))
             if bad.size:
-                raise FormatError(f"{key}_{bad[0] + 1}: coefficient must be finite, got {arr[bad[0]]}")
+                raise FormatError(
+                    f"{key}_{bad[0] + 1}: coefficient must be finite, with magnitude at most "
+                    f"{COEFF_LIMIT:.7g}, got {arr[bad[0]]}"
+                )
             object.__setattr__(self, name, arr)
         if self.line_den[0] != 1.0:
             raise FormatError("LINE_DEN_COEFF_1: leading denominator coefficient must be 1")
@@ -175,8 +203,9 @@ def parse_rpc(text: str) -> RpcModel:
     A normalizer may carry its own unit word, as ``format_rpc`` writes it;
     unknown keys are tolerated. Missing or repeated keys, non-numeric values,
     any other extra token, non-finite normalizers or coefficients,
-    non-positive scales, and denominators whose first coefficient differs
-    from 1 all raise FormatError naming the key.
+    non-positive scales, values outside the RpcModel ranges, and denominators
+    whose first coefficient differs from 1 all raise FormatError naming the
+    key.
     """
     kv = kvio.read_kv(text)
     fields: dict[str, object] = {}
@@ -206,30 +235,34 @@ def save_rpc(model: RpcModel, path) -> None:
     kvio.write_file(path, format_rpc(model))
 
 
-def _ratios(model: RpcModel, p, l, h, check: bool):
-    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h), block by block.
-
-    With *check*, a denominator under 1e-10 at any point raises
-    DegenerateError. The denominators' constant terms are 1, so a value
-    below the floor means the denominator vanishes between that point and
-    the volume centre: the model has a pole inside the evaluated region.
-    """
-    coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
-    n = p.size
-    samp, line = np.empty(n), np.empty(n)
-    basis = np.empty((20, min(n, _BLOCK)))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+def _evaluate(rows: np.ndarray, p, l, h):
+    """Yield (block, values) for each block of 8192 of 1-D normalized (p, l, h):
+    its slice, and there the values of the cubics whose coefficient rows are
+    *rows*, one rows @ basis product a block, all in one basis buffer."""
+    basis = np.empty((20, min(p.size, _BLOCK)))
+    for lo in range(0, p.size, _BLOCK):
+        hi = min(lo + _BLOCK, p.size)
         out = basis[:, : hi - lo]
         out[1], out[2], out[3] = l[lo:hi], p[lo:hi], h[lo:hi]
-        vals = coef @ _monomials(out)
-        if check and np.any(vals[1::2] < DENOMINATOR_FLOOR):
+        yield slice(lo, hi), rows @ _monomials(out)
+
+
+def _ratios(model: RpcModel, p, l, h):
+    """Normalized (samp, line) of *model* at 1-D normalized (p, l, h).
+
+    A denominator under 1e-10 at any point raises DegenerateError: it is 1 at
+    the volume centre, so the model has a pole between that point and it.
+    """
+    rows = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
+    samp, line = np.empty(p.size), np.empty(p.size)
+    for block, vals in _evaluate(rows, p, l, h):
+        if np.any(vals[1::2] < DENOMINATOR_FLOOR):
             raise DegenerateError(
                 f"rational denominator below {DENOMINATOR_FLOOR:g}; it must stay "
                 "positive, as at the volume centre"
             )
-        np.divide(vals[0], vals[1], out=samp[lo:hi])
-        np.divide(vals[2], vals[3], out=line[lo:hi])
+        np.divide(vals[0], vals[1], out=samp[block])
+        np.divide(vals[2], vals[3], out=line[block])
     return samp, line
 
 
@@ -272,7 +305,7 @@ def project_forward(model: RpcModel, lat, lon, alt):
     p, l, h = np.broadcast_arrays(*axes)
     if p.size:
         _warn_beyond_rated_volume(*axes)
-    samp_n, line_n = _ratios(model, p.ravel(), l.ravel(), h.ravel(), check=True)
+    samp_n, line_n = _ratios(model, p.ravel(), l.ravel(), h.ravel())
     samp_n, line_n = samp_n.reshape(p.shape), line_n.reshape(p.shape)
     return samp_n * model.samp_scale + model.samp_off, line_n * model.line_scale + model.line_off
 
@@ -301,7 +334,7 @@ def project_lattice(model: RpcModel, lats, lons, alts):
         i_lat, i_lon = divmod(cols, l.size)
         i_alt = np.arange(lo, hi) - np.repeat(cols * h.size, counts)
         index = np.repeat(i_lat, counts), np.repeat(i_lon, counts), i_alt
-        samp, line = _ratios(model, p[index[0]], l[index[1]], h[index[2]], check=True)
+        samp, line = _ratios(model, p[index[0]], l[index[1]], h[index[2]])
         yield index, samp * model.samp_scale + model.samp_off, line * model.line_scale + model.line_off
 
 
@@ -313,8 +346,10 @@ def project_inverse(model: RpcModel, samp, line, alt):
     """Recover (lat, lon) for image points at a known altitude.
 
     Runs a damped Newton iteration on the normalized forward map, starting at
-    the volume center, with a numerically differenced 2x2 Jacobian and step
-    halving (up to 8 times) whenever the residual fails to decrease.
+    the volume center, with the model's exact 2x2 Jacobian and step halving
+    (up to 8 times) whenever the residual fails to decrease. Each evaluation
+    of the model gives the misfit and its Jacobian together: one at the
+    start, then one per trial step.
 
     Args:
         model: the rational polynomial model.
@@ -330,10 +365,7 @@ def project_inverse(model: RpcModel, samp, line, alt):
         ConvergenceError: iteration stalled; the message carries the worst
             remaining residual in pixels.
     """
-    samp = np.asarray(samp, dtype=np.float64)
-    line = np.asarray(line, dtype=np.float64)
-    alt = np.asarray(alt, dtype=np.float64)
-    samp, line, alt = np.broadcast_arrays(samp, line, alt)
+    samp, line, alt = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (samp, line, alt)))
     shape = samp.shape
 
     for name, arr in (("samp", samp), ("line", line), ("alt", alt)):
@@ -348,45 +380,38 @@ def project_inverse(model: RpcModel, samp, line, alt):
     u = (samp.ravel() - model.samp_off) / model.samp_scale
     v = (line.ravel() - model.line_off) / model.line_scale
 
-    p = np.zeros_like(u)
-    l = np.zeros_like(u)
-
-    def misfit(pp, ll):
-        """Normalized misfit (samp, line) at (pp, ll)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fs, fl = _ratios(model, pp, ll, h, check=False)
-        return fs - u, fl - v
+    p, l = np.zeros_like(u), np.zeros_like(u)
+    # The four cubics, then their derivatives along p, then along l.
+    coef = np.stack([model.samp_num, model.samp_den, model.line_num, model.line_den])
+    rows = np.concatenate([coef, *(coef @ _DERIVATIVES)])
 
     def residual(pp, ll):
-        """The misfit at (pp, ll) and its size in pixels."""
-        fs, fl = misfit(pp, ll)
-        return fs, fl, np.hypot(fs * model.samp_scale, fl * model.line_scale)
+        """The misfit (samp, line) at (pp, ll), its size in pixels, and its Jacobian
+        jac[i, k], misfit k's derivative along (pp, ll)[i]: (N' - (N/D) D') / D."""
+        vals = np.hstack([np.empty((len(rows), 0)), *(values for _, values in _evaluate(rows, pp, ll, h))])
+        num, den = vals[0::2], vals[1::2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num[:2] / den[:2]
+            jac = (num[2:].reshape(2, 2, -1) - ratio * den[2:].reshape(2, 2, -1)) / den[:2]
+        fs, fl = ratio[0] - u, ratio[1] - v
+        return fs, fl, np.hypot(fs * model.samp_scale, fl * model.line_scale), jac
 
-    eps = 1e-6
-    fs, fl, err = residual(p, l)
+    fs, fl, err, jac = residual(p, l)
     for _ in range(_INVERSE_ITERATIONS):
         active = err > _INVERSE_TOL_PX
         if not np.any(active):
             break
-        # Central-difference Jacobian of (samp_n, line_n) wrt (p, l): the
-        # misfits only, whose sizes no step needs.
-        fs_pp, fl_pp = misfit(p + eps, l)
-        fs_pm, fl_pm = misfit(p - eps, l)
-        fs_lp, fl_lp = misfit(p, l + eps)
-        fs_lm, fl_lm = misfit(p, l - eps)
-        j11 = (fs_pp - fs_pm) / (2 * eps)
-        j12 = (fs_lp - fs_lm) / (2 * eps)
-        j21 = (fl_pp - fl_pm) / (2 * eps)
-        j22 = (fl_lp - fl_lm) / (2 * eps)
-        det = j11 * j22 - j12 * j21
+        (j11, j21), (j12, j22) = jac
         with np.errstate(divide="ignore", invalid="ignore"):
+            det = j11 * j22 - j12 * j21
             dp = (-fs * j22 + fl * j12) / det
             dl = (-fl * j11 + fs * j21) / det
         dp = np.where(np.isfinite(dp), dp, 0.0)
         dl = np.where(np.isfinite(dl), dl, 0.0)
 
         # Damped update: halve the step, down to 1/256, until the misfit
-        # decreases; the last trial evaluated is the accepted one everywhere.
+        # decreases; the last trial evaluated is the accepted one everywhere,
+        # and its Jacobian takes the next step.
         step = np.where(active, 1.0, 0.0)
         while True:
             p_try, l_try = p + step * dp, l + step * dl
@@ -395,11 +420,9 @@ def project_inverse(model: RpcModel, samp, line, alt):
             if not np.any(worse):
                 break
             step = np.where(worse, step * 0.5, step)
-        p, l, (fs, fl, err) = p_try, l_try, trial
+        p, l, (fs, fl, err, jac) = p_try, l_try, trial
     if np.any(err > _INVERSE_TOL_PX):
-        raise ConvergenceError(
-            f"inverse projection stalled; worst residual {np.max(err):.3g} px"
-        )
+        raise ConvergenceError(f"inverse projection stalled; worst residual {np.max(err):.3g} px")
 
     lat = p * model.lat_scale + model.lat_off
     lon = l * model.lon_scale + model.lon_off

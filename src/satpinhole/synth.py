@@ -18,7 +18,7 @@ from .equivalence import PinholeCamera
 from .errors import DegenerateError
 from .geodesy import GeoPoint, enu_to_geodetic, geodetic_to_enu
 from .raster import NODATA, Raster, _image_size, _row_blocks, _whole, sample_bilinear
-from .rpc import RpcModel, cubic_basis
+from .rpc import GROUND_LIMITS, RpcModel, cubic_basis
 
 # Rational fits sample the rated volume on this many (lat, lon, alt) nodes.
 FIT_DIMS = (30, 30, 15)
@@ -372,10 +372,22 @@ def _check_staging(
 ) -> None:
     _image_size(image_size)
     _check_relief(relief)
+    alt_min, alt_max = _alt_range(relief)
+    if (alt_max - alt_min) / 2.0 > GROUND_LIMITS["alt_scale"]:
+        raise ValueError(
+            f"relief of {relief:g} m gives a height scale of {(alt_max - alt_min) / 2.0:g} m, "
+            f"past the {GROUND_LIMITS['alt_scale']:g} m an RPC model can hold"
+        )
     if not (np.isfinite(sensor_height) and sensor_height > 0):
         raise ValueError(f"sensor height must be finite and positive, got {sensor_height}")
     if not (np.isfinite(extent_deg) and extent_deg > 0):
         raise ValueError(f"extent must be finite and positive, got {extent_deg}")
+
+
+def _alt_range(relief: float) -> tuple[float, float]:
+    """The altitude bounds of a scene's rated volume: the relief, padded."""
+    alt_pad = max(30.0, 0.3 * relief)
+    return -alt_pad, relief + alt_pad
 
 
 def _scene_frame(rng, relief: float, extent_deg: float, seed: int):
@@ -386,14 +398,14 @@ def _scene_frame(rng, relief: float, extent_deg: float, seed: int):
         raise ValueError(
             f"extent of {extent_deg} deg around latitude {lat0:.6g} reaches past a pole"
         )
-    alt_pad = max(30.0, 0.3 * relief)
+    alt_min, alt_max = _alt_range(relief)
     volume = Volume(
         lat_min=lat0 - half,
         lat_max=lat0 + half,
         lon_min=lon0 - half,
         lon_max=lon0 + half,
-        alt_min=-alt_pad,
-        alt_max=relief + alt_pad,
+        alt_min=alt_min,
+        alt_max=alt_max,
     )
     anchor = GeoPoint(lat0, lon0, (volume.alt_min + volume.alt_max) / 2.0)
     base = make_terrain(seed, TERRAIN_SIZE, relief)
@@ -437,7 +449,8 @@ def make_pinhole_scene(
 
     Raises:
         ValueError: a non-positive image size, a relief that is not finite
-            and non-negative, a sensor height or extent that is not finite
+            and non-negative or whose model would pass 9999 m of height
+            scale, a sensor height or extent that is not finite
             and positive, an extent reaching past a pole, or a staging whose
             rated volume does not project inside the image.
     """
@@ -495,7 +508,8 @@ def make_pushbroom_scene(
 
     Raises:
         ValueError: a non-positive image size, a relief that is not finite
-            and non-negative, a sensor height or extent that is not finite
+            and non-negative or whose model would pass 9999 m of height
+            scale, a sensor height or extent that is not finite
             and positive, an extent reaching past a pole, a scan depth that
             is not positive, or a staging whose rated volume does not
             project inside the image.

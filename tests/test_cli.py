@@ -180,6 +180,8 @@ def test_synth_pushbroom_camera_file(tmp_path):
         ("pinhole", ["--sensor-height", "1e200"]),
         ("pinhole", ["--sensor-height", "1e300"]),
         ("pinhole", ["--sensor-height", "1e-300"]),
+        # Its model's HEIGHT_SCALE would be 10 400 m, past the RPC00B 9999 m.
+        ("pushbroom", ["--relief", "13000"]),
     ],
 )
 def test_synth_rejects_impossible_staging(tmp_path, capsys, kind, flags):
@@ -496,8 +498,9 @@ def test_error_map_projects_only_its_dense_grid(tmp_path, scene_dir, monkeypatch
 @pytest.mark.parametrize("command", ["equate", "refine"])
 @pytest.mark.parametrize("scale", ["1e155", "1e307"])
 def test_fit_refuses_heights_spread_past_the_float_range(tmp_path, scene_dir, capsys, command, scale):
-    # ENU heights of 1e155 m or more square past the float range where the
-    # DLT conditions its points.
+    # ENU heights of 1e155 m or more would square past the float range where
+    # the DLT conditions its points; the model refuses such a height scale
+    # first, as past the RPC00B field range.
     text = (scene_dir / "rpc.txt").read_text()
     rpc = tmp_path / "far.rpc"
     rpc.write_text(re.sub(r"(?m)^HEIGHT_SCALE: .*$", f"HEIGHT_SCALE: {scale}", text), encoding="utf-8")
@@ -506,7 +509,35 @@ def test_fit_refuses_heights_spread_past_the_float_range(tmp_path, scene_dir, ca
     rc = main([command, str(rpc), "--image-size", "96", "96", flag, str(out)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: ill-conditioned: correspondences spread past the float range\n"
+    assert captured.err == f"error: parse: HEIGHT_SCALE: magnitude must be at most 9999 meters, got {float(scale)}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pushbroom_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pushbroom")
+    size = ["--image-size", "96", "96"]
+    assert main(["synth", "--kind", "pushbroom", "--seed", "6", "--out-dir", str(out), *size]) == 0
+    assert main(["equate", str(out / "rpc.txt"), *size, "--camera", str(out / "equate_camera.txt")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["equate", "error-map"])
+@pytest.mark.parametrize("key", ["HEIGHT_SCALE", "LAT_SCALE", "SAMP_NUM_COEFF_5", "HEIGHT_OFF"])
+def test_sidecar_value_no_sensor_can_have_is_a_parse_error(tmp_path, pushbroom_dir, capsys, command, key):
+    # 1e308 is past the key's RPC00B field range. It overflowed into numpy
+    # warnings (errors in this suite), then a degenerate or decomposition
+    # error naming something else, or an empty error map with exit 0.
+    text = (pushbroom_dir / "rpc.txt").read_text()
+    rpc = tmp_path / "far.rpc"
+    rpc.write_text(re.sub(rf"(?m)^{key}: .*$", f"{key}: 1e308", text), encoding="utf-8")
+    out = tmp_path / "out"
+    flags = {"equate": ["--camera", str(out)],
+             "error-map": ["--camera", str(pushbroom_dir / "equate_camera.txt"), "--out", str(out)]}[command]
+    rc = main([command, str(rpc), "--image-size", "96", "96", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: parse: {key}: ") and captured.err.count("\n") == 1, captured.err
     assert captured.out == "" and not out.exists()
 
 

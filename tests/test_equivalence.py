@@ -28,7 +28,7 @@ from satpinhole.errors import DecompositionError, DegenerateError, FormatError, 
 from satpinhole import rpc
 from satpinhole.geodesy import GeoPoint, geodetic_to_enu
 from satpinhole.refinement import IDENTITY_COEFFS, Homography, PolynomialWarp
-from satpinhole.rpc import ExtrapolationWarning, RpcModel, project_forward, project_lattice
+from satpinhole.rpc import ExtrapolationWarning, RpcModel, project_forward, project_inverse, project_lattice
 from satpinhole.synth import fit_scene_rpc, make_pushbroom_scene
 from satpinhole.tiling import crop_rpc
 
@@ -425,6 +425,19 @@ def test_collapsed_correspondences_are_ill_conditioned():
         solve_projection(grid)
 
 
+def test_correspondences_spread_past_the_float_range_are_ill_conditioned():
+    # No rational model can stage these any more (its heights stay within
+    # 9999 m), but a grid given to the library can: their squares overflow.
+    rng = np.random.default_rng(16)
+    grid = VirtualGrid(
+        enu=rng.uniform(-1.0, 1.0, (40, 3)) * 1e160,
+        pixels=rng.uniform(0.0, 100.0, (40, 2)),
+        anchor=GeoPoint(0.0, 0.0, 0.0),
+    )
+    with pytest.raises(IllConditionedError, match="^correspondences spread past the float range$"):
+        solve_projection(grid)
+
+
 def _pinhole_grid(enu):
     """*enu* with its exact pixels under a fixed camera 500 m from the origin."""
     k = np.array([[900.0, 0.0, 320.0], [0.0, 880.0, 240.0], [0.0, 0.0, 1.0]])
@@ -500,6 +513,23 @@ def test_equate_at_high_latitude_and_the_antimeridian(acceptance_scene_256, fiel
     camera, report = equate(model, size)
     assert np.isfinite([report.rmse, report.max_error, camera.residual_rms_px]).all()
     assert report.rmse < 5.0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("lat_off", 60.0), ("lat_off", 84.0), ("lat_off", 89.0), ("lon_off", 179.999), ("lon_off", -179.999)]
+)
+def test_inverse_round_trips_at_high_latitude_and_the_antimeridian(acceptance_scene_256, field, value):
+    model = dataclasses.replace(acceptance_scene_256[0], **{field: value})
+    g = np.random.default_rng(15).uniform(-1.0, 1.0, (3, 2000))
+    lat = model.lat_off + g[0] * model.lat_scale
+    lon = model.lon_off + g[1] * model.lon_scale
+    alt = model.alt_off + g[2] * model.alt_scale
+    samp, line = project_forward(model, lat, lon, alt)
+    lat2, lon2 = project_inverse(model, samp, line, alt)
+    assert np.max(np.abs(lat2 - lat)) < 1e-10
+    assert np.max(np.abs(lon2 - lon)) < 1e-10
+    samp2, line2 = project_forward(model, lat2, lon2, alt)
+    assert np.max(np.hypot(samp2 - samp, line2 - line)) < 1e-8
 
 
 def _log_factor():

@@ -108,6 +108,44 @@ def test_cubic_powers_table_shape():
     np.testing.assert_allclose(cubic_basis(lat, lon, alt), table, rtol=1e-15, atol=0)
 
 
+def test_derivative_table_rows_are_exact():
+    # Term P^a L^b H^c goes to a * P^(a-1) L^b H^c along lat and to
+    # b * P^a L^(b-1) H^c along lon; a term without that variable goes to 0.
+    assert rpc._DERIVATIVES.shape == (2, 20, 20)
+    assert rpc._DERIVATIVES[0][15].tolist() == [3.0 if k == 8 else 0.0 for k in range(20)]  # P3 -> 3 P2
+    assert not rpc._DERIVATIVES[1][0].any()  # the constant
+    for axis in (0, 1):
+        for k, powers in enumerate(CUBIC_POWERS):
+            expected = np.zeros(20)
+            if powers[axis]:
+                lower = list(powers)
+                lower[axis] -= 1
+                expected[CUBIC_POWERS.index(tuple(lower))] = powers[axis]
+            assert rpc._DERIVATIVES[axis][k].tolist() == expected.tolist(), (axis, k)
+    # A coefficient row maps to its derivative row bit for bit.
+    c = np.random.default_rng(13).normal(size=20)
+    assert (c @ rpc._DERIVATIVES[0])[8] == 3.0 * c[15]
+    assert (c @ rpc._DERIVATIVES[1])[4] == 2.0 * c[14]  # L2P -> 2 LP
+
+
+def test_derivative_cubics_agree_with_central_differences():
+    rng = np.random.default_rng(14)
+    rows = rng.normal(size=(4, 20))
+    p, l, h = rng.uniform(-1.5, 1.5, (3, 1000))
+
+    def values(rows, p, l):
+        return np.concatenate([v for _, v in rpc._evaluate(rows, p, l, h)], axis=1)
+
+    eps = 1e-5
+    for axis, derivative in enumerate(values(rows @ rpc._DERIVATIVES[a], p, l) for a in (0, 1)):
+        step = np.array([eps, 0.0] if axis == 0 else [0.0, eps])
+        ahead = values(rows, p + step[0], l + step[1])
+        behind = values(rows, p - step[0], l - step[1])
+        # The differences' truncation error is eps^2 / 6 times a third
+        # derivative, their rounding about 1e-16 / eps of the values.
+        np.testing.assert_allclose((ahead - behind) / (2 * eps), derivative, rtol=1e-8, atol=1e-8)
+
+
 def _unit_model(rng, samp_den=None, line_den=None):
     """A random model whose normalized and physical coordinates coincide.
 
@@ -500,29 +538,29 @@ def _overshoot_model() -> RpcModel:
     )
 
 
-def _count_ratios(monkeypatch) -> list[int]:
+def _count_evaluations(monkeypatch) -> list[int]:
     """Count the model evaluations that project_inverse makes."""
     calls = [0]
-    ratios = rpc._ratios
+    evaluate = rpc._evaluate
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return ratios(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(rpc, "_ratios", counting)
+    monkeypatch.setattr(rpc, "_evaluate", counting)
     return calls
 
 
 def test_inverse_halves_an_overshooting_step(monkeypatch):
     model = _overshoot_model()
     p, l = np.array([0.9, -0.5, 0.0]), np.array([0.0, 0.3, 0.0])
-    calls = _count_ratios(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     lat, lon = project_inverse(model, (p + 2 * p**3) * 1000.0, l * 1000.0, 0.0)
     assert np.max(np.abs(lat - 0.1 * p)) <= 1e-12
     assert np.max(np.abs(lon - 0.1 * l)) <= 1e-12
-    # Six Newton iterations, one of them halved: the start, then four
-    # Jacobian evaluations and the trials (the last one accepted) each.
-    assert calls[0] == 32
+    # Six Newton iterations, one of them halved: the start, then the trials
+    # (the last one accepted) of each, which bring their Jacobians along.
+    assert calls[0] == 8
 
 
 def test_inverse_evaluates_the_model_once_per_trial(monkeypatch):
@@ -532,17 +570,17 @@ def test_inverse_evaluates_the_model_once_per_trial(monkeypatch):
     lon = model.lon_off + g[:, 1] * model.lon_scale
     alt = model.alt_off + g[:, 2] * model.alt_scale
     samp, line = project_forward(model, lat, lon, alt)
-    calls = _count_ratios(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     lat2, lon2 = project_inverse(model, samp, line, alt)
-    # Three iterations, none halved: 1 + 3 * (4 + 1) evaluations.
-    assert calls[0] == 16
+    # Three iterations, none halved: 1 + 3 evaluations.
+    assert calls[0] == 4
     assert np.max(np.abs(lat2 - lat)) < 1e-10
     assert np.max(np.abs(lon2 - lon)) < 1e-10
 
 
 def test_inverse_takes_a_norm_only_of_its_start_and_trials(monkeypatch):
-    # The four Jacobian evaluations of an iteration need the misfit, not its
-    # size in pixels: three iterations, none halved, take 1 + 3 norms.
+    # One norm per evaluation of the model: three iterations, none halved,
+    # take 1 + 3 norms.
     model, _ = fit_scene_rpc(make_pushbroom_scene(1, (2048, 2048)))
     g = np.random.default_rng(5).uniform(-1.0, 1.0, (10_000, 3))
     lat = model.lat_off + g[:, 0] * model.lat_scale
