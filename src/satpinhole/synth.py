@@ -373,9 +373,10 @@ def _check_staging(
     _image_size(image_size)
     _check_relief(relief)
     alt_min, alt_max = _alt_range(relief)
-    if (alt_max - alt_min) / 2.0 > GROUND_LIMITS["alt_scale"]:
+    alt_scale = (alt_max - alt_min) / 2.0  # the fitted model's HEIGHT_SCALE
+    if alt_scale > GROUND_LIMITS["alt_scale"]:
         raise ValueError(
-            f"relief of {relief:g} m gives a height scale of {(alt_max - alt_min) / 2.0:g} m, "
+            f"relief of {relief:g} m gives a height scale of {alt_scale:g} m, "
             f"past the {GROUND_LIMITS['alt_scale']:g} m an RPC model can hold"
         )
     if not (np.isfinite(sensor_height) and sensor_height > 0):
