@@ -97,10 +97,8 @@ def cubic_basis(lat, lon, alt) -> np.ndarray:
     return _monomials(out).T
 
 
-# A cubic's coefficient row @ _DERIVATIVES[axis] is, exactly, the row of its derivative
-# along lat (0) or lon (1): each term goes to the term one power lower on that axis,
-# times its exponent. It is built in plain Python; the same table from numpy array
-# arithmetic added about 0.3 MB to the peak resident size of each importing process.
+# A cubic's coefficient row @ _DERIVATIVES[axis] is, exactly, its derivative's along lat (0) or lon (1).
+# Built in plain Python: numpy array arithmetic here added 0.3 MB to each importer's peak resident size.
 _DERIVATIVES = np.array([
     [[k[axis] * (j == tuple(e - (i == axis) for i, e in enumerate(k))) for j in CUBIC_POWERS]
      for k in CUBIC_POWERS]
